@@ -8,8 +8,9 @@ Core layers:
 - fracop: Galerkin stiffness of the weak fractional Laplacian (full
   Gagliardo form including the exterior tail), elliptic solves, dual norms;
 - spectral: first eigenpair, interpolation constant, eigenvalue bounds;
-- dynamics: energy-stable implicit steppers with per-step inequality
-  monitors;
+- dynamics: one energy-stable convex-splitting step for all four flows
+  (Cahn-Hilliard, modified, Allen-Cahn, porous medium) with per-step
+  inequality monitors;
 - stationary: free-energy minimization and existence criteria;
 - limits: quantitative singular-limit experiments;
 - cli: the `fracfield` command.
@@ -19,7 +20,7 @@ __version__ = "0.1.0"
 
 from .grid import Domain1D, Field, bump_field, lp_norm, make_domain, sample, zero_field
 from .potential import PotentialParams, W, beta, beta_hat, truncate_beta, yosida_beta
-from .fracop import FracOperator, KernelConstant, assemble, kernel_constant, poincare_lower_bound
+from .fracop import FracOperator, KernelConstant, assemble, kernel_constant
 from .spectral import (
     EigenBounds,
     EigenPair,
@@ -30,6 +31,7 @@ from .spectral import (
 )
 from .dynamics import (
     EnergyTrace,
+    Flow,
     SolverSettings,
     Trajectory,
     ac_evolve,
@@ -40,6 +42,7 @@ from .dynamics import (
     check_energy_identity_gap,
     energy,
     energy_modified,
+    evolve,
     pm_evolve,
 )
 from .stationary import (
@@ -62,11 +65,11 @@ __all__ = [
     "lp_norm",
     "PotentialParams", "beta", "beta_hat", "W", "yosida_beta", "truncate_beta",
     "KernelConstant", "FracOperator", "kernel_constant", "assemble",
-    "poincare_lower_bound",
     "EigenPair", "EigenBounds", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
-    "SolverSettings", "Trajectory", "EnergyTrace", "energy", "energy_modified",
-    "ch_step", "ch_evolve", "ch_evolve_modified", "ac_evolve", "pm_evolve",
+    "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "evolve", "energy",
+    "energy_modified", "ch_step", "ch_evolve", "ch_evolve_modified", "ac_evolve",
+    "pm_evolve",
     "check_energy_identity_gap", "beta_bound_check",
     "StationaryResult", "minimize_energy", "nontriviality_predicate",
     "smallness_bound", "stationary_sigma_sweep",

@@ -1,24 +1,33 @@
 """Implicit time integrators for the fractional Cahn-Hilliard system and its
 singular-limit companions (Allen-Cahn, porous medium / fast diffusion).
 
-Each step minimizes a strictly convex functional: the convex energy part
-(Gagliardo form + power-law primitive) is implicit while the concave
-quadratic is taken at the previous iterate, so every step is unconditionally
-solvable and satisfies a discrete energy inequality with machine-size slack.
+All four flows are one convex-splitting scheme.  Step n minimizes
+
+    F_n(u) = (1/(2 tau)) ||u - u_prev||_G^2 + (1/2) u^T A_sigma u
+             + h sum_i beta_hat(u_i) - lam * u^T M_c u_prev,
+
+a strictly convex functional: the convex energy part (Gagliardo form +
+power-law primitive) is implicit while the concave quadratic is taken at the
+previous iterate, so every step is unconditionally solvable and satisfies a
+discrete energy inequality with machine-size slack.  The flows differ only in
+the metric G, the interface operator and the concave weight lam (see Flow):
+
+    flow                        G                   interface  lam
+    Cahn-Hilliard               M_c A_s^(-1) M_c    A_sigma    params.lam
+    modified Cahn-Hilliard      M_c A_s^(-1) M_c    A_sigma    lambda1(sigma)
+    Allen-Cahn                  M_c (L2)            A_sigma    params.lam
+    porous medium / fast diff.  M_c A_s^(-1) M_c    none       0
+
 Mass treatment: consistent mass M_c for all linear pairings, lumped mass for
 the nonlinearity, which is what makes the per-step inequality an exact
 consequence of convexity.
 
-For the Cahn-Hilliard step the minimized functional is
-
-    F_n(u) = (tau/2) ||(u - u_prev)/tau||_*^2 + (1/2) u^T A_sigma u
-             + h sum_i beta_hat(u_i) - lam * u^T M_c u_prev,
-
-where ||z||_*^2 = (M_c z)^T A_s^(-1) (M_c z) is the discrete dual norm.  The
-chemical potential is recovered by the dual solve
-w_n = -A_s^(-1) M_c (u_n - u_prev)/tau, which satisfies the discrete flow
-equation exactly; the residual of the potential equation equals the Newton
-stopping residual and is reported per step.
+The chemical potential w_n is recovered from the flow equation: by the dual
+solve w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in the H^(-s) metric, and as
+w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly, and
+the residual of the potential equation
+M_c w_n = A_sigma u_n + h beta(u_n) - lam M_c u_prev equals the Newton
+stopping residual; it is reported per step.
 """
 
 from __future__ import annotations
@@ -90,13 +99,58 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class Flow:
+    """One gradient flow of the convex-splitting family.
+
+    metric is the operator A_s of the H^(-s) metric G = M_c A_s^(-1) M_c, or
+    None for the L2 metric G = M_c (Allen-Cahn).  interface is A_sigma, or
+    None when the energy has no Gagliardo term (porous medium).  lam weighs
+    the explicit concave quadratic.
+    """
+
+    metric: FracOperator | None
+    interface: FracOperator | None
+    lam: float
+
+    def __post_init__(self) -> None:
+        if self.metric is None and self.interface is None:
+            raise ValueError("a flow needs a metric or an interface operator")
+        if (self.metric is not None and self.interface is not None
+                and self.metric.domain != self.interface.domain):
+            raise DomainMismatchError("operators must share one domain")
+
+    @property
+    def domain(self) -> Domain1D:
+        return (self.interface or self.metric).domain
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Consistent mass M_c of the shared domain."""
+        return (self.interface or self.metric).M_c
+
+
+@dataclass(frozen=True)
 class EnergyTrace:
     """Per-step energies and gradient-flow diagnostics (arrays of length
     n_steps+1; step-indexed columns carry 0 in the initial row).
 
-    gagliardo_s_of_w is w_n^T A_s w_n for the H^(-s)-metric flows and the
-    L2 dissipation w_n^T M_c w_n for Allen-Cahn; dual_norm_u is the squared
-    X'_{s,0} norm (L2 for Allen-Cahn).
+    Columns per flow (H^(-s) flows: Cahn-Hilliard, modified, porous medium):
+
+    - E_sigma: (1/2) u^T A_sigma u + h sum W(u_i) with W = beta_hat -
+      (params.lam/2) v^2; for porous medium h sum beta_hat(u_i), the exact
+      (unsmoothed) Lyapunov functional.
+    - E_tilde: E_sigma with the concave weight of the flow, lambda1(sigma) in
+      the modified scheme; a copy of E_sigma for the other flows.
+    - gagliardo_s_of_w: w_n^T A_s w_n for the H^(-s) flows, the L2
+      dissipation w_n^T M_c w_n for Allen-Cahn.
+    - dual_norm_u: the squared X'_{s,0} norm (M_c u)^T A_s^(-1) (M_c u) for
+      the H^(-s) flows, u^T M_c u for Allen-Cahn.
+    - l2_u, lp_u: lumped L2 and L^p norms of u_n.
+    - step_slack: (lam/2)(u_n^T M_c u_n - u_{n-1}^T M_c u_{n-1})
+      - tau gagliardo_s_of_w - [convex(u_n) - convex(u_{n-1})], with the
+      flow's lam and convex(u) = (1/2) u^T A_sigma u + h sum beta_hat_reg
+      (no Gagliardo term for porous medium); nonnegative up to the Newton
+      tolerance by convexity.
     """
 
     tau: float
@@ -122,12 +176,13 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
-def energy(op_sigma: FracOperator, params: PotentialParams, u: Field) -> float:
-    """E_sigma(u) = (1/2) u^T A_sigma u + sum_i h W(u_i) (lumped potential)."""
-    h = u.domain.h
-    return float(
-        0.5 * op_sigma.gagliardo_sq(u) + h * np.sum(pot.W(params, u.values))
-    )
+def energy(op_sigma: FracOperator | None, params: PotentialParams, u: Field) -> float:
+    """E_sigma(u) = (1/2) u^T A_sigma u + sum_i h W(u_i) (lumped potential);
+    op_sigma = None drops the Gagliardo term."""
+    e = u.domain.h * np.sum(pot.W(params, u.values))
+    if op_sigma is not None:
+        e = 0.5 * op_sigma.gagliardo_sq(u) + e
+    return float(e)
 
 
 def energy_modified(
@@ -184,52 +239,105 @@ def _newton_minimize(
     )
 
 
-def ch_step_functional(
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    u_prev: Field,
-    tau: float,
-    concave_coef: float | None = None,
-):
-    """Value/gradient/Hessian callbacks of the per-step functional F_n.
+def _stepper(
+    flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
+) -> Callable[[Field], tuple[Field, Field, StepStats]]:
+    """The step u_prev -> (u_n, w_n, stats): Newton on F_n, then w_n and the
+    potential-equation residual."""
+    dom = flow.domain
+    h = dom.h
+    Mc = flow.mass
+    A = None if flow.interface is None else flow.interface.A
+    G = Mc if flow.metric is None else flow.metric.dual_kernel
 
-    F_n is strictly convex for every p thanks to the convex splitting (the
-    concave quadratic enters only through the fixed previous iterate), and
-    its unique minimizer is the next Cahn-Hilliard state.
-    """
-    lam = params.lam if concave_coef is None else concave_coef
-    if op_s.domain != op_sigma.domain or u_prev.domain != op_s.domain:
-        raise DomainMismatchError("operators and state must share one domain")
-    if not np.all(np.isfinite(u_prev.values)):
-        raise ValueError("previous state contains non-finite values")
-    h = u_prev.domain.h
-    Ks = op_s.dual_kernel
-    A = op_sigma.A
-    up = u_prev.values
-    mc_up = op_sigma.M_c @ up
+    def step(u_prev: Field) -> tuple[Field, Field, StepStats]:
+        if u_prev.domain != dom:
+            raise DomainMismatchError("operators and state must share one domain")
+        if not np.all(np.isfinite(u_prev.values)):
+            raise ValueError("previous state contains non-finite values")
+        up = u_prev.values
+        explicit = flow.lam * (Mc @ up)
 
-    def value(u):
-        du = u - up
-        return float(
-            0.5 * du @ (Ks @ du) / tau
-            + 0.5 * u @ (A @ u)
-            + h * np.sum(pot.beta_hat_reg(params, u))
-            - lam * u @ mc_up
+        def grad(u):
+            g = G @ (u - up) / tau
+            if A is not None:
+                g = g + A @ u
+            return g + h * pot.beta_reg(params, u) - explicit
+
+        def hess(u):
+            H = G / tau
+            if A is not None:
+                H = H + A
+            return H + h * np.diag(pot.beta_prime_reg(params, u))
+
+        un, iters, res = _newton_minimize(grad, hess, up, settings, h)
+        if flow.metric is None:
+            wn = -(un - up) / tau
+        else:
+            wn = -flow.metric.solve_vector(Mc @ (un - up)) / tau
+        potential = h * pot.beta_reg(params, un)
+        if A is not None:
+            potential = A @ un + potential
+        td2 = Mc @ wn - (potential - explicit)
+        stats = StepStats(iters, res, float(np.linalg.norm(td2) / np.sqrt(h)))
+        return Field(dom, un), Field(dom, wn), stats
+
+    return step
+
+
+def evolve(
+    flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
+) -> tuple[Trajectory, EnergyTrace]:
+    """March the flow over settings.n_steps steps and trace its energies;
+    deterministic."""
+    tau = settings.tau
+    step = _stepper(flow, params, tau, settings)
+    us, ws, stats = [u0], [], []
+    for _ in range(settings.n_steps):
+        un, wn, st = step(us[-1])
+        us.append(un)
+        ws.append(wn)
+        stats.append(st)
+    n = len(ws)
+    traj = Trajectory(times=tau * np.arange(n + 1), u=us, w=ws, stats=stats)
+
+    h = flow.domain.h
+    Mc = flow.mass
+    A = None if flow.interface is None else flow.interface.A
+    if flow.metric is None:
+        w_gram = Mc
+
+        def dual_norm_sq(u: Field) -> float:
+            return float(u.values @ (Mc @ u.values))
+    else:
+        w_gram = flow.metric.A
+        dual_norm_sq = flow.metric.dual_norm_sq
+
+    def convex_part(u: np.ndarray) -> float:
+        c = h * np.sum(pot.beta_hat_reg(params, u))
+        return float(c if A is None else 0.5 * u @ (A @ u) + c)
+
+    E = np.array([energy(flow.interface, params, u) for u in us])
+    if flow.lam == params.lam:
+        Et = E.copy()
+    else:
+        Et = np.array([energy_modified(flow.interface, params, flow.lam, u) for u in us])
+    du = np.array([dual_norm_sq(u) for u in us])
+    l2 = np.array([lp_norm(u, 2) for u in us])
+    lp = np.array([lp_norm(u, params.p) for u in us])
+    gw = np.zeros(n + 1)
+    slack = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        w = ws[k - 1].values
+        gw[k] = float(w @ (w_gram @ w))
+        uk, um = us[k].values, us[k - 1].values
+        slack[k] = (
+            0.5 * flow.lam * (uk @ (Mc @ uk) - um @ (Mc @ um))
+            - tau * gw[k]
+            - convex_part(uk)
+            + convex_part(um)
         )
-
-    def grad(u):
-        return (
-            Ks @ (u - up) / tau
-            + A @ u
-            + h * pot.beta_reg(params, u)
-            - lam * mc_up
-        )
-
-    def hess(u):
-        return Ks / tau + A + h * np.diag(pot.beta_prime_reg(params, u))
-
-    return value, grad, hess
+    return traj, EnergyTrace(tau, traj.times, E, Et, gw, du, l2, lp, slack)
 
 
 def ch_step(
@@ -246,80 +354,12 @@ def ch_step(
     concave_coef is the weight of the explicit concave term (params.lam by
     default; lambda1(sigma) for the modified scheme).
     """
-    if settings is None:
-        settings = SolverSettings(tau=tau, T=tau)
-    lam = params.lam if concave_coef is None else concave_coef
-    dom = u_prev.domain
-    h = dom.h
-    _, grad, hess = ch_step_functional(op_s, op_sigma, params, u_prev, tau, lam)
-    up = u_prev.values
-    un, iters, res = _newton_minimize(grad, hess, up, settings, h)
-    wn = -op_s.solve_vector(op_sigma.M_c @ (un - up)) / tau
-    td2 = op_s.M_c @ wn - (
-        op_sigma.A @ un + h * pot.beta_reg(params, un) - lam * (op_sigma.M_c @ up)
-    )
-    stats = StepStats(iters, res, float(np.linalg.norm(td2) / np.sqrt(h)))
-    return Field(dom, un), Field(dom, wn), stats
-
-
-def _march(
-    u0: Field,
-    settings: SolverSettings,
-    stepper: Callable[[Field], tuple[Field, Field, StepStats]],
-) -> Trajectory:
-    n = settings.n_steps
-    times = settings.tau * np.arange(n + 1)
-    us = [u0]
-    ws: list[Field] = []
-    stats: list[StepStats] = []
-    for _ in range(n):
-        un, wn, st = stepper(us[-1])
-        us.append(un)
-        ws.append(wn)
-        stats.append(st)
-    return Trajectory(times=times, u=us, w=ws, stats=stats)
-
-
-def _ch_trace(
-    traj: Trajectory,
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    lam: float,
-    settings: SolverSettings,
-) -> EnergyTrace:
-    h = traj.domain.h
-    n = len(traj.u) - 1
-    tau = settings.tau
-    E = np.empty(n + 1)
-    Et = np.empty(n + 1)
-    gw = np.zeros(n + 1)
-    du = np.empty(n + 1)
-    l2 = np.empty(n + 1)
-    lp = np.empty(n + 1)
-    slack = np.zeros(n + 1)
-    Mc = op_sigma.M_c
-
-    def convex_part(u: np.ndarray) -> float:
-        return float(0.5 * u @ (op_sigma.A @ u) + h * np.sum(pot.beta_hat_reg(params, u)))
-
-    for k, u in enumerate(traj.u):
-        E[k] = energy(op_sigma, params, u)
-        Et[k] = energy_modified(op_sigma, params, lam, u)
-        du[k] = op_s.dual_norm_sq(u)
-        l2[k] = lp_norm(u, 2)
-        lp[k] = lp_norm(u, params.p)
-        if k >= 1:
-            w = traj.w[k - 1].values
-            gw[k] = float(w @ (op_s.A @ w))
-            uk, um = traj.u[k].values, traj.u[k - 1].values
-            slack[k] = (
-                0.5 * lam * (uk @ (Mc @ uk) - um @ (Mc @ um))
-                - tau * gw[k]
-                - convex_part(uk)
-                + convex_part(um)
-            )
-    return EnergyTrace(tau, settings.tau * np.arange(n + 1), E, Et, gw, du, l2, lp, slack)
+    return _stepper(
+        Flow(op_s, op_sigma, params.lam if concave_coef is None else concave_coef),
+        params,
+        tau,
+        settings or SolverSettings(tau=tau, T=tau),
+    )(u_prev)
 
 
 def ch_evolve(
@@ -330,13 +370,7 @@ def ch_evolve(
     settings: SolverSettings,
 ) -> tuple[Trajectory, EnergyTrace]:
     """Evolve the fractional Cahn-Hilliard system; deterministic."""
-    traj = _march(
-        u0,
-        settings,
-        lambda up: ch_step(op_s, op_sigma, params, up, settings.tau, settings),
-    )
-    trace = _ch_trace(traj, op_s, op_sigma, params, params.lam, settings)
-    return traj, trace
+    return evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
 
 
 def ch_evolve_modified(
@@ -351,16 +385,7 @@ def ch_evolve_modified(
 
     With lambda1_sigma = params.lam this reproduces ch_evolve bitwise.
     """
-    traj = _march(
-        u0,
-        settings,
-        lambda up: ch_step(
-            op_s, op_sigma, params, up, settings.tau, settings,
-            concave_coef=lambda1_sigma,
-        ),
-    )
-    trace = _ch_trace(traj, op_s, op_sigma, params, lambda1_sigma, settings)
-    return traj, trace
+    return evolve(Flow(op_s, op_sigma, lambda1_sigma), params, u0, settings)
 
 
 def ac_evolve(
@@ -369,62 +394,9 @@ def ac_evolve(
     u0: Field,
     settings: SolverSettings,
 ) -> tuple[Trajectory, EnergyTrace]:
-    """Implicit Allen-Cahn flow (L2 metric) with the same convex splitting.
-
-    Stores w_n = -(u_n - u_prev)/tau; the trace columns gagliardo_s_of_w and
-    dual_norm_u hold the L2 quantities w^T M_c w and u^T M_c u.
-    """
-    dom = u0.domain
-    h = dom.h
-    A = op_sigma.A
-    Mc = op_sigma.M_c
-    lam = params.lam
-    tau = settings.tau
-
-    def stepper(u_prev: Field):
-        up = u_prev.values
-        mc_up = Mc @ up
-
-        def grad(u):
-            return Mc @ (u - up) / tau + A @ u + h * pot.beta_reg(params, u) - lam * mc_up
-
-        def hess(u):
-            return Mc / tau + A + h * np.diag(pot.beta_prime_reg(params, u))
-
-        un, iters, res = _newton_minimize(grad, hess, up, settings, h)
-        wn = -(un - up) / tau
-        td2 = Mc @ wn - (A @ un + h * pot.beta_reg(params, un) - lam * mc_up)
-        return (
-            Field(dom, un),
-            Field(dom, wn),
-            StepStats(iters, res, float(np.linalg.norm(td2) / np.sqrt(h))),
-        )
-
-    traj = _march(u0, settings, stepper)
-
-    n = len(traj.u) - 1
-    E = np.array([energy(op_sigma, params, u) for u in traj.u])
-    du = np.array([float(u.values @ (Mc @ u.values)) for u in traj.u])
-    l2 = np.array([lp_norm(u, 2) for u in traj.u])
-    lpn = np.array([lp_norm(u, params.p) for u in traj.u])
-    gw = np.zeros(n + 1)
-    slack = np.zeros(n + 1)
-
-    def convex_part(u):
-        return float(0.5 * u @ (A @ u) + h * np.sum(pot.beta_hat_reg(params, u)))
-
-    for k in range(1, n + 1):
-        w = traj.w[k - 1].values
-        gw[k] = float(w @ (Mc @ w))
-        uk, um = traj.u[k].values, traj.u[k - 1].values
-        slack[k] = (
-            0.5 * lam * (uk @ (Mc @ uk) - um @ (Mc @ um))
-            - tau * gw[k]
-            - convex_part(uk)
-            + convex_part(um)
-        )
-    trace = EnergyTrace(tau, traj.times, E, E.copy(), gw, du, l2, lpn, slack)
-    return traj, trace
+    """Implicit Allen-Cahn flow: the L2 metric with the same convex splitting;
+    stores w_n = -(u_n - u_prev)/tau."""
+    return evolve(Flow(None, op_sigma, params.lam), params, u0, settings)
 
 
 def pm_evolve(
@@ -434,52 +406,10 @@ def pm_evolve(
     settings: SolverSettings,
 ) -> tuple[Trajectory, EnergyTrace]:
     """Porous-medium / fast-diffusion flow as an H^(-s) gradient flow of the
-    convex potential integral; no concave term, so dissipation is exact.
-
-    The trace's E_sigma and E_tilde columns hold the Lyapunov functional
-    sum_i h beta_hat(u_i).
-    """
-    dom = u0.domain
-    h = dom.h
-    Ks = op_s.dual_kernel
-    tau = settings.tau
-
-    def stepper(u_prev: Field):
-        up = u_prev.values
-
-        def grad(u):
-            return Ks @ (u - up) / tau + h * pot.beta_reg(params, u)
-
-        def hess(u):
-            return Ks / tau + h * np.diag(pot.beta_prime_reg(params, u))
-
-        un, iters, res = _newton_minimize(grad, hess, up, settings, h)
-        wn = -op_s.solve_vector(op_s.M_c @ (un - up)) / tau
-        td2 = op_s.M_c @ wn - h * pot.beta_reg(params, un)
-        return (
-            Field(dom, un),
-            Field(dom, wn),
-            StepStats(iters, res, float(np.linalg.norm(td2) / np.sqrt(h))),
-        )
-
-    traj = _march(u0, settings, stepper)
-
-    n = len(traj.u) - 1
-    lyap = np.array([h * float(np.sum(pot.beta_hat(params, u.values))) for u in traj.u])
-    du = np.array([op_s.dual_norm_sq(u) for u in traj.u])
-    l2 = np.array([lp_norm(u, 2) for u in traj.u])
-    lpn = np.array([lp_norm(u, params.p) for u in traj.u])
-    gw = np.zeros(n + 1)
-    slack = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        w = traj.w[k - 1].values
-        gw[k] = float(w @ (op_s.A @ w))
-        uk, um = traj.u[k].values, traj.u[k - 1].values
-        conv_k = h * float(np.sum(pot.beta_hat_reg(params, uk)))
-        conv_m = h * float(np.sum(pot.beta_hat_reg(params, um)))
-        slack[k] = -(tau * gw[k] + conv_k - conv_m)
-    trace = EnergyTrace(tau, traj.times, lyap, lyap.copy(), gw, du, l2, lpn, slack)
-    return traj, trace
+    convex potential integral; no concave term (params.lam is ignored), so
+    dissipation is exact and E_sigma holds the Lyapunov functional
+    sum_i h beta_hat(u_i)."""
+    return evolve(Flow(op_s, None, 0.0), dc_replace(params, lam=0.0), u0, settings)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ The normalizing constant C(r, N) is computed from its defining integral.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,17 +181,6 @@ class FracOperator:
         if v.domain != self.domain:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
         return float(v.values @ (self.A @ v.values))
-
-    def dump_csv(self, path) -> None:
-        """Write (i, j, A_ij) triplets with round-trip float precision."""
-        buf = io.StringIO()
-        buf.write("i,j,A_ij\n")
-        M = self.domain.M
-        for i in range(M):
-            for j in range(M):
-                buf.write(f"{i + 1},{j + 1},{self.A[i, j]:.17g}\n")
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
 
 
 def _pair_weight_integrals(r: float) -> np.ndarray:
@@ -388,19 +376,3 @@ def _add_exterior_tail(A: np.ndarray, domain: Domain1D, r: float, C: float) -> N
                 else:
                     rho_b = (b - x0 - t) ** (-2.0 * r) / (2.0 * r)
                     A[i, j] += C * np.sum(wt * fi * fj * rho_b)
-
-
-def poincare_lower_bound(domain: Domain1D, r: float) -> float:
-    """Analytic lower bound on the first Rayleigh quotient of the form.
-
-    With R the smallest radius such that Omega fits in the ball B_R around
-    the interval midpoint, the Gagliardo seminorm dominates
-    |B_{R+1} \\ Omega| / (2R+2)^(N+2r) times the squared L2 norm; the bound
-    below carries the C(r)/2 normalization of the X_{r,0} norm.
-    """
-    if not 0.0 < r < 1.0:
-        raise OutOfRangeError(f"need r in (0, 1), got {r}")
-    C = kernel_constant(r, 1).value
-    R = 0.5 * domain.length
-    excess = 2.0 * (R + 1.0) - domain.length  # |B_{R+1} \ Omega| in 1D
-    return 0.5 * C * excess / (2.0 * R + 2.0) ** (1.0 + 2.0 * r)

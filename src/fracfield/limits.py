@@ -10,9 +10,8 @@ initial datum so that only the operator order varies.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -27,24 +26,11 @@ from .dynamics import (
 from .fracop import assemble
 from .grid import Domain1D, Field, lp_norm
 from .potential import PotentialParams
-from .spectral import first_eigenpair
+from .spectral import _ordered_map, first_eigenpair
 
 
 class CompatibilityError(ValueError):
     """p violates the fast-diffusion compatibility condition p > 2N/(N+2s)."""
-
-
-_T = TypeVar("_T")
-_S = TypeVar("_S")
-
-
-def _ordered_map(fn: Callable[[_T], _S], items: Sequence[_T], max_workers: int) -> list[_S]:
-    # runs are independent; results come back in parameter order either way,
-    # so the report is deterministic regardless of scheduling
-    if max_workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,19 @@ EIG_TOL = 1e-10
 EIG_MAXIT = 10000
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
+
+
+_T = TypeVar("_T")
+_S = TypeVar("_S")
+
+
+def _ordered_map(fn: Callable[[_T], _S], items: Sequence[_T], max_workers: int) -> list[_S]:
+    # runs are independent; results come back in parameter order either way,
+    # so sweeps and reports are deterministic regardless of scheduling
+    if max_workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(fn, items))
 
 
 class NoConvergenceError(RuntimeError):
@@ -175,10 +188,7 @@ def lambda1_sweep(
             "residual": pair.residual,
         }
 
-    if max_workers <= 1:
-        return [one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, tasks))
+    return _ordered_map(one, tasks, max_workers)
 
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's assembly/quadrature code paths:
 the seminorm oracle works on the Fourier side via padded FFTs, the closed
 form comes from evaluating the hat-function bilinear form analytically, and
-the Riemann-sum oracle is a plain truncated double sum.
+the Riemann-sum oracle is a plain truncated double sum.  The Cahn-Hilliard
+step functional is rebuilt from the closed-form stiffness, a hand-written
+consistent mass and the library's dual norm, not from its dual kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from math import cos, gamma, log, pi
 
-from fracfield.grid import Field
+from fracfield.fracop import OutOfRangeError, kernel_constant
+from fracfield.grid import Domain1D, Field
 
 
 def fft_seminorm_sq(field: Field, r: float, pad: int = 16, refine: int = 32) -> float:
@@ -65,8 +68,6 @@ def stiffness_closed_form(M: int, h: float, r: float) -> np.ndarray:
 def gagliardo_sq_riemann(field: Field, r: float, n: int = 2400) -> float:
     """Plain truncated double Riemann sum of the Gagliardo form (diagonal
     band dropped, closed-form exterior tail), accurate to a percent or so."""
-    from fracfield.fracop import kernel_constant
-
     dom = field.domain
     a, b = dom.a, dom.b
     C = kernel_constant(r).value
@@ -106,3 +107,37 @@ def kernel_integral_trapezoid(r: float) -> float:
     )
     power_tail = 1.0 / (2.0 * r)  # int_1^inf z^(-1-2r) dz
     return 2.0 * (head + power_tail - (osc + rem))
+
+
+def poincare_lower_bound(domain: Domain1D, r: float) -> float:
+    """Analytic lower bound on the first Rayleigh quotient of the form.
+
+    With R the smallest radius such that Omega fits in the ball B_R around
+    the interval midpoint, the Gagliardo seminorm dominates
+    |B_{R+1} \\ Omega| / (2R+2)^(N+2r) times the squared L2 norm; the bound
+    below carries the C(r)/2 normalization of the X_{r,0} norm.
+    """
+    if not 0.0 < r < 1.0:
+        raise OutOfRangeError(f"need r in (0, 1), got {r}")
+    C = kernel_constant(r, 1).value
+    R = 0.5 * domain.length
+    excess = 2.0 * (R + 1.0) - domain.length  # |B_{R+1} \ Omega| in 1D
+    return 0.5 * C * excess / (2.0 * R + 2.0) ** (1.0 + 2.0 * r)
+
+
+def ch_step_functional_value(op_s, sigma: float, p: float, lam: float,
+                             u_prev: Field, tau: float, u: np.ndarray) -> float:
+    """F_n(u) = ||u - u_prev||_*^2 / (2 tau) + (1/2) u^T A_sigma u
+    + h sum |u_i|^p / p - lam u^T M_c u_prev, with A_sigma in closed form
+    and the exact power law (the solver's own form for p > 2)."""
+    dom = u_prev.domain
+    h = dom.h
+    A_sigma = stiffness_closed_form(dom.M, h, sigma)
+    Mc = (h / 6.0) * (4.0 * np.eye(dom.M) + np.eye(dom.M, k=1) + np.eye(dom.M, k=-1))
+    up = u_prev.values
+    return float(
+        op_s.dual_norm_sq(Field(dom, u - up)) / (2.0 * tau)
+        + 0.5 * u @ (A_sigma @ u)
+        + h * np.sum(np.abs(u) ** p / p)
+        - lam * u @ (Mc @ up)
+    )

@@ -217,6 +217,10 @@ def test_criterion_12_monotonicity_structure(unit64, rng):
 _DETERMINISM_CONFIGS = {
     "evolve-ch": "a = 0\nb = 1\nM = 24\ns = 0.5\nsigma = 0.5\np = 4\n"
                  "tau = 1e-3\nT = 0.005\n",
+    "evolve-ch-modified": "a = 0\nb = 1\nM = 24\ns = 0.5\nsigma = 0.25\np = 1.5\n"
+                          "tau = 1e-3\nT = 0.005\nexperiment = evolve-ch-modified\n",
+    "evolve-ac": "a = 0\nb = 1\nM = 24\nsigma = 0.5\np = 4\ntau = 1e-3\nT = 0.005\n"
+                 "experiment = evolve-ac\n",
     "evolve-pm": "a = 0\nb = 1\nM = 24\ns = 0.5\np = 3\ntau = 1e-3\nT = 0.005\n"
                  "experiment = evolve-pm\n",
     "eigen-sweep": "a = 0\nb = 1\nM = 32\nexperiment = eigen-sweep\n"
@@ -225,6 +229,8 @@ _DETERMINISM_CONFIGS = {
                   "experiment = stationary\n",
     "limit-sigma": "a = 0\nb = 1\nM = 24\ns = 0.5\np = 3\ntau = 1e-3\nT = 0.005\n"
                    "experiment = limit-sigma\nsequence = 0.4, 0.2\n",
+    "limit-s": "a = 0\nb = 1\nM = 24\nsigma = 0.5\np = 4\ntau = 1e-3\nT = 0.005\n"
+               "experiment = limit-s\nsequence = 0.4, 0.2\n",
     "operator-limit": "a = 0\nb = 1\nM = 32\nexperiment = operator-limit\n"
                       "sequence = 0.2, 0.1\n",
 }

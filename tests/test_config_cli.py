@@ -122,7 +122,7 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     # solver failure surfaces as exit 2
     def boom(*args, **kwargs):
         raise NewtonDivergenceError("stalled", 1.0)
-    monkeypatch.setattr(cli.dynamics, "ch_evolve", boom)
+    monkeypatch.setattr(cli.dynamics, "evolve", boom)
     assert cli.main([str(good), "--output", str(tmp_path / "o2")]) == 2
     # inequality violation surfaces as exit 3
     def fake_run(cfg, output_dir=None, threads=1, config_text=""):

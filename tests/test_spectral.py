@@ -10,6 +10,8 @@ from fracfield.spectral import (
     sweep_to_csv,
 )
 
+from oracles import poincare_lower_bound
+
 
 def test_first_eigenpair_residual_and_sign(unit64):
     for op in unit64.values():
@@ -31,7 +33,7 @@ def test_half_order_eigenvalue_between_bounds(unit64):
     # r = 1/2 is pi; the analytic lower bound sits well below
     dom = ff.make_domain(0, 1, 64)
     pair = ff.first_eigenpair(unit64[0.5])
-    assert ff.poincare_lower_bound(dom, 0.5) <= pair.lambda1 <= np.pi
+    assert poincare_lower_bound(dom, 0.5) <= pair.lambda1 <= np.pi
 
 
 def test_eigen_residual_defines_generalized_pair(unit64):
