@@ -5,8 +5,9 @@ Core layers:
 
 - grid / potential: interval meshes, zero-extended nodal fields, the
   power-law double well and its monotone derivative;
-- fracop: Galerkin stiffness of the weak fractional Laplacian (full
-  Gagliardo form including the exterior tail), elliptic solves, dual norms;
+- fracop: Toeplitz Galerkin stiffness of the weak fractional Laplacian
+  (full Gagliardo form including the exterior tail) from a closed-form
+  column, elliptic solves, dual norms;
 - spectral: first eigenpair, interpolation constant, eigenvalue bounds;
 - dynamics: one energy-stable convex-splitting step for all four flows
   (Cahn-Hilliard, modified, Allen-Cahn, porous medium) with per-step

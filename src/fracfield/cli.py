@@ -172,7 +172,7 @@ def run(
         artifacts["stationary.csv"] = "\n".join(lines) + "\n"
         if cfg.sequence:
             rows = stationary.stationary_sigma_sweep(
-                domain, params, cfg.sequence, cfg.stat_tol
+                domain, params, cfg.sequence, cfg.stat_tol, op_sigma
             )
             artifacts["sweep.csv"] = stationary.sweep_to_csv(rows)
 

@@ -127,6 +127,14 @@ def _require(cfg: RunConfig, *keys: str) -> None:
             raise ValidationError(key, f"required for experiment {cfg.experiment!r}")
 
 
+def _reject_unused(cfg: RunConfig, *keys: str) -> None:
+    # keys the experiment never reads would be recorded in the manifest
+    # without reaching the computation
+    for key in keys:
+        if getattr(cfg, key) != getattr(RunConfig, key):
+            raise ValidationError(key, f"not used by experiment {cfg.experiment!r}")
+
+
 def validate(cfg: RunConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(
@@ -157,8 +165,10 @@ def validate(cfg: RunConfig) -> None:
         _require(cfg, "s", "sigma", "p", "tau", "T")
     elif exp == "evolve-ac":
         _require(cfg, "sigma", "p", "tau", "T")
+        _reject_unused(cfg, "s")
     elif exp == "evolve-pm":
         _require(cfg, "s", "p", "tau", "T")
+        _reject_unused(cfg, "sigma", "lam")
     elif exp == "limit-sigma":
         _require(cfg, "s", "p", "tau", "T", "sequence")
     elif exp == "limit-s":

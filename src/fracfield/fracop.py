@@ -6,20 +6,39 @@ The bilinear form is
     a_r(u, v) = (C(r)/2) * iint_{R x R} (u(x)-u(y)) (v(x)-v(y))
                                         |x-y|^(-1-2r) dx dy,
 
-evaluated on P1 hat functions that are extended by zero outside Omega.  The
-double integral splits into Omega x Omega panel pairs plus the exterior tail
-rho(x) = int_{Omega^c} |x-y|^(-1-2r) dy = ((x-a)^(-2r) + (b-x)^(-2r)) / (2r),
-which is available in closed form in 1D.  Panel pairs are handled by
+evaluated on P1 hat functions that are extended by zero outside Omega.  With
+the exact constant C(r) = sin(pi r) Gamma(1+2r) / pi the form is the Fourier
+multiplier |xi|^(2r):
 
-  * identical panels: the hat differences are pure slopes, so the pair
-    integral reduces to iint |x-y|^(1-2r) = 2 h^(3-2r) / ((2-2r)(3-2r));
-  * vertex-sharing panels: a Duffy split along the diagonal turns the
-    corner singularity into the exact radial factor h^(3-2r)/(3-2r) times
-    smooth weight integrals int_0^1 w^j (1+w)^(-1-2r) dw;
-  * separated panels: tensor Gauss quadrature, translation invariance makes
-    one 4x4 interaction block per gap suffice for the whole row of pairs.
+    a_r(u, v) = (1/2pi) int |xi|^(2r) uhat(xi) conj(vhat(xi)) dxi.
 
-The normalizing constant C(r, N) is computed from its defining integral.
+The zero-extended hats are translates of one hat phi of width 2h, so
+a_r(phi_i, phi_j) depends only on k = |i-j| and the stiffness is the Toeplitz
+matrix of one column c(k).  With |phihat(xi)|^2 = (2 sin(h xi/2))^4 / (h^2 xi^4)
+and (2 sin(xi/2))^4 cos(k xi) the fourth central difference delta^4 in k of
+cos(k xi), the inverse transform of |xi|^(2r-4) gives
+
+    c(k) = h^(1-2r) * 2 / (cos(pi r) Gamma(4-2r)) * (1/4) delta^4 [|m|^(3-2r)](k).
+
+Evaluated as written its relative error grows like eps k^4, so the column is
+computed in two cancellation-free forms:
+
+  * k <= 2: the weights w_j of (1/4) delta^4 satisfy sum w_j m_j^2 = 0, so
+        (1/4) delta^4 [|m|^(3-2r)](k) = sum_j w_j m_j^2 (|m_j|^(1-2r) - 1)
+          = (1-2r) sum_j w_j m_j^2 log|m_j| exprel((1-2r) log|m_j|),
+    and the factor (1-2r)/cos(pi r) is evaluated as 2 / (pi sinc(1/2 - r)).
+    Nothing cancels as 3-2r -> 2, and r = 1/2 (the m^2 log|m| kernel) needs
+    no branch;
+  * k >= 3: delta^4 = sum_n a_n D^(4+2n), a_n = 2 (2^(4+2n) - 4) / (4+2n)!,
+    is a convergent Taylor series in the derivative D for k > 2 and gives
+        c(k) = -h^(1-2r) C(r) sum_n a_n prod_{i=1}^{2n} (2r+i) k^(-1-2r-2n),
+    a series of positive terms whose leading term is the far-field kernel
+    -C(r) h^2 |x_i - x_j|^(-1-2r).
+
+The stiffness therefore carries the exact Fourier-symbol normalization.
+kernel_constant computes C(r, N) from its defining integral; for N = 1 it
+agrees with the closed form above to about 1e-11 and is reported as
+FracOperator.constant.
 """
 
 from __future__ import annotations
@@ -28,16 +47,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gamma, roots_legendre
+from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
 
 QUAD_TOL = 1e-8
 LIN_TOL = 1e-10
 
-_GAUSS_N_PAIR = 10  # per-dimension order for separated panel pairs
-_GAUSS_N_TAIL = 16  # order for nonsingular tail panels
+_STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
 
 
 class OutOfRangeError(ValueError):
@@ -116,20 +134,25 @@ class FracOperator:
     """Dense stiffness of the weak fractional Laplacian plus mass matrices.
 
     A is the Galerkin matrix of a_r on interior hat functions (symmetric
-    positive definite), M_c the consistent P1 mass, M_L the lumped mass
-    (h on the diagonal).  The Cholesky factor of A is cached at assembly;
-    everything is immutable afterwards and safe to share across threads.
+    positive definite Toeplitz), M_c the consistent P1 mass, M_L the lumped
+    mass (h on the diagonal, built on demand).  The Cholesky factor of A is
+    cached at assembly; everything is immutable afterwards and safe to share
+    across threads.
     """
 
     domain: Domain1D
     r: float
     A: np.ndarray
     M_c: np.ndarray
-    M_L: np.ndarray
     constant: KernelConstant
     lin_tol: float = LIN_TOL
     _chol: tuple = field(repr=False, default=None)
     _dual_kernel_cache: list = field(repr=False, default=None)
+
+    @property
+    def M_L(self) -> np.ndarray:
+        """Lumped mass h I."""
+        return self.domain.h * np.eye(self.domain.M)
 
     def apply(self, v: Field) -> np.ndarray:
         """Dual-pairing vector (A v)_i = a_r(v, phi_i)."""
@@ -183,14 +206,35 @@ class FracOperator:
         return float(v.values @ (self.A @ v.values))
 
 
-def _pair_weight_integrals(r: float) -> np.ndarray:
-    # W_j = int_0^1 w^j (1+w)^(-1-2r) dw, j = 0..2; smooth integrand, so
-    # fixed-order Gauss-Legendre is exact to machine precision
-    xg, wg = roots_legendre(24)
-    x = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    core = (1.0 + x) ** (-1.0 - 2.0 * r)
-    return np.array([np.sum(w * x**j * core) for j in range(3)])
+def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
+    """First column c(0), ..., c(M-1) of the Toeplitz stiffness, from the
+    exprel stencil for k <= 2 and the derivative series for k >= 3."""
+    k = np.arange(M, dtype=float)
+    c = np.empty(M)
+
+    m = np.abs(k[:3, None] + np.arange(-2.0, 3.0))
+    log_m = np.log(np.maximum(m, 1.0))  # m = 0 and m = 1 drop out
+    near = (_STENCIL * m**2 * log_m * exprel((1.0 - 2.0 * r) * log_m)).sum(axis=1)
+    c[:3] = 4.0 * near / (np.pi * np.sinc(0.5 - r) * gamma(4.0 - 2.0 * r))
+
+    far = k[3:]
+    if far.size:
+        inv_k2 = far**-2.0
+        weight = 1.0 / 24.0  # prod_{i=1}^{2n} (2r+i) / (4+2n)!
+        power = np.ones_like(far)
+        series = np.zeros_like(far)
+        n = 0
+        while True:
+            term = 2.0 * (2.0 ** (4 + 2 * n) - 4.0) * weight * power
+            series += term
+            if term[0] <= 1e-17 * series[0]:  # k = 3 converges slowest
+                break
+            n += 1
+            weight *= (2 * r + 2 * n - 1) * (2 * r + 2 * n) / ((2 * n + 3) * (2 * n + 4))
+            power *= inv_k2
+        C_exact = np.sin(np.pi * r) * gamma(1.0 + 2.0 * r) / np.pi
+        c[3:] = -C_exact * series * far ** (-1.0 - 2.0 * r)
+    return h ** (1.0 - 2.0 * r) * c
 
 
 def assemble(
@@ -199,60 +243,13 @@ def assemble(
     quad_tol: float = QUAD_TOL,
     lin_tol: float = LIN_TOL,
 ) -> FracOperator:
-    """Assemble stiffness and mass matrices for order r on the given domain."""
+    """Assemble the Toeplitz stiffness and the consistent mass for order r
+    on the given domain."""
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
     M, h = domain.M, domain.h
-    a, b = domain.a, domain.b
-    C = kernel_constant(r, 1).value
-    A = np.zeros((M, M))
-
-    inv_h = 1.0 / h
-
-    # --- identical panels ------------------------------------------------
-    # hat differences on one panel reduce to slope * (x - y); the kernel
-    # moment iint_{P^2} |x-y|^(1-2r) has the exact value below
-    theta_same = 2.0 * h ** (3.0 - 2.0 * r) / ((2.0 - 2.0 * r) * (3.0 - 2.0 * r))
-    # panel k hosts phi_k (slope -1/h) and phi_{k+1} (slope +1/h); summing
-    # slope products over all panels gives tridiagonal contributions
-    for k in range(M + 1):
-        active = []
-        if 1 <= k <= M:
-            active.append((k - 1, -inv_h))
-        if 1 <= k + 1 <= M:
-            active.append((k, +inv_h))
-        for i, si in active:
-            for j, sj in active:
-                A[i, j] += 0.5 * C * si * sj * theta_same
-
-    # --- vertex-sharing panels -------------------------------------------
-    # with u, v the distances of x, y to the shared vertex, the hat
-    # difference is -(b1 u + b2 v) for panel slopes b1, b2; the Duffy split
-    # u = vw / v = uw yields h^(3-2r)/(3-2r) times polynomial w-integrals
-    Wj = _pair_weight_integrals(r)
-    theta_adj = h ** (3.0 - 2.0 * r) / (3.0 - 2.0 * r)
-    for k in range(M):
-        nodes = {}
-        for node in (k, k + 1, k + 2):
-            if 1 <= node <= M:
-                b1 = -inv_h if node == k else (+inv_h if node == k + 1 else 0.0)
-                b2 = -inv_h if node == k + 1 else (+inv_h if node == k + 2 else 0.0)
-                nodes[node] = (b1, b2)
-        for i, (bi1, bi2) in nodes.items():
-            for j, (bj1, bj2) in nodes.items():
-                val = (bi1 * bj1 + bi2 * bj2) * (Wj[0] + Wj[2])
-                val += (bi1 * bj2 + bi2 * bj1) * 2.0 * Wj[1]
-                # factor 2: both orderings of the panel pair contribute
-                A[i - 1, j - 1] += 0.5 * C * 2.0 * theta_adj * val
-
-    # --- separated panels (gap >= 2) ---------------------------------------
-    if M >= 2:
-        _add_separated_pairs(A, M, h, r, C)
-
-    # --- exterior tail -----------------------------------------------------
-    _add_exterior_tail(A, domain, r, C)
-
-    A = 0.5 * (A + A.T)
+    c = _stiffness_column(M, h, r)
+    A = toeplitz(c)
 
     # sign structure of the nonlocal form: row sums are nonnegative for all
     # orders (strictly positive through the exterior tail); off-diagonals
@@ -265,14 +262,12 @@ def assemble(
             f"r={r}, M={M}: row-sum min {row_min:.3e} below -quad_tol"
         )
     if r >= 0.25:
-        off_max = float((A - np.diag(np.diag(A))).max(initial=0.0))
+        off_max = float(c[1:].max(initial=0.0))  # the off-diagonals of A
         if off_max > quad_tol:
             raise AssemblyError(
                 f"r={r}, M={M}: off-diagonal max {off_max:.3e} above quad_tol"
             )
 
-    Mc = _consistent_mass(M, h)
-    ML = h * np.eye(M)
     try:
         chol = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -281,98 +276,12 @@ def assemble(
         domain=domain,
         r=r,
         A=A,
-        M_c=Mc,
-        M_L=ML,
-        constant=KernelConstant(r, 1, C),
+        M_c=_consistent_mass(M, h),
+        constant=kernel_constant(r, 1),
         lin_tol=lin_tol,
         _chol=chol,
         _dual_kernel_cache=[None],
     )
     op.A.flags.writeable = False
     op.M_c.flags.writeable = False
-    op.M_L.flags.writeable = False
     return op
-
-
-def _add_separated_pairs(A: np.ndarray, M: int, h: float, r: float, C: float) -> None:
-    # reference pair P_0 = [0, h], P_g = [gh, (g+1)h]: all pairs with the
-    # same gap share one 4x4 interaction block by translation invariance
-    n = _GAUSS_N_PAIR
-    xg, wg = roots_legendre(n)
-    xq = 0.5 * (xg + 1.0) * h
-    wq = 0.5 * wg * h
-    ramp_up = xq / h
-    ramp_dn = 1.0 - xq / h
-
-    gaps = np.arange(2, M + 2)
-    # y - x for x in P_0, y in P_g: strictly positive, kernel smooth
-    diff = gaps[:, None, None] * h + xq[None, None, :] - xq[None, :, None]
-    K = diff ** (-1.0 - 2.0 * r)
-    Wmat = wq[:, None] * wq[None, :]
-
-    ones = np.ones((n, n))
-    F = np.empty((4, n, n))
-    F[0] = ramp_dn[:, None] * ones   # phi_k on the left panel
-    F[1] = ramp_up[:, None] * ones   # phi_{k+1}
-    F[2] = -ramp_dn[None, :] * ones  # -phi_{k+g}(y)
-    F[3] = -ramp_up[None, :] * ones  # -phi_{k+g+1}(y)
-    E = np.einsum("tij,uij,ij,gij->gtu", F, F, Wmat, K, optimize=True)
-
-    scale = 0.5 * C * 2.0  # both orderings of each separated pair
-    for gi, g in enumerate(gaps):
-        node_off = np.array([0, 1, g, g + 1])
-        ks = np.arange(0, M + 1 - g)
-        if ks.size == 0:
-            continue
-        for t in range(4):
-            rows = ks + node_off[t]
-            rmask = (rows >= 1) & (rows <= M)
-            if not rmask.any():
-                continue
-            for u in range(4):
-                cols = ks + node_off[u]
-                mask = rmask & (cols >= 1) & (cols <= M)
-                if not mask.any():
-                    continue
-                np.add.at(
-                    A,
-                    (rows[mask] - 1, cols[mask] - 1),
-                    scale * E[gi, t, u],
-                )
-
-
-def _add_exterior_tail(A: np.ndarray, domain: Domain1D, r: float, C: float) -> None:
-    # 2 * (C/2) * int_Omega phi_i phi_j rho with rho the closed-form tail;
-    # panels touching an endpoint are integrated exactly (the only active
-    # product there is the boundary ramp squared), the rest by Gauss
-    M, h = domain.M, domain.h
-    a, b = domain.a, domain.b
-    n = _GAUSS_N_TAIL
-    xg, wg = roots_legendre(n)
-    t = 0.5 * (xg + 1.0) * h
-    wt = 0.5 * wg * h
-    up = t / h
-    dn = 1.0 - t / h
-    # exact ramp-squared moment on the singular panel:
-    #   int_0^h (t/h)^2 t^(-2r) dt / (2r) = h^(1-2r) / ((3-2r) 2r)
-    corner = h ** (1.0 - 2.0 * r) / ((3.0 - 2.0 * r) * 2.0 * r)
-
-    for k in range(M + 1):
-        x0 = a + k * h
-        active = []
-        if 1 <= k <= M:
-            active.append((k - 1, dn))
-        if 1 <= k + 1 <= M:
-            active.append((k, up))
-        for i, fi in active:
-            for j, fj in active:
-                if k == 0:
-                    A[i, j] += C * corner  # only the up-ramp product survives
-                else:
-                    rho_a = (x0 + t - a) ** (-2.0 * r) / (2.0 * r)
-                    A[i, j] += C * np.sum(wt * fi * fj * rho_a)
-                if k == M:
-                    A[i, j] += C * corner
-                else:
-                    rho_b = (b - x0 - t) ** (-2.0 * r) / (2.0 * r)
-                    A[i, j] += C * np.sum(wt * fi * fj * rho_b)

@@ -24,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import potential as pot
 from .fracop import FracOperator, OutOfRangeError, assemble
-from .grid import Domain1D, Field, lp_norm
+from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
 from .spectral import first_eigenpair
 
@@ -244,12 +244,22 @@ def stationary_sigma_sweep(
     params: PotentialParams,
     sigmas: Sequence[float],
     stat_tol: float = STAT_TOL,
+    op_sigma: FracOperator | None = None,
 ) -> list[dict]:
     """Rows (sigma, lambda1, norm_u, bound, energy, classification); states
-    shrink to zero as sigma decreases toward 0 (lambda1 -> 1)."""
+    shrink to zero as sigma decreases toward 0 (lambda1 -> 1).
+
+    An already assembled op_sigma on the same domain serves the sweep order
+    equal to its own; every other order is assembled here.
+    """
+    if op_sigma is not None and op_sigma.domain != domain:
+        raise DomainMismatchError(f"{op_sigma.domain} != {domain}")
     rows = []
     for sigma in sigmas:
-        op = assemble(domain, sigma)
+        if op_sigma is not None and op_sigma.r == sigma:
+            op = op_sigma
+        else:
+            op = assemble(domain, sigma)
         result = minimize_energy(op, params, stat_tol=stat_tol)
         lam1 = result.lambda1_sigma
         bound = (

@@ -1,17 +1,37 @@
 """Independent reference computations used to validate the library.
 
-These deliberately avoid the library's assembly/quadrature code paths:
-the seminorm oracle works on the Fourier side via padded FFTs, the closed
-form comes from evaluating the hat-function bilinear form analytically, and
-the Riemann-sum oracle is a plain truncated double sum.  The Cahn-Hilliard
-step functional is rebuilt from the closed-form stiffness, a hand-written
-consistent mass and the library's dual norm, not from its dual kernel.
+These deliberately avoid the library's assembly code path: the seminorm
+oracle works on the Fourier side via padded FFTs, the closed form evaluates
+the hat-function bilinear form as a plain fourth difference, the mpmath
+column evaluates the same difference in 50 digits, and the Riemann-sum
+oracle is a plain truncated double sum.  The Cahn-Hilliard step functional
+is rebuilt from the closed-form stiffness, a hand-written consistent mass and
+the library's dual norm, not from its dual kernel.
+
+The panel-quadrature stiffness works in physical space.  The double integral
+splits into Omega x Omega panel pairs plus the exterior tail
+rho(x) = int_{Omega^c} |x-y|^(-1-2r) dy = ((x-a)^(-2r) + (b-x)^(-2r)) / (2r),
+which is available in closed form in 1D.  Panel pairs are handled by
+
+  * identical panels: the hat differences are pure slopes, so the pair
+    integral reduces to iint |x-y|^(1-2r) = 2 h^(3-2r) / ((2-2r)(3-2r));
+  * vertex-sharing panels: a Duffy split along the diagonal turns the
+    corner singularity into the exact radial factor h^(3-2r)/(3-2r) times
+    smooth weight integrals int_0^1 w^j (1+w)^(-1-2r) dw;
+  * separated panels: tensor Gauss quadrature, translation invariance makes
+    one 4x4 interaction block per gap suffice for the whole row of pairs.
+
+The normalizing constant is the library's kernel_constant, computed from its
+defining integral, so this oracle never uses the Fourier symbol or the
+Toeplitz structure.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from math import cos, gamma, log, pi
+from scipy.special import roots_legendre
 
 from fracfield.fracop import OutOfRangeError, kernel_constant
 from fracfield.grid import Domain1D, Field
@@ -63,6 +83,181 @@ def stiffness_closed_form(M: int, h: float, r: float) -> np.ndarray:
         for j in range(M):
             A[i, j] = coeffs[abs(i - j)]
     return A
+
+
+def hat_form_coefficient_mpmath(k: int, r: float) -> float:
+    """The unit-spacing column entry c(k) in 50-digit arithmetic:
+    2 / (cos(pi r) Gamma(4-2r)) * (1/4) delta^4 [|m|^(3-2r)](k), or its limit
+    (2/pi) * (1/4) delta^4 [m^2 log|m|](k) at r = 1/2."""
+    with mpmath.workdps(50):
+        rr = mpmath.mpf(r)
+        if r == 0.5:
+            pref = 2 / mpmath.pi
+
+            def f(m):
+                return mpmath.mpf(m) ** 2 * mpmath.log(abs(m)) if m else mpmath.mpf(0)
+        else:
+            pref = 2 / (mpmath.cos(mpmath.pi * rr) * mpmath.gamma(4 - 2 * rr))
+
+            def f(m):
+                return abs(mpmath.mpf(m)) ** (3 - 2 * rr)
+
+        diff = (f(k - 2) + f(k + 2)) / 4 - f(k - 1) - f(k + 1) + 3 * f(k) / 2
+        return float(pref * diff)
+
+
+_GAUSS_N_PAIR = 10  # per-dimension order for separated panel pairs
+_GAUSS_N_TAIL = 16  # order for nonsingular tail panels
+
+
+def _pair_weight_integrals(r: float) -> np.ndarray:
+    # W_j = int_0^1 w^j (1+w)^(-1-2r) dw, j = 0..2; smooth integrand, so
+    # fixed-order Gauss-Legendre is exact to machine precision
+    xg, wg = roots_legendre(24)
+    x = 0.5 * (xg + 1.0)
+    w = 0.5 * wg
+    core = (1.0 + x) ** (-1.0 - 2.0 * r)
+    return np.array([np.sum(w * x**j * core) for j in range(3)])
+
+
+def stiffness_panel_quadrature(domain: Domain1D, r: float) -> np.ndarray:
+    """Stiffness from Omega x Omega panel pairs plus the closed-form exterior
+    tail, with the kernel constant from its defining integral (module
+    docstring)."""
+    M, h = domain.M, domain.h
+    C = kernel_constant(r, 1).value
+    A = np.zeros((M, M))
+
+    inv_h = 1.0 / h
+
+    # --- identical panels ------------------------------------------------
+    # hat differences on one panel reduce to slope * (x - y); the kernel
+    # moment iint_{P^2} |x-y|^(1-2r) has the exact value below
+    theta_same = 2.0 * h ** (3.0 - 2.0 * r) / ((2.0 - 2.0 * r) * (3.0 - 2.0 * r))
+    # panel k hosts phi_k (slope -1/h) and phi_{k+1} (slope +1/h); summing
+    # slope products over all panels gives tridiagonal contributions
+    for k in range(M + 1):
+        active = []
+        if 1 <= k <= M:
+            active.append((k - 1, -inv_h))
+        if 1 <= k + 1 <= M:
+            active.append((k, +inv_h))
+        for i, si in active:
+            for j, sj in active:
+                A[i, j] += 0.5 * C * si * sj * theta_same
+
+    # --- vertex-sharing panels -------------------------------------------
+    # with u, v the distances of x, y to the shared vertex, the hat
+    # difference is -(b1 u + b2 v) for panel slopes b1, b2; the Duffy split
+    # u = vw / v = uw yields h^(3-2r)/(3-2r) times polynomial w-integrals
+    Wj = _pair_weight_integrals(r)
+    theta_adj = h ** (3.0 - 2.0 * r) / (3.0 - 2.0 * r)
+    for k in range(M):
+        nodes = {}
+        for node in (k, k + 1, k + 2):
+            if 1 <= node <= M:
+                b1 = -inv_h if node == k else (+inv_h if node == k + 1 else 0.0)
+                b2 = -inv_h if node == k + 1 else (+inv_h if node == k + 2 else 0.0)
+                nodes[node] = (b1, b2)
+        for i, (bi1, bi2) in nodes.items():
+            for j, (bj1, bj2) in nodes.items():
+                val = (bi1 * bj1 + bi2 * bj2) * (Wj[0] + Wj[2])
+                val += (bi1 * bj2 + bi2 * bj1) * 2.0 * Wj[1]
+                # factor 2: both orderings of the panel pair contribute
+                A[i - 1, j - 1] += 0.5 * C * 2.0 * theta_adj * val
+
+    # --- separated panels (gap >= 2) ---------------------------------------
+    if M >= 2:
+        _add_separated_pairs(A, M, h, r, C)
+
+    # --- exterior tail -----------------------------------------------------
+    _add_exterior_tail(A, domain, r, C)
+
+    return 0.5 * (A + A.T)
+
+
+def _add_separated_pairs(A: np.ndarray, M: int, h: float, r: float, C: float) -> None:
+    # reference pair P_0 = [0, h], P_g = [gh, (g+1)h]: all pairs with the
+    # same gap share one 4x4 interaction block by translation invariance
+    n = _GAUSS_N_PAIR
+    xg, wg = roots_legendre(n)
+    xq = 0.5 * (xg + 1.0) * h
+    wq = 0.5 * wg * h
+    ramp_up = xq / h
+    ramp_dn = 1.0 - xq / h
+
+    gaps = np.arange(2, M + 2)
+    # y - x for x in P_0, y in P_g: strictly positive, kernel smooth
+    diff = gaps[:, None, None] * h + xq[None, None, :] - xq[None, :, None]
+    K = diff ** (-1.0 - 2.0 * r)
+    Wmat = wq[:, None] * wq[None, :]
+
+    ones = np.ones((n, n))
+    F = np.empty((4, n, n))
+    F[0] = ramp_dn[:, None] * ones   # phi_k on the left panel
+    F[1] = ramp_up[:, None] * ones   # phi_{k+1}
+    F[2] = -ramp_dn[None, :] * ones  # -phi_{k+g}(y)
+    F[3] = -ramp_up[None, :] * ones  # -phi_{k+g+1}(y)
+    E = np.einsum("tij,uij,ij,gij->gtu", F, F, Wmat, K, optimize=True)
+
+    scale = 0.5 * C * 2.0  # both orderings of each separated pair
+    for gi, g in enumerate(gaps):
+        node_off = np.array([0, 1, g, g + 1])
+        ks = np.arange(0, M + 1 - g)
+        if ks.size == 0:
+            continue
+        for t in range(4):
+            rows = ks + node_off[t]
+            rmask = (rows >= 1) & (rows <= M)
+            if not rmask.any():
+                continue
+            for u in range(4):
+                cols = ks + node_off[u]
+                mask = rmask & (cols >= 1) & (cols <= M)
+                if not mask.any():
+                    continue
+                np.add.at(
+                    A,
+                    (rows[mask] - 1, cols[mask] - 1),
+                    scale * E[gi, t, u],
+                )
+
+
+def _add_exterior_tail(A: np.ndarray, domain: Domain1D, r: float, C: float) -> None:
+    # 2 * (C/2) * int_Omega phi_i phi_j rho with rho the closed-form tail;
+    # panels touching an endpoint are integrated exactly (the only active
+    # product there is the boundary ramp squared), the rest by Gauss
+    M, h = domain.M, domain.h
+    a, b = domain.a, domain.b
+    n = _GAUSS_N_TAIL
+    xg, wg = roots_legendre(n)
+    t = 0.5 * (xg + 1.0) * h
+    wt = 0.5 * wg * h
+    up = t / h
+    dn = 1.0 - t / h
+    # exact ramp-squared moment on the singular panel:
+    #   int_0^h (t/h)^2 t^(-2r) dt / (2r) = h^(1-2r) / ((3-2r) 2r)
+    corner = h ** (1.0 - 2.0 * r) / ((3.0 - 2.0 * r) * 2.0 * r)
+
+    for k in range(M + 1):
+        x0 = a + k * h
+        active = []
+        if 1 <= k <= M:
+            active.append((k - 1, dn))
+        if 1 <= k + 1 <= M:
+            active.append((k, up))
+        for i, fi in active:
+            for j, fj in active:
+                if k == 0:
+                    A[i, j] += C * corner  # only the up-ramp product survives
+                else:
+                    rho_a = (x0 + t - a) ** (-2.0 * r) / (2.0 * r)
+                    A[i, j] += C * np.sum(wt * fi * fj * rho_a)
+                if k == M:
+                    A[i, j] += C * corner
+                else:
+                    rho_b = (b - x0 - t) ** (-2.0 * r) / (2.0 * r)
+                    A[i, j] += C * np.sum(wt * fi * fj * rho_b)
 
 
 def gagliardo_sq_riemann(field: Field, r: float, n: int = 2400) -> float:

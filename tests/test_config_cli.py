@@ -44,6 +44,20 @@ def test_parse_requires_sequence_for_limits():
     assert "sequence" in str(err.value)
 
 
+def test_parse_rejects_keys_the_experiment_ignores():
+    pm = MINIMAL_CH.replace("sigma = 0.5\n", "") + "experiment = evolve-pm\n"
+    ac = MINIMAL_CH.replace("s = 0.5\n", "") + "experiment = evolve-ac\n"
+    parse_config(pm)
+    parse_config(pm + "lam = 1.0\n")  # an explicit default reads as no key
+    parse_config(ac)
+    for text, key in ((pm + "sigma = 0.5\n", "sigma"), (pm + "lam = 0.25\n", "lam"),
+                      (ac + "s = 0.5\n", "s")):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{key}: ")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_config("a = 0\nbogus line\n")

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracfield as ff
-from fracfield.fracop import OutOfRangeError
+from fracfield import fracop
+from fracfield.fracop import AssemblyError, NotSPDError, OutOfRangeError
 from fracfield.grid import DomainMismatchError
 
 from oracles import (
     fft_seminorm_sq,
     gagliardo_sq_riemann,
+    hat_form_coefficient_mpmath,
     kernel_integral_trapezoid,
     poincare_lower_bound,
     stiffness_closed_form,
+    stiffness_panel_quadrature,
 )
 
 
@@ -62,8 +65,8 @@ def test_stiffness_sign_structure(unit64):
 def test_stiffness_depends_only_on_node_offset(unit64):
     # the hat functions are translates, so the full-space form is Toeplitz;
     # interior panels and exterior tails must recombine to that structure
-    for op in unit64.values():
-        A = op.A
+    for r, op in unit64.items():
+        A = stiffness_panel_quadrature(op.domain, r)
         scale = np.abs(A).max()
         for k in range(A.shape[0]):
             diag = np.diagonal(A, k)
@@ -76,6 +79,48 @@ def test_stiffness_matches_closed_form():
         op = ff.assemble(dom, r)
         ref = stiffness_closed_form(24, dom.h, r)
         assert np.abs(op.A - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_stiffness_matches_panel_quadrature_oracle():
+    for M in (24, 64):
+        dom = ff.make_domain(0, 1, M)
+        for r in (0.1, 0.25, 0.5, 0.75, 0.9):
+            A = ff.assemble(dom, r).A
+            ref = stiffness_panel_quadrature(dom, r)
+            assert np.abs(A - ref).max() <= 1e-10 * np.abs(A).max(), (M, r)
+
+
+def test_stiffness_column_matches_mpmath():
+    ks = list(range(41)) + [100, 1000, 2047, 4095]
+    for r in (0.02, 0.05, 0.1, 0.25, 0.3, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.9):
+        c = fracop._stiffness_column(4096, 1.0, r)[ks]
+        ref = np.array([hat_form_coefficient_mpmath(k, r) for k in ks])
+        # near r = 0, c(2) is about -1.6e-2 c(0) and its stencil cancels
+        # several hundredfold, so that entry is gated against c(0)
+        scale = abs(c[0]) if r == 0.02 else np.abs(ref)
+        assert np.all(np.abs(c - ref) <= 1e-13 * scale), r
+
+
+def test_assembly_gates_fire(monkeypatch):
+    dom = ff.make_domain(0, 1, 16)
+    column = fracop._stiffness_column
+
+    def perturbed(k, value):
+        def patched(M, h, r):
+            c = column(M, h, r)
+            c[k] = value
+            return c
+        monkeypatch.setattr(fracop, "_stiffness_column", patched)
+
+    perturbed(1, 1e-6)  # positive off-diagonal
+    with pytest.raises(AssemblyError, match="off-diagonal"):
+        ff.assemble(dom, 0.5)
+    perturbed(1, -1.0)  # rows sum below zero
+    with pytest.raises(AssemblyError, match="row-sum"):
+        ff.assemble(dom, 0.5)
+    perturbed(1, 10.0)  # positive rows, indefinite; no sign gate below r = 1/4
+    with pytest.raises(NotSPDError):
+        ff.assemble(dom, 0.1)
 
 
 def test_quadratic_form_matches_fourier_oracle(unit64, rng):

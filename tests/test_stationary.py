@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import fracfield as ff
+from fracfield import stationary
 from fracfield.fracop import OutOfRangeError
+from fracfield.grid import DomainMismatchError
 from fracfield.stationary import NoConvergenceError, sweep_to_csv
 
 
@@ -111,6 +113,25 @@ def test_sigma_sweep_norms_decrease(get_op):
         assert row["norm_u"] < row["bound"]
     text = sweep_to_csv(rows)
     assert text.splitlines()[0] == "sigma,lambda1,norm_u,bound,energy,classification"
+
+
+def test_sigma_sweep_reuses_given_operator(get_op, monkeypatch):
+    dom = ff.make_domain(0, 10, 63)
+    params = ff.PotentialParams(p=4)
+    sigmas = [0.5, 0.3]
+    fresh = ff.stationary_sigma_sweep(dom, params, sigmas)
+    orders = []
+
+    def counting(domain, r, *args):
+        orders.append(r)
+        return ff.assemble(domain, r, *args)
+
+    monkeypatch.setattr(stationary, "assemble", counting)
+    reused = ff.stationary_sigma_sweep(dom, params, sigmas, op_sigma=get_op(0.0, 10.0, 63, 0.5))
+    assert orders == [0.3]
+    assert sweep_to_csv(reused) == sweep_to_csv(fresh)
+    with pytest.raises(DomainMismatchError):
+        ff.stationary_sigma_sweep(dom, params, sigmas, op_sigma=get_op(0.0, 1.0, 63, 0.5))
 
 
 def test_unreachable_tolerance_raises(get_op):
