@@ -5,8 +5,11 @@ runtime checks succeed, so a failing run leaves no partial files.  Reruns of
 the same config produce bit-identical CSVs; FRACFIELD_SEED (default 0) fixes
 the RNG used for random starts and random initial data.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure, 3 violation
-of one of the built-in inequality checks.
+Exit codes: 0 success; 1 configuration error (unreadable file, unknown key,
+value out of range, or a key the experiment does not use); 2 solver failure
+(Newton, eigen or stationary iteration stalled, stiffness failed its sign or
+positivity gate, lowest stationary state not one-signed); 3 violation of one
+of the built-in inequality checks.  Each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import __version__
 from . import dynamics, limits, spectral, stationary
 from .config import ConfigError, RunConfig, parse_config
 from .dynamics import NewtonDivergenceError, SolverSettings
-from .fracop import SolverDivergenceError, assemble
+from .fracop import AssemblyError, NotSPDError, assemble
 from .grid import Domain1D, Field, bump_field, sample
 from .potential import PotentialParams
 
@@ -86,14 +89,14 @@ def run(
         u0 = _initial_field(cfg, domain, rng)
         op_s = None
         if exp != "evolve-ac":
-            op_s = assemble(domain, cfg.s, cfg.quad_tol, cfg.lin_tol)
+            op_s = assemble(domain, cfg.s)
         if exp == "evolve-pm":
             # no interface energy and no concave term in the porous-medium flow
             op_sigma, params = None, dc_replace(params, lam=0.0)
         elif op_s is not None and cfg.sigma == cfg.s:
             op_sigma = op_s  # operators are immutable, so one serves both orders
         else:
-            op_sigma = assemble(domain, cfg.sigma, cfg.quad_tol, cfg.lin_tol)
+            op_sigma = assemble(domain, cfg.sigma)
         lam = params.lam
         if exp == "evolve-ch-modified":
             lam = spectral.first_eigenpair(op_sigma, cfg.eig_tol).lambda1
@@ -108,7 +111,9 @@ def run(
 
     elif exp == "eigen-sweep":
         refinements = cfg.refinements or [cfg.M]
-        rows = spectral.lambda1_sweep(domain, cfg.sequence, refinements, max_workers=threads)
+        rows = spectral.lambda1_sweep(
+            domain, cfg.sequence, refinements, max_workers=threads, eig_tol=cfg.eig_tol
+        )
         for row in rows:
             if row["lambda1"] < row["lower"] - 1e-9:
                 raise CheckViolationError(
@@ -130,17 +135,17 @@ def run(
         if exp == "limit-sigma":
             if cfg.p > 2:
                 report = limits.limit_sigma_to_pm(
-                    domain, cfg.s, cfg.p, u0, cfg.sequence, settings,
+                    domain, cfg.s, params, u0, cfg.sequence, settings,
                     max_workers=threads,
                 )
             else:
                 report = limits.limit_sigma_to_fd(
-                    domain, cfg.s, cfg.p, u0, cfg.sequence, settings,
-                    max_workers=threads,
+                    domain, cfg.s, params, u0, cfg.sequence, settings,
+                    max_workers=threads, eig_tol=cfg.eig_tol,
                 )
         else:
             report = limits.limit_s_to_ac(
-                domain, cfg.sigma, cfg.p, u0, cfg.sequence, settings,
+                domain, cfg.sigma, params, u0, cfg.sequence, settings,
                 max_workers=threads,
             )
         artifacts["report.csv"] = report.to_csv()
@@ -152,9 +157,9 @@ def run(
 
     elif exp == "stationary":
         params = _params(cfg)
-        op_sigma = assemble(domain, cfg.sigma, cfg.quad_tol, cfg.lin_tol)
         result = stationary.minimize_energy(
-            op_sigma, params, stat_tol=cfg.stat_tol, rng=rng
+            assemble(domain, cfg.sigma), params, stat_tol=cfg.stat_tol, rng=rng,
+            eig_tol=cfg.eig_tol,
         )
         h = domain.h
         lp_p = h * float(np.sum(np.abs(result.u_star.values) ** cfg.p))
@@ -172,7 +177,8 @@ def run(
         artifacts["stationary.csv"] = "\n".join(lines) + "\n"
         if cfg.sequence:
             rows = stationary.stationary_sigma_sweep(
-                domain, params, cfg.sequence, cfg.stat_tol, op_sigma
+                domain, params, cfg.sequence, cfg.stat_tol, known=result,
+                eig_tol=cfg.eig_tol,
             )
             artifacts["sweep.csv"] = stationary.sweep_to_csv(rows)
 
@@ -226,8 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         run(cfg, output_dir=args.output, threads=args.threads, config_text=text)
-    except (NewtonDivergenceError, SolverDivergenceError,
-            stationary.NoConvergenceError, spectral.NoConvergenceError) as exc:
+    except (NewtonDivergenceError, AssemblyError, NotSPDError,
+            stationary.NoConvergenceError, stationary.NotOneSignedError,
+            spectral.NoConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except CheckViolationError as exc:

@@ -6,27 +6,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-EXPERIMENTS = (
-    "evolve-ch",
-    "evolve-ch-modified",
-    "evolve-ac",
-    "evolve-pm",
-    "eigen-sweep",
-    "limit-sigma",
-    "limit-s",
-    "stationary",
-    "operator-limit",
-)
+# keys every experiment reads
+_COMMON = ("a", "b", "M", "experiment", "output_dir")
+# keys every time-stepping run reads besides its orders and time grid
+_STEPPING = ("delta", "newton_tol", "initial", "amplitude")
+
+# experiment -> (required keys, optional keys); validate() rejects any other
+# key set away from its default, so every manifest key reaches the run
+_KEYS = {
+    "evolve-ch": (("s", "sigma", "p", "tau", "T"), ("lam",) + _STEPPING),
+    "evolve-ch-modified": (("s", "sigma", "p", "tau", "T"), ("lam", "eig_tol") + _STEPPING),
+    "evolve-ac": (("sigma", "p", "tau", "T"), ("lam",) + _STEPPING),
+    "evolve-pm": (("s", "p", "tau", "T"), _STEPPING),
+    "eigen-sweep": (("sequence",), ("eig_tol", "refinements")),
+    "limit-sigma": (("s", "p", "tau", "T", "sequence"), ("lam", "eig_tol") + _STEPPING),
+    "limit-s": (("sigma", "p", "tau", "T", "sequence"), ("lam",) + _STEPPING),
+    "stationary": (("sigma", "p"), ("lam", "delta", "eig_tol", "stat_tol", "sequence")),
+    # the relative gap is invariant under scaling, so amplitude plays no part
+    "operator-limit": (("sequence",), ("initial",)),
+}
+
+EXPERIMENTS = tuple(_KEYS)
 
 INITIAL_PROFILES = ("bump", "sine", "zero", "random")
-
-_DEFAULT_TOLS = {
-    "newton_tol": 1e-10,
-    "lin_tol": 1e-10,
-    "eig_tol": 1e-10,
-    "stat_tol": 1e-9,
-    "quad_tol": 1e-8,
-}
 
 
 class ConfigError(ValueError):
@@ -57,11 +59,9 @@ class RunConfig:
     delta: float | None = None
     tau: float | None = None
     T: float | None = None
-    newton_tol: float = _DEFAULT_TOLS["newton_tol"]
-    lin_tol: float = _DEFAULT_TOLS["lin_tol"]
-    eig_tol: float = _DEFAULT_TOLS["eig_tol"]
-    stat_tol: float = _DEFAULT_TOLS["stat_tol"]
-    quad_tol: float = _DEFAULT_TOLS["quad_tol"]
+    newton_tol: float = 1e-10
+    eig_tol: float = 1e-10
+    stat_tol: float = 1e-9
     experiment: str = "evolve-ch"
     sequence: list[float] | None = None
     refinements: list[int] | None = None
@@ -81,7 +81,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {
     "a", "b", "s", "sigma", "p", "lam", "delta", "tau", "T",
-    "newton_tol", "lin_tol", "eig_tol", "stat_tol", "quad_tol", "amplitude",
+    "newton_tol", "eig_tol", "stat_tol", "amplitude",
 }
 _INT_KEYS = {"M"}
 _STR_KEYS = {"experiment", "initial", "output_dir"}
@@ -121,20 +121,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _require(cfg: RunConfig, *keys: str) -> None:
-    for key in keys:
-        if getattr(cfg, key) is None:
-            raise ValidationError(key, f"required for experiment {cfg.experiment!r}")
-
-
-def _reject_unused(cfg: RunConfig, *keys: str) -> None:
-    # keys the experiment never reads would be recorded in the manifest
-    # without reaching the computation
-    for key in keys:
-        if getattr(cfg, key) != getattr(RunConfig, key):
-            raise ValidationError(key, f"not used by experiment {cfg.experiment!r}")
-
-
 def validate(cfg: RunConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(
@@ -144,15 +130,21 @@ def validate(cfg: RunConfig) -> None:
         raise ValidationError("b", "domain must satisfy b > a")
     if cfg.M < 2:
         raise ValidationError("M", "need at least 2 interior nodes")
+    if any(m < 2 for m in cfg.refinements or ()):
+        raise ValidationError("refinements", "need at least 2 interior nodes")
     for key in ("s", "sigma"):
         val = getattr(cfg, key)
         if val is not None and not 0.0 < val < 1.0:
             raise ValidationError(key, f"{key} must lie in (0,1)")
     if cfg.p is not None and (cfg.p <= 1.0 or cfg.p == 2.0):
         raise ValidationError("p", "p must lie in (1,inf) with p != 2")
+    if cfg.lam < 0:
+        raise ValidationError("lam", "lam must be nonnegative")
     if cfg.delta is not None and cfg.delta < 0:
         raise ValidationError("delta", "smoothing parameter must be nonnegative")
-    for key in _DEFAULT_TOLS:
+    if cfg.delta == 0 and cfg.p is not None and cfg.p < 2:
+        raise ValidationError("delta", "delta = 0 needs p > 2")
+    for key in ("newton_tol", "eig_tol", "stat_tol"):
         if getattr(cfg, key) <= 0:
             raise ValidationError(key, "tolerances must be positive")
     if cfg.initial not in INITIAL_PROFILES:
@@ -161,31 +153,36 @@ def validate(cfg: RunConfig) -> None:
         )
 
     exp = cfg.experiment
-    if exp in ("evolve-ch", "evolve-ch-modified"):
-        _require(cfg, "s", "sigma", "p", "tau", "T")
-    elif exp == "evolve-ac":
-        _require(cfg, "sigma", "p", "tau", "T")
-        _reject_unused(cfg, "s")
-    elif exp == "evolve-pm":
-        _require(cfg, "s", "p", "tau", "T")
-        _reject_unused(cfg, "sigma", "lam")
-    elif exp == "limit-sigma":
-        _require(cfg, "s", "p", "tau", "T", "sequence")
-    elif exp == "limit-s":
-        _require(cfg, "sigma", "p", "tau", "T", "sequence")
-    elif exp == "eigen-sweep":
-        _require(cfg, "sequence")
-    elif exp == "stationary":
-        _require(cfg, "sigma", "p")
-    elif exp == "operator-limit":
-        _require(cfg, "sequence")
+    required, optional = _KEYS[exp]
+    for key in required:
+        if getattr(cfg, key) is None:
+            raise ValidationError(key, f"required for experiment {exp!r}")
+    unused = {f.name for f in fields(cfg)} - set(_COMMON + required + optional)
+    if exp == "limit-sigma":
+        # p picks the scheme: the fast-diffusion one replaces lam by
+        # lambda1(sigma), the porous-medium one solves no eigenproblem
+        unused.add("lam" if cfg.p < 2 else "eig_tol")
+    if cfg.initial == "zero":
+        unused.add("amplitude")
+    for f in fields(cfg):
+        if f.name in unused and getattr(cfg, f.name) != f.default:
+            raise ValidationError(f.name, f"not used by experiment {exp!r}")
 
+    if exp == "limit-sigma" and cfg.p < 2:
+        two_star = 2.0 / (1.0 + 2.0 * cfg.s)  # 2N/(N+2s) with N = 1
+        if cfg.p <= two_star:
+            raise ValidationError(
+                "p", f"fast-diffusion limit needs p > 2/(1+2s) = {two_star:.6g}"
+            )
+    if exp == "stationary" and cfg.p < 2:
+        raise ValidationError("p", "stationary minimization needs p > 2")
+    if exp == "operator-limit" and cfg.initial == "zero":
+        raise ValidationError("initial", "operator-limit needs a nonzero field")
     if cfg.tau is not None and cfg.T is not None and not 0 < cfg.tau <= cfg.T:
         raise ValidationError("tau", "need 0 < tau <= T")
     if cfg.sequence is not None:
-        if exp in ("limit-sigma", "limit-s", "operator-limit", "eigen-sweep", "stationary"):
-            if any(not 0.0 < x < 1.0 for x in cfg.sequence):
-                raise ValidationError("sequence", "entries must lie in (0,1)")
+        if any(not 0.0 < x < 1.0 for x in cfg.sequence):
+            raise ValidationError("sequence", "entries must lie in (0,1)")
         if exp in ("limit-sigma", "limit-s", "operator-limit"):
             if any(y >= x for x, y in zip(cfg.sequence, cfg.sequence[1:])):
                 raise ValidationError("sequence", "must be strictly decreasing")

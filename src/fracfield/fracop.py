@@ -52,8 +52,7 @@ from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
 
-QUAD_TOL = 1e-8
-LIN_TOL = 1e-10
+QUAD_TOL = 1e-8  # sign-gate tolerance of the assembled stiffness
 
 _STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
 
@@ -67,11 +66,7 @@ class NotSPDError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """Assembled matrix violates its sign structure beyond quad_tol."""
-
-
-class SolverDivergenceError(RuntimeError):
-    """A linear solve did not reach the requested residual."""
+    """Assembled matrix violates its sign structure beyond QUAD_TOL."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,6 @@ class FracOperator:
     A: np.ndarray
     M_c: np.ndarray
     constant: KernelConstant
-    lin_tol: float = LIN_TOL
     _chol: tuple = field(repr=False, default=None)
     _dual_kernel_cache: list = field(repr=False, default=None)
 
@@ -159,26 +153,6 @@ class FracOperator:
         if v.domain != self.domain:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
         return self.A @ v.values
-
-    def solve(self, f: Field) -> Field:
-        """Solve the discrete elliptic problem A u = M_c f."""
-        if f.domain != self.domain:
-            raise DomainMismatchError(f"{f.domain} != {self.domain}")
-        rhs = self.M_c @ f.values
-        u = cho_solve(self._chol, rhs)
-        nrm = np.linalg.norm(rhs)
-        if nrm > 0:
-            res = np.linalg.norm(self.A @ u - rhs) / nrm
-            if res > self.lin_tol:
-                u = self._refine(u, rhs)
-                res = np.linalg.norm(self.A @ u - rhs) / nrm
-                if res > self.lin_tol:
-                    raise SolverDivergenceError(f"relative residual {res:.3e}")
-        return Field(self.domain, u)
-
-    def _refine(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # one step of iterative refinement; Cholesky normally suffices
-        return u + cho_solve(self._chol, rhs - self.A @ u)
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a raw coefficient vector."""
@@ -237,12 +211,7 @@ def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
     return h ** (1.0 - 2.0 * r) * c
 
 
-def assemble(
-    domain: Domain1D,
-    r: float,
-    quad_tol: float = QUAD_TOL,
-    lin_tol: float = LIN_TOL,
-) -> FracOperator:
+def assemble(domain: Domain1D, r: float) -> FracOperator:
     """Assemble the Toeplitz stiffness and the consistent mass for order r
     on the given domain."""
     if not 0.0 < r < 1.0:
@@ -257,15 +226,15 @@ def assemble(
     # neighbor entry changes sign near r ~ 0.235, where the operator starts
     # resembling the (positive) mass matrix
     row_min = float(A.sum(axis=1).min())
-    if row_min < -quad_tol:
+    if row_min < -QUAD_TOL:
         raise AssemblyError(
-            f"r={r}, M={M}: row-sum min {row_min:.3e} below -quad_tol"
+            f"r={r}, M={M}: row-sum min {row_min:.3e} below -{QUAD_TOL:g}"
         )
     if r >= 0.25:
         off_max = float(c[1:].max(initial=0.0))  # the off-diagonals of A
-        if off_max > quad_tol:
+        if off_max > QUAD_TOL:
             raise AssemblyError(
-                f"r={r}, M={M}: off-diagonal max {off_max:.3e} above quad_tol"
+                f"r={r}, M={M}: off-diagonal max {off_max:.3e} above {QUAD_TOL:g}"
             )
 
     try:
@@ -278,7 +247,6 @@ def assemble(
         A=A,
         M_c=_consistent_mass(M, h),
         constant=kernel_constant(r, 1),
-        lin_tol=lin_tol,
         _chol=chol,
         _dual_kernel_cache=[None],
     )

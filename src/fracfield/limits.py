@@ -26,7 +26,7 @@ from .dynamics import (
 from .fracop import assemble
 from .grid import Domain1D, Field, lp_norm
 from .potential import PotentialParams
-from .spectral import _ordered_map, first_eigenpair
+from .spectral import EIG_TOL, _ordered_map, first_eigenpair
 
 
 class CompatibilityError(ValueError):
@@ -90,7 +90,7 @@ def max_l2_distance(a: Trajectory, b: Trajectory) -> float:
 def limit_sigma_to_pm(
     domain: Domain1D,
     s: float,
-    p: float,
+    params: PotentialParams,
     u0: Field,
     sigmas: Sequence[float],
     settings: SolverSettings,
@@ -98,9 +98,8 @@ def limit_sigma_to_pm(
 ) -> LimitReport:
     """Coercive case p > 2: Cahn-Hilliard trajectories approach the
     porous-medium flow as sigma decreases to 0."""
-    if p <= 2:
-        raise ValueError(f"porous-medium limit needs p > 2, got {p}")
-    params = PotentialParams(p=p)
+    if params.p <= 2:
+        raise ValueError(f"porous-medium limit needs p > 2, got {params.p}")
     op_s = assemble(domain, s)
     ref, _ = pm_evolve(op_s, params, u0, settings)
 
@@ -116,26 +115,29 @@ def limit_sigma_to_pm(
 def limit_sigma_to_fd(
     domain: Domain1D,
     s: float,
-    p: float,
+    params: PotentialParams,
     u0: Field,
     sigmas: Sequence[float],
     settings: SolverSettings,
     max_workers: int = 1,
+    eig_tol: float = EIG_TOL,
 ) -> LimitReport:
     """Fast-diffusion case p in (2_*, 2) with 2_* = 2N/(N+2s): the modified
-    scheme (concave weight lambda1(sigma_k)) approaches the same limit."""
+    scheme (concave weight lambda1(sigma_k)) approaches the same limit.
+
+    params.lam plays no part: the modified scheme uses lambda1(sigma_k) and
+    the porous-medium reference has no concave term."""
     two_star = 2.0 / (1.0 + 2.0 * s)  # N = 1
-    if not two_star < p < 2.0:
+    if not two_star < params.p < 2.0:
         raise CompatibilityError(
-            f"need 2N/(N+2s) = {two_star:.6g} < p < 2, got p={p}"
+            f"need 2N/(N+2s) = {two_star:.6g} < p < 2, got p={params.p}"
         )
-    params = PotentialParams(p=p)
     op_s = assemble(domain, s)
     ref, _ = pm_evolve(op_s, params, u0, settings)
 
     def one(sigma: float) -> tuple[float, float]:
         op_sigma = assemble(domain, sigma)
-        lam1 = float(first_eigenpair(op_sigma).lambda1)
+        lam1 = float(first_eigenpair(op_sigma, eig_tol).lambda1)
         traj, _ = ch_evolve_modified(op_s, op_sigma, params, lam1, u0, settings)
         return spacetime_l2_distance(traj, ref, settings.tau), lam1
 
@@ -148,7 +150,7 @@ def limit_sigma_to_fd(
 def limit_s_to_ac(
     domain: Domain1D,
     sigma: float,
-    p: float,
+    params: PotentialParams,
     u0: Field,
     ss: Sequence[float],
     settings: SolverSettings,
@@ -156,7 +158,6 @@ def limit_s_to_ac(
 ) -> LimitReport:
     """s -> 0 at fixed sigma: trajectories approach the Allen-Cahn flow in
     the max-in-time L2 metric."""
-    params = PotentialParams(p=p)
     op_sigma = assemble(domain, sigma)
     ref, _ = ac_evolve(op_sigma, params, u0, settings)
 

@@ -20,16 +20,13 @@ class PotentialParams:
     """Exponent p, concave coefficient lam, smoothing delta, Yosida epsilon.
 
     lam is 1 for the original system and lambda1(sigma) for the modified one.
-    delta = 0 is only admissible for p > 2 (where beta' is continuous);
-    beta_scale = 0 switches the power-law term off entirely, which turns the
-    per-step problems into linear ones (diagnostic use only).
+    delta = 0 is only admissible for p > 2 (where beta' is continuous).
     """
 
     p: float
     lam: float = 1.0
     delta: float | None = None
     epsilon_yosida: float = 1e-2
-    beta_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (1.0 < self.p < np.inf) or self.p == 2.0:
@@ -47,14 +44,14 @@ class PotentialParams:
 def beta(params: PotentialParams, v):
     """Exact monotone nonlinearity |v|^(p-1) sign v."""
     v = np.asarray(v, dtype=float)
-    out = params.beta_scale * np.abs(v) ** (params.p - 1.0) * np.sign(v)
+    out = np.abs(v) ** (params.p - 1.0) * np.sign(v)
     return out if out.ndim else float(out)
 
 
 def beta_hat(params: PotentialParams, v):
     """Primitive of beta with beta_hat(0) = 0, i.e. |v|^p / p."""
     v = np.asarray(v, dtype=float)
-    out = params.beta_scale * np.abs(v) ** params.p / params.p
+    out = np.abs(v) ** params.p / params.p
     return out if out.ndim else float(out)
 
 
@@ -70,7 +67,7 @@ def beta_reg(params: PotentialParams, v):
     v = np.asarray(v, dtype=float)
     if params.delta == 0.0:
         return beta(params, v)
-    out = params.beta_scale * (v**2 + params.delta**2) ** ((params.p - 2.0) / 2.0) * v
+    out = (v**2 + params.delta**2) ** ((params.p - 2.0) / 2.0) * v
     return out if out.ndim else float(out)
 
 
@@ -80,7 +77,7 @@ def beta_hat_reg(params: PotentialParams, v):
     d = params.delta
     if d == 0.0:
         return beta_hat(params, v)
-    out = params.beta_scale * ((v**2 + d**2) ** (params.p / 2.0) - d**params.p) / params.p
+    out = ((v**2 + d**2) ** (params.p / 2.0) - d**params.p) / params.p
     return out if out.ndim else float(out)
 
 
@@ -90,9 +87,9 @@ def beta_prime_reg(params: PotentialParams, v):
     p, d = params.p, params.delta
     if d == 0.0:
         # p > 2 here by the delta invariant, so |v|^(p-2) -> 0 at v = 0
-        out = params.beta_scale * (p - 1.0) * np.abs(v) ** (p - 2.0)
+        out = (p - 1.0) * np.abs(v) ** (p - 2.0)
         return out if out.ndim else float(out)
-    out = params.beta_scale * (v**2 + d**2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * v**2 + d**2)
+    out = (v**2 + d**2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * v**2 + d**2)
     return out if out.ndim else float(out)
 
 
@@ -108,10 +105,10 @@ def yosida_beta(params: PotentialParams, x: float) -> float:
         return 0.0
     s = 1.0 if x > 0 else -1.0
     ax = abs(x)
-    p, c = params.p, params.beta_scale
+    p = params.p
 
     def g(j: float) -> float:
-        return j + eps * c * j ** (p - 1.0) - ax
+        return j + eps * j ** (p - 1.0) - ax
 
     # g(0) = -ax < 0 and g(ax) >= 0, so [0, ax] brackets the root
     lo, hi = 0.0, ax
@@ -126,7 +123,7 @@ def yosida_beta(params: PotentialParams, x: float) -> float:
         gj = g(j)
         if abs(gj) <= 1e-13 * max(1.0, ax):
             break
-        gp = 1.0 + (eps * c * (p - 1.0) * j ** (p - 2.0) if j > 0 else 0.0)
+        gp = 1.0 + (eps * (p - 1.0) * j ** (p - 2.0) if j > 0 else 0.0)
         if not np.isfinite(gp) or gp <= 0.0:
             break
         step = gj / gp

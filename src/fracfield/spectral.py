@@ -165,6 +165,7 @@ def lambda1_sweep(
     rs: Sequence[float],
     refinements: Sequence[int] | None = None,
     max_workers: int = 1,
+    eig_tol: float = EIG_TOL,
 ) -> list[dict]:
     """Rows (r, M, lambda1, lower, upper, residual) over orders and meshes.
 
@@ -178,7 +179,7 @@ def lambda1_sweep(
     def one(task: tuple[int, float]) -> dict:
         M, r = task
         dom = Domain1D(domain.a, domain.b, M)
-        pair = first_eigenpair(assemble(dom, r))
+        pair = first_eigenpair(assemble(dom, r), eig_tol)
         return {
             "r": r,
             "M": M,

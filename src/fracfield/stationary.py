@@ -26,7 +26,7 @@ from . import potential as pot
 from .fracop import FracOperator, OutOfRangeError, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
-from .spectral import first_eigenpair
+from .spectral import EIG_TOL, first_eigenpair
 
 STAT_TOL = 1e-9
 _TRIVIAL_NORM = 1e-7
@@ -37,8 +37,13 @@ class NoConvergenceError(RuntimeError):
     """No descent start reached the stationary residual tolerance."""
 
 
+class NotOneSignedError(RuntimeError):
+    """The lowest-energy stationary point found changes sign."""
+
+
 @dataclass(frozen=True)
 class StationaryResult:
+    sigma: float
     u_star: Field
     energy: float
     residual: float
@@ -180,6 +185,7 @@ def minimize_energy(
     starts: Sequence[Field] | None = None,
     stat_tol: float = STAT_TOL,
     rng: np.random.Generator | None = None,
+    eig_tol: float = EIG_TOL,
 ) -> StationaryResult:
     """Multi-start descent on the discrete free energy (coercive case p > 2).
 
@@ -191,7 +197,7 @@ def minimize_energy(
         raise OutOfRangeError("stationary minimization requires p > 2")
     dom = op_sigma.domain
     h = dom.h
-    pair = first_eigenpair(op_sigma)
+    pair = first_eigenpair(op_sigma, eig_tol)
     lam1 = pair.lambda1
 
     if starts is None:
@@ -229,8 +235,9 @@ def minimize_energy(
     candidates.sort(key=lambda c: (c[0], c[1]))
     en, cls, u, res = candidates[0]
     if cls == "nontrivial-mixed":
-        raise RuntimeError("lowest-energy stationary point is not one-signed")
+        raise NotOneSignedError("lowest-energy stationary point is not one-signed")
     return StationaryResult(
+        sigma=op_sigma.r,
         u_star=Field(dom, u),
         energy=en,
         residual=res,
@@ -244,23 +251,26 @@ def stationary_sigma_sweep(
     params: PotentialParams,
     sigmas: Sequence[float],
     stat_tol: float = STAT_TOL,
-    op_sigma: FracOperator | None = None,
+    known: StationaryResult | None = None,
+    eig_tol: float = EIG_TOL,
 ) -> list[dict]:
     """Rows (sigma, lambda1, norm_u, bound, energy, classification); states
     shrink to zero as sigma decreases toward 0 (lambda1 -> 1).
 
-    An already assembled op_sigma on the same domain serves the sweep order
-    equal to its own; every other order is assembled here.
+    A known result on the same domain, computed with the same params and
+    tolerances, serves as the row of its own order; every other order is
+    assembled and minimized here from the default starts.
     """
-    if op_sigma is not None and op_sigma.domain != domain:
-        raise DomainMismatchError(f"{op_sigma.domain} != {domain}")
+    if known is not None and known.u_star.domain != domain:
+        raise DomainMismatchError(f"{known.u_star.domain} != {domain}")
     rows = []
     for sigma in sigmas:
-        if op_sigma is not None and op_sigma.r == sigma:
-            op = op_sigma
+        if known is not None and known.sigma == sigma:
+            result = known
         else:
-            op = assemble(domain, sigma)
-        result = minimize_energy(op, params, stat_tol=stat_tol)
+            result = minimize_energy(
+                assemble(domain, sigma), params, stat_tol=stat_tol, eig_tol=eig_tol
+            )
         lam1 = result.lambda1_sigma
         bound = (
             smallness_bound(params, lam1, domain.length) if lam1 < 1.0 else np.nan

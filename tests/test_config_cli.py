@@ -1,9 +1,17 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fracfield.cli as cli
-from fracfield.config import ParseError, ValidationError, parse_config
+from fracfield import fracop, stationary
+from fracfield.config import ParseError, RunConfig, ValidationError, parse_config
 from fracfield.dynamics import NewtonDivergenceError
+
+from test_acceptance import _DETERMINISM_CONFIGS
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 MINIMAL_CH = """
@@ -23,10 +31,8 @@ def test_parse_minimal_config_fills_defaults():
     cfg = parse_config(MINIMAL_CH)
     assert cfg.experiment == "evolve-ch"
     assert cfg.newton_tol == 1e-10
-    assert cfg.lin_tol == 1e-10
     assert cfg.eig_tol == 1e-10
     assert cfg.stat_tol == 1e-9
-    assert cfg.quad_tol == 1e-8
     assert cfg.initial == "bump"
     assert cfg.lam == 1.0
 
@@ -69,7 +75,8 @@ def test_parse_error_carries_line_number():
 
 
 def test_parse_sequence_and_comments():
-    cfg = parse_config(MINIMAL_CH + "experiment = limit-s\nsequence = 0.4, 0.2, 0.1 # tail\n")
+    limit_s = MINIMAL_CH.replace("s = 0.5\n", "")  # limit-s sweeps s itself
+    cfg = parse_config(limit_s + "experiment = limit-s\nsequence = 0.4, 0.2, 0.1 # tail\n")
     assert cfg.sequence == [0.4, 0.2, 0.1]
 
 
@@ -185,3 +192,118 @@ def test_seed_env_controls_random_initial(tmp_path, monkeypatch):
     t2 = (tmp_path / "s2" / "trajectory.csv").read_bytes()
     t1b = (tmp_path / "s1b" / "trajectory.csv").read_bytes()
     assert t1 != t2 and t1 == t1b
+
+
+def test_shipped_configs_parse():
+    paths = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("benchmark/configs/*.cfg"))
+    assert paths
+    for path in paths:
+        parse_config(path.read_text())
+
+
+# a changed value for each RunConfig field that passes its range check; the
+# tolerances change the output only once they cross a Newton iterate's
+# residual, so they move by decades
+_PERTURB = {
+    "a": lambda v: v - 1.0,
+    "b": lambda v: v + 1.0,
+    "M": lambda v: v + 8,
+    "s": lambda v: 0.3 if v is None else 0.6 * v,
+    "sigma": lambda v: 0.3 if v is None else 0.6 * v,
+    "p": lambda v: 3.0 if v is None else (v + 1.0 if v > 2 else 1.8),
+    "lam": lambda v: 0.25,
+    "delta": lambda v: 0.5,
+    "tau": lambda v: 1e-3 if v is None else v / 2,
+    "T": lambda v: 0.01 if v is None else 2 * v,
+    "newton_tol": lambda v: 1e-3,
+    "eig_tol": lambda v: 1e-3,
+    "stat_tol": lambda v: 1e-11,
+    "experiment": lambda v: "eigen-sweep" if v == "operator-limit" else "operator-limit",
+    "sequence": lambda v: [0.5, 0.3] if v is None else [0.9 * x for x in v],
+    "refinements": lambda v: [16] if v is None else [m + 8 for m in v],
+    "initial": lambda v: "sine",
+    "amplitude": lambda v: 0.5,
+}
+
+
+def _value_text(value) -> str:
+    return ", ".join(map(repr, value)) if isinstance(value, list) else str(value)
+
+
+def test_every_config_key_reaches_the_run_or_is_rejected(tmp_path):
+    # a key the manifest records but the run ignores would make two different
+    # manifests describe the same computation
+    configs = dict(_DETERMINISM_CONFIGS)
+    configs["limit-sigma-fd"] = ("a = 0\nb = 1\nM = 24\ns = 0.5\np = 1.5\ntau = 1e-3\n"
+                                 "T = 0.005\nexperiment = limit-sigma\nsequence = 0.4, 0.2\n")
+    silent = []
+    for name, text in configs.items():
+        base_cfg = parse_config(text)
+        base = cli.run(base_cfg, output_dir=str(tmp_path / name), config_text=text)
+        base.pop("manifest.txt")
+        for f in fields(RunConfig):
+            if f.name == "output_dir":
+                continue
+            value = _PERTURB[f.name](getattr(base_cfg, f.name))
+            changed = text + f"{f.name} = {_value_text(value)}\n"
+            try:
+                cfg = parse_config(changed)
+            except ValidationError as exc:
+                if f.name != "experiment":
+                    assert exc.key == f.name, (name, f.name, str(exc))
+                continue
+            assert getattr(cfg, f.name) == value
+            out = cli.run(cfg, output_dir=str(tmp_path / f"{name}-{f.name}"), config_text=changed)
+            out.pop("manifest.txt")
+            if out == base:
+                silent.append(f"{name}: {f.name}")
+    assert not silent, f"keys recorded but not used: {silent}"
+
+
+def _assert_fails_cleanly(tmp_path, capsys, text: str, code: int, message: str) -> None:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--output", str(out)]) == code, text
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert message in err, err
+    assert not out.exists()
+
+
+def test_main_rejects_configs_the_solvers_cannot_run(tmp_path, capsys):
+    for text, key in (
+        # p = 1.5 is below 2N/(N+2s) = 5/3 at s = 0.1
+        ("a = 0\nb = 1\nM = 24\ns = 0.1\np = 1.5\ntau = 1e-3\nT = 0.005\n"
+         "experiment = limit-sigma\nsequence = 0.4, 0.2\n", "p"),
+        ("a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 1.5\nexperiment = stationary\n", "p"),
+        (MINIMAL_CH.replace("p = 4", "p = 1.5") + "delta = 0\n", "delta"),
+        (MINIMAL_CH + "lam = -1\n", "lam"),
+        ("a = 0\nb = 1\nM = 24\nexperiment = operator-limit\nsequence = 0.2, 0.1\n"
+         "initial = zero\n", "initial"),
+        ("a = 0\nb = 1\nM = 24\nexperiment = eigen-sweep\nsequence = 0.5\n"
+         "refinements = 1\n", "refinements"),
+    ):
+        _assert_fails_cleanly(tmp_path, capsys, text, 1, f"error: {key}: ")
+
+
+def test_main_maps_operator_and_stationary_failures_to_exit_2(tmp_path, capsys, monkeypatch):
+    column = fracop._stiffness_column
+
+    def set_offdiagonal(value):
+        def patched(M, h, r):
+            c = column(M, h, r)
+            c[1] = value
+            return c
+        monkeypatch.setattr(fracop, "_stiffness_column", patched)
+
+    set_offdiagonal(1e-6)  # AssemblyError: positive off-diagonal at r = 1/2
+    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH, 2, "off-diagonal max")
+    set_offdiagonal(10.0)  # NotSPDError: no sign gate below r = 1/4
+    low_order = MINIMAL_CH.replace("s = 0.5\nsigma = 0.5", "s = 0.1\nsigma = 0.1")
+    _assert_fails_cleanly(tmp_path, capsys, low_order, 2, "not SPD")
+    monkeypatch.setattr(fracop, "_stiffness_column", column)
+
+    monkeypatch.setattr(stationary, "_classify", lambda u, h: "nontrivial-mixed")
+    text = "a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+    _assert_fails_cleanly(tmp_path, capsys, text, 2, "not one-signed")

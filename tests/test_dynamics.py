@@ -7,6 +7,7 @@ from fracfield.dynamics import (
     a_priori_monitors,
     trajectory_to_csv,
 )
+from fracfield import potential
 from fracfield.grid import DomainMismatchError
 
 from oracles import ch_step_functional_value, stiffness_closed_form
@@ -301,12 +302,17 @@ def test_flow_needs_an_operator_on_one_domain(ops48):
 
 
 # ------------------------------------------------------------------ checks
-def test_identity_gap_linear_case_closed_form(ops48):
-    # with the power-law term disabled every step solves a linear system and
+def test_identity_gap_linear_case_closed_form(ops48, monkeypatch):
+    # with the power-law term zeroed every step solves a linear system and
     # the inequality slack is exactly the second-order Taylor remainder,
     # with each flow's own concave weight
+    def zero(params, v):
+        return np.zeros_like(np.asarray(v, dtype=float))
+
+    for name in ("beta", "beta_hat", "beta_reg", "beta_hat_reg", "beta_prime_reg"):
+        monkeypatch.setattr(potential, name, zero)
     op_s, op_sig = ops48
-    params = ff.PotentialParams(p=4, beta_scale=0.0)
+    params = ff.PotentialParams(p=4)
     lam1 = ff.first_eigenpair(op_sig).lambda1
     u0 = ff.bump_field(op_s.domain)
     st = ff.SolverSettings(tau=2e-3, T=0.02)

@@ -17,9 +17,10 @@ def settings_fast():
 def test_zero_data_gives_zero_distances():
     dom = ff.make_domain(0, 1, 32)
     u0 = ff.zero_field(dom)
-    rep = ff.limit_sigma_to_pm(dom, 0.5, 3.0, u0, [0.4, 0.2], settings_fast())
+    rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2],
+                               settings_fast())
     assert rep.distances == [0.0, 0.0]
-    rep = ff.limit_s_to_ac(dom, 0.5, 4.0, u0, [0.4, 0.2], settings_fast())
+    rep = ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2], settings_fast())
     assert rep.distances == [0.0, 0.0]
 
 
@@ -37,17 +38,20 @@ def test_reference_solver_reproduces_itself():
 def test_fast_diffusion_compatibility_precondition():
     dom = ff.make_domain(0, 1, 32)
     u0 = ff.bump_field(dom)
-    # 2_* = 2/(1+2s) = 0.8 at s = 0.75, so p = 1.5 is admissible
+    # 2_* = 2/(1+2s) = 0.8 at s = 0.75, so every p in (1, 2) is admissible
+    # there and only p > 2 leaves the window
     with pytest.raises(CompatibilityError):
-        ff.limit_sigma_to_fd(dom, 0.75, 0.7, u0, [0.4, 0.2], settings_fast())
-    with pytest.raises(CompatibilityError):
-        ff.limit_sigma_to_fd(dom, 0.1, 1.5, u0, [0.4, 0.2], settings_fast())  # 2_* = 5/3
+        ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=3), u0, [0.4, 0.2],
+                             settings_fast())
+    with pytest.raises(CompatibilityError):  # 2_* = 5/3
+        ff.limit_sigma_to_fd(dom, 0.1, ff.PotentialParams(p=1.5), u0, [0.4, 0.2],
+                             settings_fast())
 
 
 def test_pm_limit_distances_shrink():
     dom = ff.make_domain(0, 1, 48)
     u0 = ff.bump_field(dom, 2.0)
-    rep = ff.limit_sigma_to_pm(dom, 0.5, 3.0, u0, [0.4, 0.2, 0.1],
+    rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2, 0.1],
                                ff.SolverSettings(tau=1e-3, T=0.05))
     assert rep.reference == "porous-medium"
     assert rep.monotone
@@ -59,7 +63,7 @@ def test_pm_limit_distances_shrink():
 def test_ac_limit_distances_shrink():
     dom = ff.make_domain(0, 1, 48)
     u0 = ff.bump_field(dom, 2.0)
-    rep = ff.limit_s_to_ac(dom, 0.5, 4.0, u0, [0.4, 0.2, 0.1],
+    rep = ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2, 0.1],
                            ff.SolverSettings(tau=5e-4, T=0.01))
     assert rep.reference == "allen-cahn"
     assert rep.monotone
@@ -68,7 +72,7 @@ def test_ac_limit_distances_shrink():
 def test_fd_limit_records_eigenvalues():
     dom = ff.make_domain(0, 4, 48)
     u0 = ff.bump_field(dom)
-    rep = ff.limit_sigma_to_fd(dom, 0.75, 1.5, u0, [0.4, 0.2, 0.1],
+    rep = ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2, 0.1],
                                ff.SolverSettings(tau=5e-4, T=0.01))
     assert rep.reference == "fast-diffusion"
     assert rep.lambda1s is not None
@@ -125,7 +129,7 @@ def test_ac_limit_from_stationary_datum_stays_at_solver_scale(get_op):
     # solver-tolerance scale
     op = get_op(0.0, 10.0, 127, 0.5)
     res = ff.minimize_energy(op, ff.PotentialParams(p=4))
-    rep = ff.limit_s_to_ac(op.domain, 0.5, 4.0, res.u_star, [0.4, 0.2],
+    rep = ff.limit_s_to_ac(op.domain, 0.5, ff.PotentialParams(p=4), res.u_star, [0.4, 0.2],
                            ff.SolverSettings(tau=1e-3, T=0.01))
     assert all(d <= 1e-7 for d in rep.distances)
 
@@ -136,7 +140,8 @@ def test_pm_limit_verdict_stable_under_mesh_doubling():
     verdicts = []
     for M in (48, 96):
         dom = ff.make_domain(0, 1, M)
-        rep = ff.limit_sigma_to_pm(dom, 0.5, 3.0, ff.bump_field(dom, 2.0), sigmas, st)
+        rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), ff.bump_field(dom, 2.0),
+                                   sigmas, st)
         verdicts.append(rep.monotone)
     assert verdicts[0] == verdicts[1] is True
 
@@ -145,8 +150,9 @@ def test_thread_pool_does_not_change_results():
     dom = ff.make_domain(0, 1, 32)
     u0 = ff.bump_field(dom)
     st = ff.SolverSettings(tau=1e-3, T=0.01)
-    seq = ff.limit_sigma_to_pm(dom, 0.5, 3.0, u0, [0.4, 0.2], st, max_workers=1)
-    par = ff.limit_sigma_to_pm(dom, 0.5, 3.0, u0, [0.4, 0.2], st, max_workers=2)
+    params = ff.PotentialParams(p=3)
+    seq = ff.limit_sigma_to_pm(dom, 0.5, params, u0, [0.4, 0.2], st, max_workers=1)
+    par = ff.limit_sigma_to_pm(dom, 0.5, params, u0, [0.4, 0.2], st, max_workers=2)
     assert seq.distances == par.distances
     rows1 = ff.lambda1_sweep(dom, [0.5, 0.25], max_workers=1)
     rows2 = ff.lambda1_sweep(dom, [0.5, 0.25], max_workers=2)

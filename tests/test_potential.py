@@ -152,9 +152,3 @@ def test_truncation_monotone_on_grid():
     ys = [truncate_beta(params, 0.7, x) for x in xs]
     assert np.all(np.diff(ys) >= 0.0)
 
-
-def test_beta_scale_zero_disables_power_law():
-    params = PotentialParams(p=4, beta_scale=0.0)
-    assert beta(params, 3.0) == 0.0
-    assert beta_hat(params, 3.0) == 0.0
-    assert W(params, 3.0) == pytest.approx(-4.5)

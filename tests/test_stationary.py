@@ -116,22 +116,33 @@ def test_sigma_sweep_norms_decrease(get_op):
 
 
 def test_sigma_sweep_reuses_given_operator(get_op, monkeypatch):
+    # a known result serves its own row: no assembly and no minimization
     dom = ff.make_domain(0, 10, 63)
     params = ff.PotentialParams(p=4)
     sigmas = [0.5, 0.3]
     fresh = ff.stationary_sigma_sweep(dom, params, sigmas)
+    known = ff.minimize_energy(get_op(0.0, 10.0, 63, 0.5), params)
+    assert known.sigma == 0.5
     orders = []
 
-    def counting(domain, r, *args):
+    def counting(domain, r):
         orders.append(r)
-        return ff.assemble(domain, r, *args)
+        return ff.assemble(domain, r)
+
+    minimized = []
+
+    def minimize(op, *args, **kwargs):
+        minimized.append(op.r)
+        return ff.minimize_energy(op, *args, **kwargs)
 
     monkeypatch.setattr(stationary, "assemble", counting)
-    reused = ff.stationary_sigma_sweep(dom, params, sigmas, op_sigma=get_op(0.0, 10.0, 63, 0.5))
-    assert orders == [0.3]
+    monkeypatch.setattr(stationary, "minimize_energy", minimize)
+    reused = ff.stationary_sigma_sweep(dom, params, sigmas, known=known)
+    assert orders == [0.3] and minimized == [0.3]
     assert sweep_to_csv(reused) == sweep_to_csv(fresh)
+    other = ff.minimize_energy(get_op(0.0, 1.0, 63, 0.5), params)
     with pytest.raises(DomainMismatchError):
-        ff.stationary_sigma_sweep(dom, params, sigmas, op_sigma=get_op(0.0, 1.0, 63, 0.5))
+        ff.stationary_sigma_sweep(dom, params, sigmas, known=other)
 
 
 def test_unreachable_tolerance_raises(get_op):
