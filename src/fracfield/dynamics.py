@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve as lin_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from . import potential as pot
 from .fracop import FracOperator
@@ -205,6 +205,11 @@ def _newton_minimize(
     """Damped Newton on a strictly convex functional; residual is the
     lumped-scaled gradient norm ||g||_2 / sqrt(h).
 
+    hess returns a fresh, exactly symmetric buffer, which is Cholesky-factored
+    in place: its transpose is the same matrix in the Fortran order LAPACK
+    works in, so no copy is made.  The finiteness check runs once, on the
+    Hessian; the solve does not rescan the factor.
+
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
     Newton direction is a descent direction for ||grad|| as well, and the
@@ -218,7 +223,8 @@ def _newton_minimize(
     for it in range(settings.newton_max):
         if res <= settings.newton_tol:
             return u, it, res
-        d = lin_solve(hess(u), -g, assume_a="pos")
+        chol = cho_factor(hess(u).T, overwrite_a=True)
+        d = cho_solve(chol, -g, check_finite=False)
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
@@ -246,6 +252,7 @@ def _stepper(
     potential-equation residual."""
     dom = flow.domain
     h = dom.h
+    diag = np.diag_indices(dom.M)
     Mc = flow.mass
     A = None if flow.interface is None else flow.interface.A
     G = Mc if flow.metric is None else flow.metric.dual_kernel
@@ -267,8 +274,9 @@ def _stepper(
         def hess(u):
             H = G / tau
             if A is not None:
-                H = H + A
-            return H + h * np.diag(pot.beta_prime_reg(params, u))
+                H += A
+            H[diag] += h * pot.beta_prime_reg(params, u)
+            return H
 
         un, iters, res = _newton_minimize(grad, hess, up, settings, h)
         if flow.metric is None:

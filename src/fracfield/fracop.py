@@ -131,8 +131,9 @@ class FracOperator:
     A is the Galerkin matrix of a_r on interior hat functions (symmetric
     positive definite Toeplitz), M_c the consistent P1 mass, M_L the lumped
     mass (h on the diagonal, built on demand).  The Cholesky factor of A is
-    cached at assembly; everything is immutable afterwards and safe to share
-    across threads.
+    cached, and checked finite, at assembly; A, M_c and the cached dual
+    kernel are read-only, so everything is immutable afterwards and safe to
+    share across threads.
     """
 
     domain: Domain1D
@@ -148,6 +149,14 @@ class FracOperator:
         """Lumped mass h I."""
         return self.domain.h * np.eye(self.domain.M)
 
+    def mass_vector(self, x: np.ndarray) -> np.ndarray:
+        """M_c x for a raw coefficient vector in O(M): (h/6)(4 x_i + x_(i-1)
+        + x_(i+1)), the tridiagonal stencil of _consistent_mass."""
+        y = 4.0 * x
+        y[1:] += x[:-1]
+        y[:-1] += x[1:]
+        return (self.domain.h / 6.0) * y
+
     def apply(self, v: Field) -> np.ndarray:
         """Dual-pairing vector (A v)_i = a_r(v, phi_i)."""
         if v.domain != self.domain:
@@ -155,8 +164,12 @@ class FracOperator:
         return self.A @ v.values
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a raw coefficient vector."""
-        return cho_solve(self._chol, rhs)
+        """Solve A x = rhs for a raw coefficient vector; ValueError on a
+        non-finite rhs.  The factor was checked at assembly and is immutable,
+        so only the rhs is scanned."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side contains infs or NaNs")
+        return cho_solve(self._chol, rhs, check_finite=False)
 
     def dual_norm_sq(self, v: Field) -> float:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
@@ -167,10 +180,13 @@ class FracOperator:
 
     @property
     def dual_kernel(self) -> np.ndarray:
-        """M_c A^(-1) M_c, the Gram matrix of the dual norm (cached)."""
+        """M_c A^(-1) M_c, the Gram matrix of the dual norm (cached,
+        read-only)."""
         if self._dual_kernel_cache[0] is None:
             K = self.M_c @ cho_solve(self._chol, self.M_c)
-            self._dual_kernel_cache[0] = 0.5 * (K + K.T)
+            K = 0.5 * (K + K.T)
+            K.flags.writeable = False
+            self._dual_kernel_cache[0] = K
         return self._dual_kernel_cache[0]
 
     def gagliardo_sq(self, v: Field) -> float:

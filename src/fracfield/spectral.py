@@ -1,10 +1,13 @@
 """First eigenpair of the fractional stiffness and analytic eigenvalue bounds.
 
 The generalized problem A x = lambda M_c x is solved by inverse power
-iteration with Cholesky-backed solves; only the extremal pair (and, for the
-gap diagnostic, a deflated second value) is ever needed.  The analytic
-bounds are the interpolation-based lower bound and the classical upper
-bound lambda1^r with lambda1 = pi^2/L^2 for an interval of length L.
+iteration with Cholesky-backed solves; only the extremal pair is ever
+needed.  One sweep costs one solve with the cached dense factor and one dense
+product A y, O(M^2) each, plus O(M) tridiagonal mass products: A y gives
+both the Rayleigh quotient and the residual A y - lambda M_c y, and M_c y is
+carried into the next sweep's right-hand side.  The analytic bounds are the
+interpolation-based lower bound and the classical upper bound lambda1^r with
+lambda1 = pi^2/L^2 for an interval of length L.
 """
 
 from __future__ import annotations
@@ -95,59 +98,31 @@ def lambda1_lower_bound(r: float, N: int, vol_omega: float) -> float:
     )
 
 
-def _rel_residual(op: FracOperator, x: np.ndarray, lam: float) -> float:
-    res = op.A @ x - lam * (op.M_c @ x)
-    return float(np.linalg.norm(res) / (lam * np.linalg.norm(op.M_c @ x)))
-
-
 def first_eigenpair(
     op: FracOperator, eig_tol: float = EIG_TOL, maxit: int = EIG_MAXIT
 ) -> EigenPair:
-    """Smallest eigenpair of A x = lambda M_c x by inverse power iteration."""
-    M = op.domain.M
-    x = np.ones(M)
-    x /= np.sqrt(x @ (op.M_c @ x))
-    lam = float(x @ (op.A @ x))
+    """Smallest eigenpair of A x = lambda M_c x by inverse power iteration;
+    the residual is ||A x - lambda M_c x|| / (lambda ||M_c x||) of the last
+    sweep."""
+    x = np.ones(op.domain.M)
+    Mx = op.mass_vector(x)
+    norm = np.sqrt(x @ Mx)
+    x, Mx = x / norm, Mx / norm
     for _ in range(maxit):
-        y = op.solve_vector(op.M_c @ x)
-        y /= np.sqrt(y @ (op.M_c @ y))
-        lam = float(y @ (op.A @ y))
-        x = y
-        if _rel_residual(op, x, lam) <= eig_tol:
+        y = op.solve_vector(Mx)
+        My = op.mass_vector(y)
+        norm = np.sqrt(y @ My)
+        x, Mx = y / norm, My / norm
+        Ax = op.A @ x
+        lam = float(x @ Ax)
+        res = float(np.linalg.norm(Ax - lam * Mx) / (lam * np.linalg.norm(Mx)))
+        if res <= eig_tol:
             break
     else:
         raise NoConvergenceError(f"inverse iteration stalled at r={op.r}")
     if np.sum(x) < 0:
         x = -x
-    return EigenPair(op.r, lam, Field(op.domain, x), _rel_residual(op, x, lam))
-
-
-def second_eigenvalue(
-    op: FracOperator, pair: EigenPair, eig_tol: float = EIG_TOL, maxit: int = EIG_MAXIT
-) -> float:
-    """Second-smallest eigenvalue via inverse iteration deflated against e1."""
-    e1 = pair.e1.values
-    M = op.domain.M
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(M)
-
-    def project_out(v: np.ndarray) -> np.ndarray:
-        return v - (v @ (op.M_c @ e1)) * e1
-
-    x = project_out(x)
-    x /= np.sqrt(x @ (op.M_c @ x))
-    lam = float(x @ (op.A @ x))
-    for _ in range(maxit):
-        y = op.solve_vector(op.M_c @ x)
-        y = project_out(y)
-        y /= np.sqrt(y @ (op.M_c @ y))
-        lam = float(y @ (op.A @ y))
-        x = y
-        if _rel_residual(op, x, lam) <= max(eig_tol, 1e-12):
-            break
-    else:
-        raise NoConvergenceError("deflated iteration stalled")
-    return lam
+    return EigenPair(op.r, lam, Field(op.domain, x), res)
 
 
 def eigen_bounds(domain: Domain1D, r: float) -> EigenBounds:

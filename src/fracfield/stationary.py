@@ -9,9 +9,10 @@ exactly the gradient of the discrete objective
 
 so converged minimizers satisfy the virial identity
 J(u*) = -(1/2 - 1/p) sum_i h |u*_i|^p to machine precision, and stationary
-states are exact fixed points of the Allen-Cahn stepper.  Nontrivial states
-exist iff lambda1(sigma) < 1; each nontrivial minimizer is one-signed and
-obeys the smallness bound derived from the coercivity radius.
+states are exact fixed points of the Allen-Cahn stepper.  Nontrivial
+minimizers exist iff lambda1(sigma) < lam (lam = 1 in the original system);
+each is one-signed and obeys the smallness bound derived from the
+coercivity radius.
 """
 
 from __future__ import annotations
@@ -63,17 +64,27 @@ def nontriviality_predicate(lambda1_sigma: float) -> str:
 def smallness_bound(
     params: PotentialParams, lambda1_sigma: float, vol_omega: float
 ) -> float:
-    """Radius ((p/2) |Omega|^((p-2)/2) (1 - lambda1))^(1/(p-2)); every
-    nontrivial stationary state has L2 norm strictly below it."""
+    """Radius ((p/2) |Omega|^((p-2)/2) (lam - lambda1))^(1/(p-2)) with
+    lam = params.lam; every nontrivial minimizer of J has L2 norm strictly
+    below it.
+
+    A nontrivial minimizer u has J(u) < J(0) = 0.  With u^T A_sigma u >=
+    lambda1 u^T M_c u, the lumped potential h sum |u_i|^p / p and
+    u^T M_c u <= ||u||_2^2 (lumped norms throughout), J(u) < 0 gives
+    ||u||_p^p < (p/2)(lam - lambda1) ||u||_2^2, and the lumped Hoelder
+    inequality ||u||_2^p <= |Omega|^((p-2)/2) ||u||_p^p turns this into
+    ||u||_2^(p-2) < (p/2) |Omega|^((p-2)/2) (lam - lambda1).  Defined only
+    when lambda1 < lam.
+    """
     if params.p <= 2:
         raise OutOfRangeError("smallness bound requires the coercive case p > 2")
-    if lambda1_sigma >= 1.0:
+    if lambda1_sigma >= params.lam:
         raise OutOfRangeError(
-            f"bound defined only for lambda1 < 1, got {lambda1_sigma}"
+            f"bound defined only for lambda1 < lam = {params.lam}, got {lambda1_sigma}"
         )
     p = params.p
     return float(
-        ((p / 2.0) * vol_omega ** ((p - 2.0) / 2.0) * (1.0 - lambda1_sigma))
+        ((p / 2.0) * vol_omega ** ((p - 2.0) / 2.0) * (params.lam - lambda1_sigma))
         ** (1.0 / (p - 2.0))
     )
 
@@ -142,17 +153,17 @@ def _descend(
         res = _scaled_res(g, h)
         if res <= stat_tol:
             return u, res
-        H = (
-            op.A
-            + op.domain.h * np.diag(pot.beta_prime_reg(params, u))
-            - params.lam * op.M_c
-        )
+        # one fresh, exactly symmetric buffer, factored in place through its
+        # Fortran-ordered transpose
+        H = op.A.copy()
+        H[np.diag_indices(op.domain.M)] += h * pot.beta_prime_reg(params, u)
+        H -= params.lam * op.M_c
         try:
-            chol = cho_factor(H, lower=True)
+            chol = cho_factor(H.T, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError:
             u = u - min(1e-2, res) * g  # fall back to a small gradient step
             continue
-        d = cho_solve(chol, -g)
+        d = cho_solve(chol, -g, check_finite=False)
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
@@ -273,7 +284,8 @@ def stationary_sigma_sweep(
             )
         lam1 = result.lambda1_sigma
         bound = (
-            smallness_bound(params, lam1, domain.length) if lam1 < 1.0 else np.nan
+            smallness_bound(params, lam1, domain.length)
+            if lam1 < params.lam else np.nan
         )
         rows.append(
             {

@@ -24,6 +24,11 @@ which is available in closed form in 1D.  Panel pairs are handled by
 The normalizing constant is the library's kernel_constant, computed from its
 defining integral, so this oracle never uses the Fourier symbol or the
 Toeplitz structure.
+
+The dense solver oracles keep the library's earlier loops: inverse iteration
+with dense M_c products and a freshly computed residual, its deflated
+second-eigenvalue variant, and the Newton step that assembles the Hessian
+from full-matrix sums and solves it with scipy.linalg.solve.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 from math import cos, gamma, log, pi
+from scipy.linalg import cho_solve, solve as lin_solve
 from scipy.special import roots_legendre
 
+from fracfield import potential as pot
 from fracfield.fracop import OutOfRangeError, kernel_constant
 from fracfield.grid import Domain1D, Field
 
@@ -336,3 +343,100 @@ def ch_step_functional_value(op_s, sigma: float, p: float, lam: float,
         + h * np.sum(np.abs(u) ** p / p)
         - lam * u @ (Mc @ up)
     )
+
+
+def _rel_residual(op, x: np.ndarray, lam: float) -> float:
+    res = op.A @ x - lam * (op.M_c @ x)
+    return float(np.linalg.norm(res) / (lam * np.linalg.norm(op.M_c @ x)))
+
+
+def first_eigenpair_dense(op, eig_tol: float, maxit: int = 10000):
+    """Inverse power iteration with dense M_c products and a residual
+    recomputed from scratch each sweep; returns (lambda1, e1, residual,
+    sweeps) with e1 positive and M_c-normalized."""
+    x = np.ones(op.domain.M)
+    x /= np.sqrt(x @ (op.M_c @ x))
+    for sweeps in range(1, maxit + 1):
+        y = cho_solve(op._chol, op.M_c @ x)
+        y /= np.sqrt(y @ (op.M_c @ y))
+        lam = float(y @ (op.A @ y))
+        x = y
+        if _rel_residual(op, x, lam) <= eig_tol:
+            break
+    else:
+        raise RuntimeError(f"dense inverse iteration stalled at r={op.r}")
+    if np.sum(x) < 0:
+        x = -x
+    return lam, x, _rel_residual(op, x, lam), sweeps
+
+
+def second_eigenvalue(op, e1: np.ndarray, eig_tol: float = 1e-10,
+                      maxit: int = 10000) -> float:
+    """Second-smallest eigenvalue via inverse iteration deflated against e1."""
+    rng = np.random.default_rng(12345)
+    x = rng.standard_normal(op.domain.M)
+
+    def project_out(v: np.ndarray) -> np.ndarray:
+        return v - (v @ (op.M_c @ e1)) * e1
+
+    x = project_out(x)
+    x /= np.sqrt(x @ (op.M_c @ x))
+    for _ in range(maxit):
+        y = cho_solve(op._chol, op.M_c @ x)
+        y = project_out(y)
+        y /= np.sqrt(y @ (op.M_c @ y))
+        lam = float(y @ (op.A @ y))
+        x = y
+        if _rel_residual(op, x, lam) <= max(eig_tol, 1e-12):
+            return lam
+    raise RuntimeError("deflated iteration stalled")
+
+
+def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
+    """One convex-splitting step u_prev -> (u_n, w_n, iterations, residual)
+    with the Hessian summed from full matrices and solved by
+    scipy.linalg.solve(assume_a="pos"); same damped Newton and residual
+    line search as the library."""
+    h = u_prev.domain.h
+    Mc = flow.mass
+    A = None if flow.interface is None else flow.interface.A
+    G = Mc if flow.metric is None else flow.metric.dual_kernel
+    up = u_prev.values
+    explicit = flow.lam * (Mc @ up)
+
+    def grad(u):
+        g = G @ (u - up) / tau
+        if A is not None:
+            g = g + A @ u
+        return g + h * pot.beta_reg(params, u) - explicit
+
+    def hess(u):
+        H = G / tau
+        if A is not None:
+            H = H + A
+        return H + h * np.diag(pot.beta_prime_reg(params, u))
+
+    scale = 1.0 / np.sqrt(h)
+    u = up.copy()
+    g = grad(u)
+    res = float(np.linalg.norm(g)) * scale
+    it = 0
+    while res > settings.newton_tol:
+        d = lin_solve(hess(u), -g, assume_a="pos")
+        t = 1.0
+        while True:
+            un = u + t * d
+            gn = grad(un)
+            resn = float(np.linalg.norm(gn)) * scale
+            if resn <= (1.0 - settings.ls_sufficient * t) * res or resn <= settings.newton_tol:
+                break
+            t *= settings.ls_shrink
+            assert t >= 1e-14, "line search exhausted"
+        u, g, res = un, gn, resn
+        it += 1
+        assert it <= settings.newton_max, "Newton cap reached"
+    if flow.metric is None:
+        w = -(u - up) / tau
+    else:
+        w = -cho_solve(flow.metric._chol, Mc @ (u - up)) / tau
+    return u, w, it, res

@@ -4,13 +4,14 @@ import pytest
 import fracfield as ff
 from fracfield.dynamics import (
     NewtonDivergenceError,
+    _stepper,
     a_priori_monitors,
     trajectory_to_csv,
 )
 from fracfield import potential
 from fracfield.grid import DomainMismatchError
 
-from oracles import ch_step_functional_value, stiffness_closed_form
+from oracles import ch_step_functional_value, newton_step_dense, stiffness_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +300,53 @@ def test_flow_needs_an_operator_on_one_domain(ops48):
     with pytest.raises(DomainMismatchError):
         ff.evolve(step_on_other, ff.PotentialParams(p=4), ff.bump_field(op_s.domain),
                   ff.SolverSettings(tau=1e-3, T=1e-3))
+
+
+@pytest.mark.parametrize("kind", ["cahn-hilliard", "modified", "allen-cahn", "porous-medium"])
+def test_stepper_matches_dense_newton_oracle_bitwise(get_op, kind):
+    # the in-place Hessian and its Cholesky solve reproduce the full-matrix
+    # sums and scipy.linalg.solve(assume_a="pos") bit for bit
+    op_s, op_sigma = get_op(0.0, 1.0, 64, 0.5), get_op(0.0, 1.0, 64, 0.75)
+    params = ff.PotentialParams(p=4)
+    flow = {
+        "cahn-hilliard": ff.Flow(op_s, op_sigma, params.lam),
+        "modified": ff.Flow(op_s, op_sigma, ff.first_eigenpair(op_sigma).lambda1),
+        "allen-cahn": ff.Flow(None, op_sigma, params.lam),
+        "porous-medium": ff.Flow(op_s, None, 0.0),
+    }[kind]
+    if kind == "porous-medium":
+        params = ff.PotentialParams(p=3, lam=0.0)
+    settings = ff.SolverSettings(tau=1e-3, T=5e-3)
+    step = _stepper(flow, params, settings.tau, settings)
+    u = ff.bump_field(op_s.domain)
+    for _ in range(settings.n_steps):
+        un, wn, stats = step(u)
+        u_ref, w_ref, iters, res = newton_step_dense(flow, params, settings.tau, settings, u)
+        assert np.array_equal(un.values, u_ref)
+        assert np.array_equal(wn.values, w_ref)
+        assert (stats.iterations, stats.residual) == (iters, res)
+        u = un
+
+
+def test_evolve_leaves_operator_arrays_untouched():
+    dom = ff.make_domain(0, 1, 32)
+    op_s, op_sigma = ff.assemble(dom, 0.5), ff.assemble(dom, 0.75)
+    arrays = lambda: [op_s.A, op_s.M_c, op_s.dual_kernel, op_sigma.A, op_sigma.M_c]
+    before = [a.tobytes() for a in arrays()]
+    settings = ff.SolverSettings(tau=1e-3, T=3e-3)
+    u0 = ff.bump_field(dom)
+    for flow, params in [
+        (ff.Flow(op_s, op_sigma, 1.0), ff.PotentialParams(p=4)),
+        (ff.Flow(None, op_sigma, 1.0), ff.PotentialParams(p=4)),
+        (ff.Flow(op_s, None, 0.0), ff.PotentialParams(p=3, lam=0.0)),
+    ]:
+        ff.evolve(flow, params, u0, settings)
+    assert [a.tobytes() for a in arrays()] == before
+    assert op_s.dual_kernel is op_s.dual_kernel  # cached
+    with pytest.raises(ValueError):
+        op_s.dual_kernel[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        op_s.dual_kernel += 1.0
 
 
 # ------------------------------------------------------------------ checks

@@ -214,6 +214,23 @@ def test_solve_eigen_scaling(unit64):
     assert np.allclose(u, pair.e1.values / pair.lambda1, rtol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_vector_rejects_non_finite_rhs(unit64, bad):
+    op = unit64[0.5]
+    rhs = np.ones(64)
+    rhs[17] = bad
+    with pytest.raises(ValueError):
+        op.solve_vector(rhs)
+
+
+def test_mass_vector_is_the_consistent_mass_product(unit64, rng):
+    op = unit64[0.5]
+    pair = ff.first_eigenpair(op)
+    for x in (np.ones(64), rng.random(64), rng.standard_normal(64), pair.e1.values):
+        dense = op.M_c @ x
+        assert np.max(np.abs(op.mass_vector(x) - dense)) <= 1e-15 * np.max(np.abs(dense))
+
+
 def test_dual_norm_zero_and_eigen_identity(unit64):
     op = unit64[0.5]
     assert op.dual_norm_sq(ff.zero_field(op.domain)) == 0.0

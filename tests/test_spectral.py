@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import fracfield as ff
-from fracfield.fracop import OutOfRangeError
+from fracfield.fracop import FracOperator, OutOfRangeError
 from fracfield.spectral import (
+    EIG_TOL,
     dirichlet_lambda1,
     eigen_bounds,
-    second_eigenvalue,
     sweep_to_csv,
 )
 
-from oracles import poincare_lower_bound
+from oracles import first_eigenpair_dense, poincare_lower_bound, second_eigenvalue
 
 
 def test_first_eigenpair_residual_and_sign(unit64):
@@ -41,6 +42,30 @@ def test_eigen_residual_defines_generalized_pair(unit64):
     pair = ff.first_eigenpair(op)
     res = op.A @ pair.e1.values - pair.lambda1 * (op.M_c @ pair.e1.values)
     assert np.linalg.norm(res) <= 1e-10 * pair.lambda1 * np.linalg.norm(op.M_c @ pair.e1.values)
+
+
+@pytest.mark.parametrize("M", [63, 511])
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_first_eigenpair_matches_dense_oracle(get_op, monkeypatch, M, r):
+    # the O(M) mass products and the single A product per sweep reproduce
+    # the dense loop sweep for sweep, and both land on the generalized pair
+    op = get_op(0.0, 1.0, M, r)
+    lam_d, x_d, res_d, sweeps_d = first_eigenpair_dense(op, EIG_TOL)
+    solves = []
+    solve_vector = FracOperator.solve_vector
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve_vector(self, rhs)
+
+    monkeypatch.setattr(FracOperator, "solve_vector", counted)
+    pair = ff.first_eigenpair(op, EIG_TOL)
+    assert len(solves) == sweeps_d
+    assert abs(pair.lambda1 - lam_d) <= 1e-14 * lam_d
+    assert np.max(np.abs(pair.e1.values - x_d)) <= 1e-13
+    assert pair.residual <= EIG_TOL and res_d <= EIG_TOL
+    lam_ref = eigh(op.A, op.M_c, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert abs(pair.lambda1 - lam_ref) <= 1e-10
 
 
 def test_kappa_exact_value():
@@ -114,7 +139,7 @@ def test_sweep_refinement_decreases_toward_continuum():
 def test_spectral_gap_is_strictly_positive(unit64):
     op = unit64[0.5]
     pair = ff.first_eigenpair(op)
-    lam2 = second_eigenvalue(op, pair)
+    lam2 = second_eigenvalue(op, pair.e1.values)
     assert lam2 - pair.lambda1 > 1e-6
 
 

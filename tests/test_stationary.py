@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracfield as ff
-from fracfield import stationary
+from fracfield import cli, stationary
 from fracfield.fracop import OutOfRangeError
 from fracfield.grid import DomainMismatchError
 from fracfield.stationary import NoConvergenceError, sweep_to_csv
@@ -32,6 +32,35 @@ def test_smallness_bound_preconditions():
         ff.smallness_bound(ff.PotentialParams(p=4), 1.0, 10.0)
     with pytest.raises(OutOfRangeError):
         ff.smallness_bound(ff.PotentialParams(p=1.5), 0.5, 10.0)
+
+
+def test_smallness_bound_weight_lam():
+    # the radius scales with lam - lambda1; at lam = 1 it is the 1 - lambda1
+    # formula bit for bit, and lambda1 >= lam has no bound
+    for lam1 in (0.1, 0.5, 0.9, 0.25):
+        expected = ((4 / 2) * 10.0 ** ((4 - 2) / 2) * (1.0 - lam1)) ** (1 / (4 - 2))
+        assert ff.smallness_bound(ff.PotentialParams(p=4), lam1, 10.0) == expected
+    params = ff.PotentialParams(p=4, lam=0.3)
+    assert ff.smallness_bound(params, 0.1, 10.0) == pytest.approx(np.sqrt(4.0), rel=1e-14)
+    with pytest.raises(OutOfRangeError):
+        ff.smallness_bound(params, 0.3, 10.0)
+    with pytest.raises(OutOfRangeError):
+        ff.smallness_bound(params, 0.5, 10.0)
+
+
+def test_sweep_bound_is_nan_where_lambda1_reaches_lam(tmp_path):
+    # on (0, 10) lambda1(0.5) < 0.3 <= lambda1(0.3), lambda1(0.15): only the
+    # first row has a nontrivial state and a finite bound
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("a = 0\nb = 10\nM = 63\nsigma = 0.5\np = 4\nlam = 0.3\n"
+                   "experiment = stationary\nsequence = 0.5, 0.3, 0.15\n")
+    assert cli.main([str(cfg), "--output", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [float(row["lambda1"]) < 0.3 for row in rows] == [True, False, False]
+    assert float(rows[0]["norm_u"]) < float(rows[0]["bound"]) < np.inf
+    assert [row["bound"] for row in rows[1:]] == ["nan", "nan"]
+    assert [row["classification"] for row in rows[1:]] == ["trivial", "trivial"]
 
 
 def test_minimize_rejects_subquadratic_p(get_op):
