@@ -20,7 +20,7 @@ Core layers:
 __version__ = "0.1.0"
 
 from .grid import Domain1D, Field, bump_field, lp_norm, make_domain, sample, zero_field
-from .potential import PotentialParams, W, beta, beta_hat, truncate_beta, yosida_beta
+from .potential import PotentialParams, W, beta, beta_hat
 from .fracop import FracOperator, KernelConstant, assemble, kernel_constant
 from .spectral import (
     EigenBounds,
@@ -39,7 +39,6 @@ from .dynamics import (
     beta_bound_check,
     ch_evolve,
     ch_evolve_modified,
-    ch_step,
     check_energy_identity_gap,
     energy,
     energy_modified,
@@ -64,12 +63,12 @@ from .limits import (
 __all__ = [
     "Domain1D", "Field", "make_domain", "sample", "zero_field", "bump_field",
     "lp_norm",
-    "PotentialParams", "beta", "beta_hat", "W", "yosida_beta", "truncate_beta",
+    "PotentialParams", "beta", "beta_hat", "W",
     "KernelConstant", "FracOperator", "kernel_constant", "assemble",
     "EigenPair", "EigenBounds", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
     "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "evolve", "energy",
-    "energy_modified", "ch_step", "ch_evolve", "ch_evolve_modified", "ac_evolve",
+    "energy_modified", "ch_evolve", "ch_evolve_modified", "ac_evolve",
     "pm_evolve",
     "check_energy_identity_gap", "beta_bound_check",
     "StationaryResult", "minimize_energy", "nontriviality_predicate",

@@ -162,16 +162,29 @@ def run(
             eig_tol=cfg.eig_tol,
         )
         h = domain.h
-        lp_p = h * float(np.sum(np.abs(result.u_star.values) ** cfg.p))
-        identity_gap = abs(result.energy + (0.5 - 1.0 / cfg.p) * lp_p)
-        if identity_gap > 1e-6 * max(1.0, abs(result.energy)):
+        u = result.u_star.values
+        norm_u = np.sqrt(h * np.sum(u**2))
+        virial = (0.5 - 1.0 / cfg.p) * h * float(np.sum(np.abs(u) ** cfg.p))
+        identity_gap = abs(result.energy + virial)
+        # J(u) + (1/2 - 1/p)||u||_p^p = (1/2) u . grad J(u) exactly, so by
+        # Cauchy-Schwarz in the lumped norms the gap is at most
+        # (1/2) residual ||u||_2.  The second term covers rounding in the
+        # M-term sums that form J and ||u||_p^p, a few log2(M) eps relative
+        # under pairwise summation: 64 covers log2(M) <= 32 twice over.  The
+        # rounding of the quadratic parts of J, which can cancel, is below
+        # the first term, as the computed gradient cannot resolve them finer.
+        bound = 0.5 * result.residual * norm_u + 64 * np.finfo(float).eps * (
+            abs(result.energy) + virial
+        )
+        if identity_gap > bound:
             raise CheckViolationError(
-                f"stationary energy identity off by {identity_gap:.3e}"
+                f"stationary energy identity off by {identity_gap:.3e} "
+                f"(> {bound:.1e} from stat_tol)"
             )
         lines = [
             "sigma,lambda1,norm_u,energy,residual,classification",
             f"{cfg.sigma:.17g},{result.lambda1_sigma:.17g},"
-            f"{np.sqrt(h * np.sum(result.u_star.values**2)):.17g},"
+            f"{norm_u:.17g},"
             f"{result.energy:.17g},{result.residual:.17g},{result.classification}",
         ]
         artifacts["stationary.csv"] = "\n".join(lines) + "\n"

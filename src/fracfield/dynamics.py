@@ -45,6 +45,8 @@ from .potential import PotentialParams
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 100
+LS_SHRINK = 0.5
+LS_SUFFICIENT = 1e-4
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -57,14 +59,11 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Time step, horizon, and Newton/line-search tolerances."""
+    """Time step, horizon and Newton tolerance."""
 
     tau: float
     T: float
     newton_tol: float = NEWTON_TOL
-    newton_max: int = NEWTON_MAX
-    ls_shrink: float = 0.5
-    ls_sufficient: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.tau <= 0 or self.T <= 0 or self.tau > self.T:
@@ -199,16 +198,21 @@ def _newton_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
-    settings: SolverSettings,
+    tol: float,
     h: float,
 ) -> tuple[np.ndarray, int, float]:
-    """Damped Newton on a strictly convex functional; residual is the
-    lumped-scaled gradient norm ||g||_2 / sqrt(h).
+    """Damped Newton for the minimizers of the package: the convex-splitting
+    functionals F_n of the time steps and the free energy J of stationary
+    states.  Returns (u, iterations, residual), the residual being the
+    lumped-scaled gradient norm ||g||_2 / sqrt(h); NewtonDivergenceError
+    when the line search or the NEWTON_MAX cap runs out.
 
     hess returns a fresh, exactly symmetric buffer, which is Cholesky-factored
     in place: its transpose is the same matrix in the Fortran order LAPACK
     works in, so no copy is made.  The finiteness check runs once, on the
-    Hessian; the solve does not rescan the factor.
+    Hessian; the solve does not rescan the factor.  Where the Hessian is not
+    positive definite, which only the nonconvex J can reach, the iteration
+    takes the small gradient step u - min(1e-2, res) g instead.
 
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
@@ -220,28 +224,34 @@ def _newton_minimize(
     scale = 1.0 / np.sqrt(h)
     g = grad(u)
     res = float(np.linalg.norm(g)) * scale
-    for it in range(settings.newton_max):
-        if res <= settings.newton_tol:
+    for it in range(NEWTON_MAX):
+        if res <= tol:
             return u, it, res
-        chol = cho_factor(hess(u).T, overwrite_a=True)
+        try:
+            chol = cho_factor(hess(u).T, overwrite_a=True)
+        except np.linalg.LinAlgError:
+            u = u - min(1e-2, res) * g
+            g = grad(u)
+            res = float(np.linalg.norm(g)) * scale
+            continue
         d = cho_solve(chol, -g, check_finite=False)
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
             gn = grad(un)
             resn = float(np.linalg.norm(gn)) * scale
-            if resn <= (1.0 - settings.ls_sufficient * t) * res or resn <= settings.newton_tol:
+            if resn <= (1.0 - LS_SUFFICIENT * t) * res or resn <= tol:
                 break
-            t *= settings.ls_shrink
+            t *= LS_SHRINK
         else:
             raise NewtonDivergenceError(
                 f"line search exhausted at residual {res:.3e}", res
             )
         u, g, res = un, gn, resn
-    if res <= settings.newton_tol:
-        return u, settings.newton_max, res
+    if res <= tol:
+        return u, NEWTON_MAX, res
     raise NewtonDivergenceError(
-        f"Newton cap {settings.newton_max} reached at residual {res:.3e}", res
+        f"Newton cap {NEWTON_MAX} reached at residual {res:.3e}", res
     )
 
 
@@ -278,7 +288,7 @@ def _stepper(
             H[diag] += h * pot.beta_prime_reg(params, u)
             return H
 
-        un, iters, res = _newton_minimize(grad, hess, up, settings, h)
+        un, iters, res = _newton_minimize(grad, hess, up, settings.newton_tol, h)
         if flow.metric is None:
             wn = -(un - up) / tau
         else:
@@ -310,64 +320,37 @@ def evolve(
     traj = Trajectory(times=tau * np.arange(n + 1), u=us, w=ws, stats=stats)
 
     h = flow.domain.h
-    Mc = flow.mass
-    A = None if flow.interface is None else flow.interface.A
-    if flow.metric is None:
-        w_gram = Mc
+    mass_vector = (flow.interface or flow.metric).mass_vector
+    mass_sq = np.array([u.values @ mass_vector(u.values) for u in us])
 
-        def dual_norm_sq(u: Field) -> float:
-            return float(u.values @ (Mc @ u.values))
-    else:
-        w_gram = flow.metric.A
-        dual_norm_sq = flow.metric.dual_norm_sq
-
-    def convex_part(u: np.ndarray) -> float:
-        c = h * np.sum(pot.beta_hat_reg(params, u))
-        return float(c if A is None else 0.5 * u @ (A @ u) + c)
+    def convex_part(u: Field) -> float:
+        c = h * np.sum(pot.beta_hat_reg(params, u.values))
+        if flow.interface is not None:
+            c = 0.5 * flow.interface.gagliardo_sq(u) + c
+        return float(c)
 
     E = np.array([energy(flow.interface, params, u) for u in us])
     if flow.lam == params.lam:
         Et = E.copy()
     else:
         Et = np.array([energy_modified(flow.interface, params, flow.lam, u) for u in us])
-    du = np.array([dual_norm_sq(u) for u in us])
+    if flow.metric is None:
+        du = mass_sq
+        gw = np.array([0.0] + [w.values @ mass_vector(w.values) for w in ws])
+    else:
+        du = np.array([flow.metric.dual_norm_sq(u) for u in us])
+        gw = np.array([0.0] + [flow.metric.gagliardo_sq(w) for w in ws])
     l2 = np.array([lp_norm(u, 2) for u in us])
     lp = np.array([lp_norm(u, params.p) for u in us])
-    gw = np.zeros(n + 1)
+    convex = np.array([convex_part(u) for u in us])
     slack = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        w = ws[k - 1].values
-        gw[k] = float(w @ (w_gram @ w))
-        uk, um = us[k].values, us[k - 1].values
-        slack[k] = (
-            0.5 * flow.lam * (uk @ (Mc @ uk) - um @ (Mc @ um))
-            - tau * gw[k]
-            - convex_part(uk)
-            + convex_part(um)
-        )
+    slack[1:] = (
+        0.5 * flow.lam * (mass_sq[1:] - mass_sq[:-1])
+        - tau * gw[1:]
+        - convex[1:]
+        + convex[:-1]
+    )
     return traj, EnergyTrace(tau, traj.times, E, Et, gw, du, l2, lp, slack)
-
-
-def ch_step(
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    u_prev: Field,
-    tau: float,
-    settings: SolverSettings | None = None,
-    concave_coef: float | None = None,
-) -> tuple[Field, Field, StepStats]:
-    """One implicit Cahn-Hilliard step; returns (u_n, w_n, stats).
-
-    concave_coef is the weight of the explicit concave term (params.lam by
-    default; lambda1(sigma) for the modified scheme).
-    """
-    return _stepper(
-        Flow(op_s, op_sigma, params.lam if concave_coef is None else concave_coef),
-        params,
-        tau,
-        settings or SolverSettings(tau=tau, T=tau),
-    )(u_prev)
 
 
 def ch_evolve(
@@ -478,27 +461,6 @@ def beta_bound_check(
         )
         worst = max(worst, lhs - rhs)
     return worst
-
-
-def a_priori_monitors(
-    traj: Trajectory,
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    tau: float,
-) -> dict:
-    """Discrete counterparts of the a-priori bounds: max dual norm of u,
-    time-summed Gagliardo energy of w, max of (u^T A_sigma u + ||u||_p^p)."""
-    max_dual = max(op_s.dual_norm_sq(u) for u in traj.u)
-    sum_w = tau * sum(float(w.values @ (op_s.A @ w.values)) for w in traj.w)
-    max_core = max(
-        op_sigma.gagliardo_sq(u) + lp_norm(u, params.p) ** params.p for u in traj.u
-    )
-    return {
-        "max_dual_norm_u_sq": float(max_dual),
-        "sum_tau_gagliardo_w_sq": float(sum_w),
-        "max_energy_core": float(max_core),
-    }
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve, solve_banded, toeplitz
 from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
@@ -134,6 +134,11 @@ class FracOperator:
     cached, and checked finite, at assembly; A, M_c and the cached dual
     kernel are read-only, so everything is immutable afterwards and safe to
     share across threads.
+
+    Outside this module the storage (A, M_c, dual_kernel, _chol) is read
+    only by the two Newton-system builders, dynamics._stepper (through
+    Flow.mass) and stationary._descend; everything else goes through the
+    vector methods, so the backing store can change in one place.
     """
 
     domain: Domain1D
@@ -157,11 +162,18 @@ class FracOperator:
         y[:-1] += x[1:]
         return (self.domain.h / 6.0) * y
 
-    def apply(self, v: Field) -> np.ndarray:
-        """Dual-pairing vector (A v)_i = a_r(v, phi_i)."""
-        if v.domain != self.domain:
-            raise DomainMismatchError(f"{v.domain} != {self.domain}")
-        return self.A @ v.values
+    def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
+        """Solve M_c x = b for a raw coefficient vector in O(M), as the
+        tridiagonal band of _consistent_mass."""
+        M, h = self.domain.M, self.domain.h
+        band = np.empty((3, M))
+        band[0] = band[2] = h / 6.0
+        band[1] = 4.0 * h / 6.0
+        return solve_banded((1, 1), band, b)
+
+    def stiffness_vector(self, x: np.ndarray) -> np.ndarray:
+        """A x for a raw coefficient vector: (A x)_i = a_r(x, phi_i)."""
+        return self.A @ x
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a raw coefficient vector; ValueError on a
@@ -175,8 +187,8 @@ class FracOperator:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
         if v.domain != self.domain:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
-        rhs = self.M_c @ v.values
-        return float(rhs @ cho_solve(self._chol, rhs))
+        rhs = self.mass_vector(v.values)
+        return float(rhs @ self.solve_vector(rhs))
 
     @property
     def dual_kernel(self) -> np.ndarray:

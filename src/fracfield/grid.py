@@ -89,9 +89,6 @@ class Field:
         fp = np.concatenate(([0.0], self.values, [0.0]))
         return np.interp(np.asarray(x, dtype=float), xp, fp, left=0.0, right=0.0)
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.domain, values)
-
     def __add__(self, other: "Field") -> "Field":
         _check_same_domain(self, other)
         return Field(self.domain, self.values + other.values)

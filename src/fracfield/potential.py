@@ -17,7 +17,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Exponent p, concave coefficient lam, smoothing delta, Yosida epsilon.
+    """Exponent p, concave coefficient lam and smoothing delta.
 
     lam is 1 for the original system and lambda1(sigma) for the modified one.
     delta = 0 is only admissible for p > 2 (where beta' is continuous).
@@ -26,7 +26,6 @@ class PotentialParams:
     p: float
     lam: float = 1.0
     delta: float | None = None
-    epsilon_yosida: float = 1e-2
 
     def __post_init__(self) -> None:
         if not (1.0 < self.p < np.inf) or self.p == 2.0:
@@ -37,8 +36,6 @@ class PotentialParams:
             object.__setattr__(self, "delta", 0.0 if self.p > 2 else 1e-8)
         if self.delta < 0 or (self.delta == 0.0 and self.p < 2):
             raise ValueError("delta = 0 is only allowed for p > 2")
-        if self.epsilon_yosida <= 0:
-            raise ValueError("epsilon_yosida must be positive")
 
 
 def beta(params: PotentialParams, v):
@@ -91,51 +88,3 @@ def beta_prime_reg(params: PotentialParams, v):
         return out if out.ndim else float(out)
     out = (v**2 + d**2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * v**2 + d**2)
     return out if out.ndim else float(out)
-
-
-def yosida_beta(params: PotentialParams, x: float) -> float:
-    """Yosida approximation beta_eps(x) = (x - j)/eps with j + eps*beta(j) = x.
-
-    The resolvent equation has a unique root by strict monotonicity of
-    r -> r + eps*beta(r); it is found by bisection on [0, |x|] with a Newton
-    polish, to absolute accuracy 1e-12.  beta_eps(x) equals beta(j).
-    """
-    eps = params.epsilon_yosida
-    if x == 0.0:
-        return 0.0
-    s = 1.0 if x > 0 else -1.0
-    ax = abs(x)
-    p = params.p
-
-    def g(j: float) -> float:
-        return j + eps * j ** (p - 1.0) - ax
-
-    # g(0) = -ax < 0 and g(ax) >= 0, so [0, ax] brackets the root
-    lo, hi = 0.0, ax
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    j = 0.5 * (lo + hi)
-    for _ in range(20):
-        gj = g(j)
-        if abs(gj) <= 1e-13 * max(1.0, ax):
-            break
-        gp = 1.0 + (eps * (p - 1.0) * j ** (p - 2.0) if j > 0 else 0.0)
-        if not np.isfinite(gp) or gp <= 0.0:
-            break
-        step = gj / gp
-        if not (lo <= j - step <= hi):
-            break
-        j -= step
-    return s * (ax - j) / eps
-
-
-def truncate_beta(params: PotentialParams, eps: float, x: float) -> float:
-    """beta clamped at the levels beta(+-1/eps); bounded, Lipschitz, monotone."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cap = float(beta(params, 1.0 / eps))
-    return float(np.clip(beta(params, x), -cap, cap))

@@ -113,7 +113,7 @@ def first_eigenpair(
         My = op.mass_vector(y)
         norm = np.sqrt(y @ My)
         x, Mx = y / norm, My / norm
-        Ax = op.A @ x
+        Ax = op.stiffness_vector(x)
         lam = float(x @ Ax)
         res = float(np.linalg.norm(Ax - lam * Mx) / (lam * np.linalg.norm(Mx)))
         if res <= eig_tol:

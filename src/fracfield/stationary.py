@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import potential as pot
+from .dynamics import NewtonDivergenceError, _newton_minimize
 from .fracop import FracOperator, OutOfRangeError, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
@@ -92,15 +92,15 @@ def smallness_bound(
 def _objective(op: FracOperator, params: PotentialParams, u: np.ndarray) -> float:
     h = op.domain.h
     return float(
-        0.5 * u @ (op.A @ u)
+        0.5 * (u @ op.stiffness_vector(u))
         + h * np.sum(pot.beta_hat(params, u))
-        - 0.5 * params.lam * u @ (op.M_c @ u)
+        - 0.5 * params.lam * (u @ op.mass_vector(u))
     )
 
 
 def _gradient(op: FracOperator, params: PotentialParams, u: np.ndarray) -> np.ndarray:
     h = op.domain.h
-    return op.A @ u + h * pot.beta(params, u) - params.lam * (op.M_c @ u)
+    return op.stiffness_vector(u) + h * pot.beta(params, u) - params.lam * op.mass_vector(u)
 
 
 def _scaled_res(g: np.ndarray, h: float) -> float:
@@ -113,7 +113,8 @@ def _descend(
     u0: np.ndarray,
     stat_tol: float,
 ) -> tuple[np.ndarray, float] | None:
-    """Barzilai-Borwein descent with backtracking, then Newton polish."""
+    """Barzilai-Borwein descent with backtracking, then the shared damped
+    Newton on J; None where that diverges."""
     h = op.domain.h
     u = u0.copy()
     g = _gradient(op, params, u)
@@ -145,38 +146,22 @@ def _descend(
         if res <= 1e-4 or res <= stat_tol:
             break
 
-    # Newton polish (only while the local Hessian stays positive definite);
-    # backtracking monitors the residual norm, which stays meaningful at
-    # machine precision where objective differences drown in roundoff
-    for _ in range(100):
-        g = _gradient(op, params, u)
-        res = _scaled_res(g, h)
-        if res <= stat_tol:
-            return u, res
-        # one fresh, exactly symmetric buffer, factored in place through its
-        # Fortran-ordered transpose
+    diag = np.diag_indices(op.domain.M)
+
+    def hess(v: np.ndarray) -> np.ndarray:
+        # A + h diag(beta'(v)) - lam M_c in one fresh buffer
         H = op.A.copy()
-        H[np.diag_indices(op.domain.M)] += h * pot.beta_prime_reg(params, u)
+        H[diag] += h * pot.beta_prime_reg(params, v)
         H -= params.lam * op.M_c
-        try:
-            chol = cho_factor(H.T, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError:
-            u = u - min(1e-2, res) * g  # fall back to a small gradient step
-            continue
-        d = cho_solve(chol, -g, check_finite=False)
-        t = 1.0
-        while t >= 1e-14:
-            un = u + t * d
-            resn = _scaled_res(_gradient(op, params, un), h)
-            if resn <= (1.0 - 1e-4 * t) * res or resn <= stat_tol:
-                break
-            t *= 0.5
-        else:
-            return None
-        u = un
-    g = _gradient(op, params, u)
-    res = _scaled_res(g, h)
-    return (u, res) if res <= stat_tol else None
+        return H
+
+    try:
+        u, _, res = _newton_minimize(
+            lambda v: _gradient(op, params, v), hess, u, stat_tol, h
+        )
+    except NewtonDivergenceError:
+        return None
+    return u, res
 
 
 def _classify(u: np.ndarray, h: float) -> str:

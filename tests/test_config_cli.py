@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,24 @@ def test_run_stationary_checks_identity(tmp_path):
     assert "nontrivial" in lines[1]
 
 
+def test_stationary_virial_gate_follows_stat_tol(tmp_path, monkeypatch, capsys):
+    # the gate is (1/2) residual ||u||_2 plus rounding: a loose stat_tol
+    # loosens it, and at the default tolerance it resolves a 1e-7 energy error
+    text = "a = 0\nb = 10\nM = 63\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+    loose = tmp_path / "loose.cfg"
+    loose.write_text(text + "stat_tol = 1e-4\n")
+    assert cli.main([str(loose), "--output", str(tmp_path / "loose")]) == 0
+    assert capsys.readouterr().err == ""
+    minimize = stationary.minimize_energy
+
+    def off_by(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        return replace(result, energy=result.energy + 1e-7)
+
+    monkeypatch.setattr(cli.stationary, "minimize_energy", off_by)
+    _assert_fails_cleanly(tmp_path, capsys, text, 3, "stationary energy identity off by")
+
+
 def test_run_operator_limit(tmp_path):
     text = "a = 0\nb = 1\nM = 64\nexperiment = operator-limit\nsequence = 0.2, 0.1\n"
     cfg = parse_config(text)
@@ -217,7 +235,7 @@ _PERTURB = {
     "T": lambda v: 0.01 if v is None else 2 * v,
     "newton_tol": lambda v: 1e-3,
     "eig_tol": lambda v: 1e-3,
-    "stat_tol": lambda v: 1e-11,
+    "stat_tol": lambda v: 1e-5,
     "experiment": lambda v: "eigen-sweep" if v == "operator-limit" else "operator-limit",
     "sequence": lambda v: [0.5, 0.3] if v is None else [0.9 * x for x in v],
     "refinements": lambda v: [16] if v is None else [m + 8 for m in v],

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 import fracfield as ff
+from fracfield import dynamics
 from fracfield.dynamics import (
     NewtonDivergenceError,
+    _newton_minimize,
     _stepper,
-    a_priori_monitors,
     trajectory_to_csv,
 )
 from fracfield import potential
 from fracfield.grid import DomainMismatchError
 
-from oracles import ch_step_functional_value, newton_step_dense, stiffness_closed_form
+from oracles import (
+    a_priori_monitors,
+    ch_step_functional_value,
+    newton_step_dense,
+    stiffness_closed_form,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +76,16 @@ def test_modified_energy_coercivity_on_random_fields(ops48, rng):
 
 
 # ------------------------------------------------------------------ CH step
+def _ch_step(op_s, op_sig, params, u_prev, tau):
+    """One Cahn-Hilliard step u_prev -> (u_n, w_n, stats)."""
+    flow = ff.Flow(op_s, op_sig, params.lam)
+    return _stepper(flow, params, tau, ff.SolverSettings(tau=tau, T=tau))(u_prev)
+
+
 def test_ch_step_zero_fixed_point(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    u, w, stats = ff.ch_step(op_s, op_sig, params, ff.zero_field(op_s.domain), 1e-3)
+    u, w, stats = _ch_step(op_s, op_sig, params, ff.zero_field(op_s.domain), 1e-3)
     assert np.all(u.values == 0.0) and np.all(w.values == 0.0)
     assert stats.iterations == 0
 
@@ -83,7 +95,7 @@ def test_ch_step_returns_the_minimizer(ops48, rng):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
     tau = 1e-3
-    un, _, _ = ff.ch_step(op_s, op_sig, params, u0, tau)
+    un, _, _ = _ch_step(op_s, op_sig, params, u0, tau)
 
     def value(u):
         return ch_step_functional_value(op_s, 0.6, 4.0, params.lam, u0, tau, u)
@@ -101,7 +113,7 @@ def test_ch_step_flow_equation_holds_exactly(ops48):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
     tau = 1e-3
-    un, wn, stats = ff.ch_step(op_s, op_sig, params, u0, tau)
+    un, wn, stats = _ch_step(op_s, op_sig, params, u0, tau)
     res = op_s.M_c @ (un.values - u0.values) / tau + op_s.A @ wn.values
     assert np.linalg.norm(res) <= 1e-9
     assert stats.td2_residual <= 1e-9
@@ -113,22 +125,45 @@ def test_ch_step_halving_consistency_order(ops48):
     u0 = ff.bump_field(op_s.domain)
     errs = []
     for tau in (2e-3, 1e-3, 5e-4):
-        u1, _, _ = ff.ch_step(op_s, op_sig, params, u0, tau)
-        uh, _, _ = ff.ch_step(op_s, op_sig, params, u0, tau / 2)
-        uh2, _, _ = ff.ch_step(op_s, op_sig, params, uh, tau / 2)
+        u1, _, _ = _ch_step(op_s, op_sig, params, u0, tau)
+        uh, _, _ = _ch_step(op_s, op_sig, params, u0, tau / 2)
+        uh2, _, _ = _ch_step(op_s, op_sig, params, uh, tau / 2)
         errs.append(ff.lp_norm(u1 - uh2, 2))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(o >= 0.8 for o in orders)
 
 
-def test_newton_divergence_reports_residual(ops48):
+def test_newton_divergence_reports_residual(ops48, monkeypatch):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain, 5.0)
-    settings = ff.SolverSettings(tau=1.0, T=1.0, newton_max=1)
+    monkeypatch.setattr(dynamics, "NEWTON_MAX", 1)
     with pytest.raises(NewtonDivergenceError) as err:
-        ff.ch_step(op_s, op_sig, params, u0, 1.0, settings)
+        _ch_step(op_s, op_sig, params, u0, 1.0)
     assert err.value.residual > 0
+
+
+def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite(monkeypatch):
+    # the double well (u^2 - 1)^2 / 4 is concave at u0 = 0.5, so Cholesky
+    # fails there; gradient steps lead into the convex well around u = 1
+    calls = {"fallback": 0}
+    cho_factor = dynamics.cho_factor
+
+    def counting_cho_factor(a, **kwargs):
+        try:
+            return cho_factor(a, **kwargs)
+        except np.linalg.LinAlgError:
+            calls["fallback"] += 1
+            raise
+
+    monkeypatch.setattr(dynamics, "cho_factor", counting_cho_factor)
+    u, iters, res = _newton_minimize(
+        lambda u: u**3 - u, lambda u: np.array([[3.0 * u[0] ** 2 - 1.0]]),
+        np.array([0.5]), 1e-12, 1.0,
+    )
+    assert calls["fallback"] >= 1
+    assert res <= 1e-12 and iters <= dynamics.NEWTON_MAX
+    assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------------ evolve

@@ -173,24 +173,43 @@ def test_assemble_rejects_bad_order():
 def test_apply_zero_and_linearity(unit64, rng):
     op = unit64[0.5]
     dom = op.domain
-    assert np.all(op.apply(ff.zero_field(dom)) == 0.0)
+    assert np.all(op.stiffness_vector(np.zeros(dom.M)) == 0.0)
     assert op.gagliardo_sq(ff.zero_field(dom)) == 0.0
-    u = ff.Field(dom, rng.standard_normal(64))
-    v = ff.Field(dom, rng.standard_normal(64))
-    assert np.allclose(op.apply(u + v), op.apply(u) + op.apply(v), rtol=0, atol=1e-12)
+    u = rng.standard_normal(64)
+    v = rng.standard_normal(64)
+    assert np.allclose(op.stiffness_vector(u + v),
+                       op.stiffness_vector(u) + op.stiffness_vector(v), rtol=0, atol=1e-12)
 
 
 def test_apply_on_first_eigenfunction(unit64):
     op = unit64[0.5]
     pair = ff.first_eigenpair(op)
-    lhs = op.apply(pair.e1)
+    lhs = op.stiffness_vector(pair.e1.values)
     rhs = pair.lambda1 * (op.M_c @ pair.e1.values)
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_apply_domain_mismatch(unit64):
+    # Field methods check the domain; the raw-vector product checks the shape
+    op = unit64[0.5]
+    other = ff.bump_field(ff.make_domain(0, 1, 32))
     with pytest.raises(DomainMismatchError):
-        unit64[0.5].apply(ff.bump_field(ff.make_domain(0, 1, 32)))
+        op.gagliardo_sq(other)
+    with pytest.raises(ValueError):
+        op.stiffness_vector(other.values)
+
+
+def test_stiffness_vector_is_the_dense_product(unit64, rng):
+    for op in unit64.values():
+        x = rng.standard_normal(op.domain.M)
+        assert np.array_equal(op.stiffness_vector(x), op.A @ x)
+
+
+def test_mass_solve_vector_matches_dense_solve(unit64, rng):
+    op = unit64[0.5]
+    b = rng.standard_normal(op.domain.M)
+    ref = np.linalg.solve(op.M_c, b)
+    assert np.linalg.norm(op.mass_solve_vector(b) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_solve_zero(unit64):
@@ -203,8 +222,8 @@ def test_solve_apply_roundtrip(unit64, rng):
     op = unit64[0.25]
     f = ff.Field(op.domain, rng.standard_normal(64))
     rhs = op.M_c @ f.values
-    u = ff.Field(op.domain, op.solve_vector(rhs))
-    assert np.linalg.norm(op.apply(u) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    u = op.solve_vector(rhs)
+    assert np.linalg.norm(op.stiffness_vector(u) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_solve_eigen_scaling(unit64):
@@ -237,6 +256,14 @@ def test_dual_norm_zero_and_eigen_identity(unit64):
     pair = ff.first_eigenpair(op)
     # for the M_c-normalized eigenfunction the dual norm is 1/lambda1
     assert op.dual_norm_sq(pair.e1) == pytest.approx(1.0 / pair.lambda1, rel=1e-9)
+
+
+def test_dual_norm_matches_dense_form(unit64, rng):
+    for op in unit64.values():
+        v = ff.Field(op.domain, rng.standard_normal(op.domain.M))
+        rhs = op.M_c @ v.values
+        ref = float(rhs @ np.linalg.solve(op.A, rhs))
+        assert abs(op.dual_norm_sq(v) - ref) <= 1e-14 * ref
 
 
 @settings(max_examples=25, deadline=None)
