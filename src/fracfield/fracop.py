@@ -37,16 +37,23 @@ computed in two cancellation-free forms:
 
 The stiffness therefore carries the exact Fourier-symbol normalization.
 kernel_constant computes C(r, N) from its defining integral; for N = 1 it
-agrees with the closed form above to about 1e-11 and is reported as
-FracOperator.constant.
+agrees with the closed form above to about 1e-11.
+
+Storage.  An operator holds the column and two O(M) real spectra: the DFT of
+the column's circulant embedding, which gives A x by one real FFT pair, and
+the DFT of T. Chan's optimal circulant (T. Chan, SIAM J. Sci. Stat. Comput. 9,
+1988), whose inverse preconditions the eigensolver.  assemble gates the
+column without forming A: row sums from cumulative sums, positive
+definiteness from Durbin's recursion.  Dense storage is built on first use
+(FracOperator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, solve_banded, toeplitz
 from scipy.special import exprel, gamma
 
@@ -102,6 +109,8 @@ def kernel_constant(r: float, N: int = 1) -> KernelConstant:
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
     if N == 1:
+        from scipy.integrate import quad  # imported here: nothing else needs it
+
         head = _head_series(r)
         osc, _err = quad(
             lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
@@ -126,28 +135,44 @@ def _consistent_mass(M: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FracOperator:
-    """Dense stiffness of the weak fractional Laplacian plus mass matrices.
+    """Weak fractional Laplacian of order r: the first column of its
+    symmetric positive definite Toeplitz stiffness A, plus the consistent
+    P1 mass M_c (tridiagonal) and the lumped mass M_L = h I.
 
-    A is the Galerkin matrix of a_r on interior hat functions (symmetric
-    positive definite Toeplitz), M_c the consistent P1 mass, M_L the lumped
-    mass (h on the diagonal, built on demand).  The Cholesky factor of A is
-    cached, and checked finite, at assembly; A, M_c and the cached dual
-    kernel are read-only, so everything is immutable afterwards and safe to
-    share across threads.
+    Only the column and its two spectra are stored at assembly; the vector
+    methods below work from them in O(M) or O(M log M).  The dense A and
+    M_c, the Cholesky factor of A (_chol) and the dual kernel
+    (_dual_kernel_cache) are built on first read and then cached read-only;
+    _chol and _dual_kernel_cache are one-slot lists that read None until
+    then.  Two threads racing on a first read build the same arrays, so
+    operators are safe to share.
 
-    Outside this module the storage (A, M_c, dual_kernel, _chol) is read
-    only by the two Newton-system builders, dynamics._stepper (through
-    Flow.mass) and stationary._descend; everything else goes through the
-    vector methods, so the backing store can change in one place.
+    Outside this module the dense storage (A, M_c, dual_kernel) is read only
+    by the two Newton-system builders, dynamics._stepper (through Flow.mass)
+    and stationary._descend; the eigensolver reads the column alone.
     """
 
     domain: Domain1D
     r: float
-    A: np.ndarray
-    M_c: np.ndarray
-    constant: KernelConstant
-    _chol: tuple = field(repr=False, default=None)
-    _dual_kernel_cache: list = field(repr=False, default=None)
+    column: np.ndarray = field(repr=False)
+    _embedding: np.ndarray = field(repr=False)  # DFT of the circulant embedding
+    _chan: np.ndarray = field(repr=False)  # DFT of T. Chan's circulant
+    _chol: list = field(repr=False, default_factory=lambda: [None])
+    _dual_kernel_cache: list = field(repr=False, default_factory=lambda: [None])
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Dense stiffness toeplitz(column), built on first read (read-only)."""
+        A = toeplitz(self.column)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def M_c(self) -> np.ndarray:
+        """Dense consistent mass, built on first read (read-only)."""
+        Mc = _consistent_mass(self.domain.M, self.domain.h)
+        Mc.flags.writeable = False
+        return Mc
 
     @property
     def M_L(self) -> np.ndarray:
@@ -172,16 +197,43 @@ class FracOperator:
         return solve_banded((1, 1), band, b)
 
     def stiffness_vector(self, x: np.ndarray) -> np.ndarray:
-        """A x for a raw coefficient vector: (A x)_i = a_r(x, phi_i)."""
-        return self.A @ x
+        """A x for a raw coefficient vector, (A x)_i = a_r(x, phi_i), by
+        circulant embedding: one real FFT pair of length 2^k >= 2M - 1."""
+        if x.shape != self.column.shape:
+            raise ValueError(f"need a vector of shape {self.column.shape}, got {x.shape}")
+        n = 2 * (self._embedding.size - 1)
+        return np.fft.irfft(self._embedding * np.fft.rfft(x, n), n)[: x.size]
+
+    def circulant_solve_vector(self, b: np.ndarray) -> np.ndarray:
+        """Solve C x = b in O(M log M), C the T. Chan circulant: the circulant
+        nearest A in the Frobenius norm, positive definite with A."""
+        return np.fft.irfft(np.fft.rfft(b) / self._chan, b.size)
+
+    def stiffness_norm_inf(self) -> float:
+        """||A||_inf in O(M): row i sums to |c(0)| + S(i) + S(M-1-i), S the
+        cumulative sums of |c(1)|, ..., |c(M-1)|."""
+        c = np.abs(self.column)
+        return float(c[0] + _symmetric_row_sums(c[1:]).max())
+
+    def _factor(self) -> np.ndarray:
+        """Lower Cholesky factor of A, computed on the first solve."""
+        if self._chol[0] is None:
+            try:
+                L, _ = cho_factor(self.A, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise NotSPDError(
+                    f"stiffness not SPD for r={self.r}, M={self.domain.M}"
+                ) from exc
+            self._chol[0] = L
+        return self._chol[0]
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a raw coefficient vector; ValueError on a
-        non-finite rhs.  The factor was checked at assembly and is immutable,
-        so only the rhs is scanned."""
+        non-finite rhs.  The factor is checked finite when it is computed and
+        immutable afterwards, so only the rhs is scanned."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side contains infs or NaNs")
-        return cho_solve(self._chol, rhs, check_finite=False)
+        return cho_solve((self._factor(), True), rhs, check_finite=False)
 
     def dual_norm_sq(self, v: Field) -> float:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
@@ -195,17 +247,46 @@ class FracOperator:
         """M_c A^(-1) M_c, the Gram matrix of the dual norm (cached,
         read-only)."""
         if self._dual_kernel_cache[0] is None:
-            K = self.M_c @ cho_solve(self._chol, self.M_c)
+            K = self.M_c @ cho_solve((self._factor(), True), self.M_c)
             K = 0.5 * (K + K.T)
             K.flags.writeable = False
             self._dual_kernel_cache[0] = K
         return self._dual_kernel_cache[0]
 
     def gagliardo_sq(self, v: Field) -> float:
-        """v^T A v, the squared X_{r,0} norm of the interpolant."""
+        """v^T A v, the squared X_{r,0} norm of the interpolant, from the
+        dense A."""
         if v.domain != self.domain:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
         return float(v.values @ (self.A @ v.values))
+
+
+def _symmetric_row_sums(tail: np.ndarray) -> np.ndarray:
+    """S(i) + S(n-i), i = 0..n, for tail = t(1..n) and S(i) = t(1) + ... +
+    t(i): the off-diagonal row sums of the symmetric Toeplitz matrix with
+    first column (t(0), tail)."""
+    s = np.concatenate(([0.0], np.cumsum(tail)))
+    return s + s[::-1]
+
+
+def _is_positive_definite(c: np.ndarray) -> bool:
+    """Whether toeplitz(c) is positive definite, by Durbin's recursion on
+    the normalized column (Golub & Van Loan, Alg. 4.7.1): iff c(0) > 0 and
+    every reflection coefficient lies in (-1, 1).  O(M^2) time, O(M)
+    memory."""
+    if not c[0] > 0.0:
+        return False
+    rho = c[1:] / c[0]
+    y = np.empty(rho.size)
+    beta = 1.0
+    for k in range(rho.size):
+        alpha = -(rho[k] + rho[:k][::-1] @ y[:k]) / beta
+        if not abs(alpha) < 1.0:  # also catches NaN
+            return False
+        y[:k] += alpha * y[:k][::-1]
+        y[k] = alpha
+        beta *= 1.0 - alpha * alpha
+    return True
 
 
 def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
@@ -240,20 +321,19 @@ def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
 
 
 def assemble(domain: Domain1D, r: float) -> FracOperator:
-    """Assemble the Toeplitz stiffness and the consistent mass for order r
-    on the given domain."""
+    """Assemble the stiffness column for order r on the given domain, gate
+    it, and transform it for the vector methods."""
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
     M, h = domain.M, domain.h
     c = _stiffness_column(M, h, r)
-    A = toeplitz(c)
 
     # sign structure of the nonlocal form: row sums are nonnegative for all
     # orders (strictly positive through the exterior tail); off-diagonals
     # are nonpositive only away from the identity regime - the nearest
     # neighbor entry changes sign near r ~ 0.235, where the operator starts
     # resembling the (positive) mass matrix
-    row_min = float(A.sum(axis=1).min())
+    row_min = float(c[0] + _symmetric_row_sums(c[1:]).min())
     if row_min < -QUAD_TOL:
         raise AssemblyError(
             f"r={r}, M={M}: row-sum min {row_min:.3e} below -{QUAD_TOL:g}"
@@ -264,20 +344,24 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
             raise AssemblyError(
                 f"r={r}, M={M}: off-diagonal max {off_max:.3e} above {QUAD_TOL:g}"
             )
+    if not _is_positive_definite(c):
+        raise NotSPDError(f"stiffness not SPD for r={r}, M={M}")
 
-    try:
-        chol = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(f"stiffness not SPD for r={r}, M={M}") from exc
-    op = FracOperator(
+    c.flags.writeable = False
+    n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
+    embedding = np.zeros(n)
+    embedding[:M] = c
+    embedding[n - M + 1 :] = c[:0:-1]
+    # the low-frequency spectrum is a small difference of the column's large
+    # entries (down to 1e-6 of the largest at r = 0.9, M = 511), where smooth
+    # vectors live; an extended-precision transform keeps it accurate
+    symbol = np.fft.rfft(embedding.astype(np.longdouble)).real.astype(float)
+    k = np.arange(M)
+    chan = ((M - k) * c + k * c[-k]) / M  # T. Chan: ((M-k) c(k) + k c(M-k)) / M
+    return FracOperator(
         domain=domain,
         r=r,
-        A=A,
-        M_c=_consistent_mass(M, h),
-        constant=kernel_constant(r, 1),
-        _chol=chol,
-        _dual_kernel_cache=[None],
+        column=c,
+        _embedding=symbol,
+        _chan=np.fft.rfft(chan).real,
     )
-    op.A.flags.writeable = False
-    op.M_c.flags.writeable = False
-    return op

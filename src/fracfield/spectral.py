@@ -1,13 +1,15 @@
 """First eigenpair of the fractional stiffness and analytic eigenvalue bounds.
 
-The generalized problem A x = lambda M_c x is solved by inverse power
-iteration with Cholesky-backed solves; only the extremal pair is ever
-needed.  One sweep costs one solve with the cached dense factor and one dense
-product A y, O(M^2) each, plus O(M) tridiagonal mass products: A y gives
-both the Rayleigh quotient and the residual A y - lambda M_c y, and M_c y is
-carried into the next sweep's right-hand side.  The analytic bounds are the
-interpolation-based lower bound and the classical upper bound lambda1^r with
-lambda1 = pi^2/L^2 for an interval of length L.
+The generalized problem A x = lambda M_c x is solved by LOBPCG with block
+size one (Knyazev, SIAM J. Sci. Comput. 23, 2001), preconditioned by the
+inverse of T. Chan's circulant approximation of A.  It reads the operator
+through its vector methods only: FFT products with A, O(M) products with
+the tridiagonal M_c, FFT solves with the circulant; no dense matrix is
+formed.  Unlike inverse iteration, whose rate (lambda1/lambda2)^k tends to 1
+as r -> 0, it converges in a few dozen iterations over the whole range of
+orders.  The analytic bounds are the interpolation-based lower bound and the
+classical upper bound lambda1^r with lambda1 = pi^2/L^2 for an interval of
+length L.
 """
 
 from __future__ import annotations
@@ -98,28 +100,64 @@ def lambda1_lower_bound(r: float, N: int, vol_omega: float) -> float:
     )
 
 
+def _append_orthonormal(
+    op: FracOperator, S: list[np.ndarray], BS: list[np.ndarray], v: np.ndarray
+) -> None:
+    """Append v to the M_c-orthonormal vectors S (BS their M_c products)
+    after two classical Gram-Schmidt passes; a v that S spans to rounding is
+    dropped."""
+    n0 = np.sqrt(v @ op.mass_vector(v))
+    for _ in range(2):
+        v = v - sum((b @ v) * s for s, b in zip(S, BS))
+    Bv = op.mass_vector(v)
+    n = np.sqrt(v @ Bv)
+    if n > 1e-10 * n0:
+        S.append(v / n)
+        BS.append(Bv / n)
+
+
 def first_eigenpair(
     op: FracOperator, eig_tol: float = EIG_TOL, maxit: int = EIG_MAXIT
 ) -> EigenPair:
-    """Smallest eigenpair of A x = lambda M_c x by inverse power iteration;
-    the residual is ||A x - lambda M_c x|| / (lambda ||M_c x||) of the last
-    sweep."""
+    """Smallest eigenpair of A x = lambda M_c x by preconditioned LOBPCG.
+
+    Each iteration projects the pencil onto span{x, w, p} (the M_c-normalized
+    iterate, its preconditioned residual w = C^(-1) (A x - lambda M_c x) and
+    the previous step p, made M_c-orthonormal) and keeps the lowest Ritz
+    pair.  The residual is the normwise backward error
+
+        ||A x - lambda M_c x||_inf / ((||A||_inf + lambda ||M_c||_inf) ||x||_inf),
+
+    with ||M_c||_inf = h; the iteration stops once it is at most eig_tol.
+    Unlike the residual relative to lambda ||M_c x||, it has a roundoff floor
+    near machine precision at every mesh size.
+    """
+    h = op.domain.h
+    norm_A = op.stiffness_norm_inf()
     x = np.ones(op.domain.M)
-    Mx = op.mass_vector(x)
-    norm = np.sqrt(x @ Mx)
-    x, Mx = x / norm, Mx / norm
+    x /= np.sqrt(x @ op.mass_vector(x))
+    p = None
     for _ in range(maxit):
-        y = op.solve_vector(Mx)
-        My = op.mass_vector(y)
-        norm = np.sqrt(y @ My)
-        x, Mx = y / norm, My / norm
-        Ax = op.stiffness_vector(x)
+        Ax, Bx = op.stiffness_vector(x), op.mass_vector(x)
         lam = float(x @ Ax)
-        res = float(np.linalg.norm(Ax - lam * Mx) / (lam * np.linalg.norm(Mx)))
+        R = Ax - lam * Bx
+        res = float(np.abs(R).max() / ((norm_A + lam * h) * np.abs(x).max()))
         if res <= eig_tol:
             break
+        S, BS = [x], [Bx]
+        _append_orthonormal(op, S, BS, op.circulant_solve_vector(R))
+        if p is not None:
+            _append_orthonormal(op, S, BS, p)
+        AS = np.column_stack([Ax] + [op.stiffness_vector(v) for v in S[1:]])
+        S = np.column_stack(S)
+        H = S.T @ AS
+        z = np.linalg.eigh(0.5 * (H + H.T))[1][:, 0]
+        x, p = S @ z, S[:, 1:] @ z[1:]
+        x /= np.sqrt(x @ op.mass_vector(x))
     else:
-        raise NoConvergenceError(f"inverse iteration stalled at r={op.r}")
+        raise NoConvergenceError(
+            f"LOBPCG stalled at r={op.r}, backward error {res:.3e}"
+        )
     if np.sum(x) < 0:
         x = -x
     return EigenPair(op.r, lam, Field(op.domain, x), res)

@@ -120,7 +120,7 @@ def _descend(
     g = _gradient(op, params, u)
     if _scaled_res(g, h) <= stat_tol:
         return u, _scaled_res(g, h)
-    step = 1.0 / max(1.0, np.linalg.norm(op.A, ord=np.inf))
+    step = 1.0 / max(1.0, op.stiffness_norm_inf())
     f = _objective(op, params, u)
     u_old, g_old = None, None
     for _ in range(_MAX_ITER):

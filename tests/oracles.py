@@ -40,7 +40,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 from math import cos, gamma, log, pi
-from scipy.linalg import cho_solve, solve as lin_solve
+from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.special import roots_legendre
 
 from fracfield import potential as pot
@@ -354,14 +354,25 @@ def _rel_residual(op, x: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(res) / (lam * np.linalg.norm(op.M_c @ x)))
 
 
+def rayleigh_quotient_extended(op, x: np.ndarray) -> float:
+    """x^T A x / x^T M_c x from the dense matrices in extended precision
+    (np.longdouble), free of the eps * cond(A) rounding of a double
+    evaluation."""
+    xl = x.astype(np.longdouble)
+    A = op.A.astype(np.longdouble)
+    Mc = op.M_c.astype(np.longdouble)
+    return float((xl @ (A @ xl)) / (xl @ (Mc @ xl)))
+
+
 def first_eigenpair_dense(op, eig_tol: float, maxit: int = 10000):
     """Inverse power iteration with dense M_c products and a residual
     recomputed from scratch each sweep; returns (lambda1, e1, residual,
     sweeps) with e1 positive and M_c-normalized."""
+    chol = cho_factor(op.A, lower=True)
     x = np.ones(op.domain.M)
     x /= np.sqrt(x @ (op.M_c @ x))
     for sweeps in range(1, maxit + 1):
-        y = cho_solve(op._chol, op.M_c @ x)
+        y = cho_solve(chol, op.M_c @ x)
         y /= np.sqrt(y @ (op.M_c @ y))
         lam = float(y @ (op.A @ y))
         x = y
@@ -383,10 +394,11 @@ def second_eigenvalue(op, e1: np.ndarray, eig_tol: float = 1e-10,
     def project_out(v: np.ndarray) -> np.ndarray:
         return v - (v @ (op.M_c @ e1)) * e1
 
+    chol = cho_factor(op.A, lower=True)
     x = project_out(x)
     x /= np.sqrt(x @ (op.M_c @ x))
     for _ in range(maxit):
-        y = cho_solve(op._chol, op.M_c @ x)
+        y = cho_solve(chol, op.M_c @ x)
         y = project_out(y)
         y /= np.sqrt(y @ (op.M_c @ y))
         lam = float(y @ (op.A @ y))
@@ -442,7 +454,7 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
     if flow.metric is None:
         w = -(u - up) / tau
     else:
-        w = -cho_solve(flow.metric._chol, Mc @ (u - up)) / tau
+        w = -cho_solve(cho_factor(flow.metric.A, lower=True), Mc @ (u - up)) / tau
     return u, w, it, res
 
 

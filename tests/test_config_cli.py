@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -325,3 +328,14 @@ def test_main_maps_operator_and_stationary_failures_to_exit_2(tmp_path, capsys, 
     monkeypatch.setattr(stationary, "_classify", lambda u, h: "nontrivial-mixed")
     text = "a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\n"
     _assert_fails_cleanly(tmp_path, capsys, text, 2, "not one-signed")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only kernel_constant needs quad, and it imports it on first call
+    env = dict(os.environ)
+    src = str(Path(fracop.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fracfield.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, circulant, toeplitz
 from hypothesis import given, settings, strategies as st
 
 import fracfield as ff
@@ -199,10 +200,65 @@ def test_apply_domain_mismatch(unit64):
         op.stiffness_vector(other.values)
 
 
-def test_stiffness_vector_is_the_dense_product(unit64, rng):
-    for op in unit64.values():
+def test_stiffness_vector_matches_the_dense_product(unit64, rng):
+    # the FFT product differs from the dense one by rounding only
+    small = [ff.assemble(ff.make_domain(0, 1, M), 0.7) for M in (2, 3, 257)]
+    for op in list(unit64.values()) + small:
         x = rng.standard_normal(op.domain.M)
-        assert np.array_equal(op.stiffness_vector(x), op.A @ x)
+        err = np.abs(op.stiffness_vector(x) - op.A @ x).max()
+        assert err <= 1e-14 * np.linalg.norm(op.A, ord=np.inf) * np.abs(x).max()
+
+
+@pytest.mark.parametrize("M", [2, 3, 64, 257])
+def test_stiffness_norm_inf_from_the_column(M):
+    op = ff.assemble(ff.make_domain(0, 1, M), 0.7)
+    ref = np.linalg.norm(toeplitz(op.column), ord=np.inf)
+    assert op.stiffness_norm_inf() == pytest.approx(ref, rel=1e-14)
+
+
+def test_circulant_solve_inverts_the_chan_circulant(unit64, rng):
+    # T. Chan's circulant has first column ((M-k) c(k) + k c(M-k)) / M
+    op = unit64[0.5]
+    M, c = op.domain.M, op.column
+    k = np.arange(M)
+    C = circulant(((M - k) * c + k * c[-k]) / M)
+    b = rng.standard_normal(M)
+    x = op.circulant_solve_vector(b)
+    assert np.linalg.norm(C @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_dense_storage_is_built_on_first_use():
+    op = ff.assemble(ff.make_domain(0, 1, 32), 0.5)
+    assert "A" not in vars(op) and "M_c" not in vars(op)
+    assert op._chol == [None] and op._dual_kernel_cache == [None]
+    op.solve_vector(np.ones(32))
+    assert "A" in vars(op) and op._chol[0] is not None
+    assert np.array_equal(op.A, toeplitz(op.column))
+    assert not op.A.flags.writeable and not op.M_c.flags.writeable
+
+
+def test_factorization_failure_maps_to_not_spd():
+    # a column that passes the gates of assemble cannot fail to factor, so
+    # the dense matrix is replaced after assembly
+    op = ff.assemble(ff.make_domain(0, 1, 8), 0.5)
+    vars(op)["A"] = -np.eye(8)
+    with pytest.raises(NotSPDError):
+        op.solve_vector(np.ones(8))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_durbin_gate_agrees_with_cholesky(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        c = rng.standard_normal(n)
+        c[0] = abs(c[0]) + n * rng.random()
+        try:
+            cho_factor(toeplitz(c))
+            spd = True
+        except np.linalg.LinAlgError:
+            spd = False
+        assert fracop._is_positive_definite(c) == spd
 
 
 def test_mass_solve_vector_matches_dense_solve(unit64, rng):

@@ -3,15 +3,21 @@ import pytest
 from scipy.linalg import eigh
 
 import fracfield as ff
-from fracfield.fracop import FracOperator, OutOfRangeError
+from fracfield.fracop import OutOfRangeError
 from fracfield.spectral import (
     EIG_TOL,
+    NoConvergenceError,
     dirichlet_lambda1,
     eigen_bounds,
     sweep_to_csv,
 )
 
-from oracles import first_eigenpair_dense, poincare_lower_bound, second_eigenvalue
+from oracles import (
+    first_eigenpair_dense,
+    poincare_lower_bound,
+    rayleigh_quotient_extended,
+    second_eigenvalue,
+)
 
 
 def test_first_eigenpair_residual_and_sign(unit64):
@@ -38,34 +44,77 @@ def test_half_order_eigenvalue_between_bounds(unit64):
 
 
 def test_eigen_residual_defines_generalized_pair(unit64):
+    # the reported residual is the normwise backward error of the pair,
+    # recomputed here from the dense A and M_c
     op = unit64[0.25]
     pair = ff.first_eigenpair(op)
-    res = op.A @ pair.e1.values - pair.lambda1 * (op.M_c @ pair.e1.values)
-    assert np.linalg.norm(res) <= 1e-10 * pair.lambda1 * np.linalg.norm(op.M_c @ pair.e1.values)
+    x = pair.e1.values
+    res = op.A @ x - pair.lambda1 * (op.M_c @ x)
+    scale = np.linalg.norm(op.A, ord=np.inf) + pair.lambda1 * np.linalg.norm(op.M_c, ord=np.inf)
+    backward = np.abs(res).max() / (scale * np.abs(x).max())
+    assert backward <= 1e-10
+    assert abs(backward - pair.residual) <= 1e-14
 
 
 @pytest.mark.parametrize("M", [63, 511])
 @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
-def test_first_eigenpair_matches_dense_oracle(get_op, monkeypatch, M, r):
-    # the O(M) mass products and the single A product per sweep reproduce
-    # the dense loop sweep for sweep, and both land on the generalized pair
+def test_first_eigenpair_matches_dense_oracle(get_op, M, r):
+    # LOBPCG lands on the pair of the dense inverse iteration.  The oracle's
+    # eigenvalue is the Rayleigh quotient of its vector, evaluated in extended
+    # precision: in double it carries rounding of eps times the condition of
+    # A (5e-13 relative at r = 0.9, M = 511).
     op = get_op(0.0, 1.0, M, r)
-    lam_d, x_d, res_d, sweeps_d = first_eigenpair_dense(op, EIG_TOL)
-    solves = []
-    solve_vector = FracOperator.solve_vector
-
-    def counted(self, rhs):
-        solves.append(1)
-        return solve_vector(self, rhs)
-
-    monkeypatch.setattr(FracOperator, "solve_vector", counted)
+    lam_d, x_d, res_d, _ = first_eigenpair_dense(op, EIG_TOL)
     pair = ff.first_eigenpair(op, EIG_TOL)
-    assert len(solves) == sweeps_d
-    assert abs(pair.lambda1 - lam_d) <= 1e-14 * lam_d
-    assert np.max(np.abs(pair.e1.values - x_d)) <= 1e-13
     assert pair.residual <= EIG_TOL and res_d <= EIG_TOL
-    lam_ref = eigh(op.A, op.M_c, eigvals_only=True, subset_by_index=[0, 0])[0]
-    assert abs(pair.lambda1 - lam_ref) <= 1e-10
+    lam_x = rayleigh_quotient_extended(op, x_d)
+    assert abs(pair.lambda1 - lam_x) <= 1e-14 * lam_x
+    assert abs(lam_d - lam_x) <= 1e-12 * lam_x
+    lams, vecs = eigh(op.A, op.M_c, subset_by_index=[0, 1])
+    assert abs(pair.lambda1 - lams[0]) <= 1e-10
+    # M_c-angle to eigh's vector: sin <= ||R||_(M_c^-1) / (lambda2 - lambda1),
+    # and ||R||_(M_c^-1) <= sqrt(3 M / h) ||R||_inf because M_c >= (h/3) I;
+    # the stop gives ||R||_inf <= eig_tol (||A||_inf + lambda h) ||x||_inf
+    x, v = pair.e1.values, vecs[:, 0]
+    d = x - (x @ (op.M_c @ v)) * v
+    sin = np.sqrt(d @ (op.M_c @ d))
+    h = op.domain.h
+    R_inf = EIG_TOL * (np.linalg.norm(op.A, ord=np.inf) + lams[0] * h) * np.abs(x).max()
+    assert sin <= np.sqrt(3 * M / h) * R_inf / (lams[1] - lams[0])
+
+
+def test_first_eigenpair_reads_only_the_column(get_op):
+    op = ff.assemble(ff.make_domain(0, 1, 255), 0.3)
+    ff.first_eigenpair(op)
+    assert "A" not in vars(op) and "M_c" not in vars(op)
+    assert op._chol == [None] and op._dual_kernel_cache == [None]
+
+
+def test_first_eigenpair_reaches_tolerance_on_fine_mesh():
+    # the residual relative to lambda ||M_c x|| has a roundoff floor of
+    # 1.6e-10 here, so the old stop never fired; the backward error does
+    op = ff.assemble(ff.make_domain(0, 1, 2047), 0.9)
+    pair = ff.first_eigenpair(op, 1e-10)
+    assert pair.residual <= 1e-10
+    assert pair.e1.values.min() > 0.0
+    assert pair.lambda1 == pytest.approx(7.1342169917, rel=1e-10)
+
+
+def test_first_eigenpair_converges_to_the_continuum_value():
+    # s = 1/2 on (-1, 1): lambda1 = 1.1577738836977 (Kwasnicki, J. Funct.
+    # Anal. 262, 2012); P1 Galerkin converges at first order in h here
+    ref = 1.1577738836977
+    lams = [ff.first_eigenpair(ff.assemble(ff.make_domain(-1, 1, n - 1), 0.5)).lambda1
+            for n in (512, 1024, 2048)]
+    order = np.log2((lams[0] - lams[1]) / (lams[1] - lams[2]))
+    assert 0.95 <= order <= 1.05
+    assert abs(2.0 * lams[2] - lams[1] - ref) <= 2e-6
+    assert all(lam > ref for lam in lams)
+
+
+def test_first_eigenpair_stalls_with_no_convergence_error(unit64):
+    with pytest.raises(NoConvergenceError, match="backward error"):
+        ff.first_eigenpair(unit64[0.5], 1e-10, maxit=2)
 
 
 def test_kappa_exact_value():
