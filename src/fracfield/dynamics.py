@@ -28,6 +28,19 @@ w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly, and
 the residual of the potential equation
 M_c w_n = A_sigma u_n + h beta(u_n) - lam M_c u_prev equals the Newton
 stopping residual; it is reported per step.
+
+Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
+A_sigma, so only its diagonal changes between Newton iterations and between
+steps.  K is built once per run (the dual kernel by the O(M) mass stencil
+on the rows of A_s^(-1) M_c), and every Newton direction is preconditioned
+CG on the current Hessian with the explicit inverse of the last factored
+Hessian as preconditioner (a lagged preconditioner, Knoll & Keyes, J.
+Comput. Phys. 193, 2004).  The Hessian is factored again only when PCG
+misses KRYLOV_TOL within KRYLOV_MAX iterations.  In the shipped configs
+that is once per run at p = 4, and 6 to 10 times in 250 steps at p = 1.5
+and p = 3, where beta'(u) varies more with u.  StepStats counts PCG
+iterations and factorizations.  M_c products are the O(M) stencil; no dense M_c is
+built.
 """
 
 from __future__ import annotations
@@ -37,9 +50,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
-from .fracop import FracOperator
+from .fracop import FracOperator, _mass_rows
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
 
@@ -47,6 +62,8 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX = 100
 LS_SHRINK = 0.5
 LS_SUFFICIENT = 1e-4
+KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g||
+KRYLOV_MAX = 6  # PCG iterations before the step refactors its Hessian
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -78,9 +95,15 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class StepStats:
+    """Newton iterations and final residual of one step, the residual of the
+    potential equation, and the step's PCG iterations and Hessian
+    factorizations (both deterministic)."""
+
     iterations: int
     residual: float
     td2_residual: float
+    krylov: int
+    factorizations: int
 
 
 @dataclass(frozen=True)
@@ -121,11 +144,6 @@ class Flow:
     @property
     def domain(self) -> Domain1D:
         return (self.interface or self.metric).domain
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Consistent mass M_c of the shared domain."""
-        return (self.interface or self.metric).M_c
 
 
 @dataclass(frozen=True)
@@ -196,7 +214,7 @@ def energy_modified(
 
 def _newton_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray], np.ndarray],
+    direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u0: np.ndarray,
     tol: float,
     h: float,
@@ -207,12 +225,13 @@ def _newton_minimize(
     lumped-scaled gradient norm ||g||_2 / sqrt(h); NewtonDivergenceError
     when the line search or the NEWTON_MAX cap runs out.
 
-    hess returns a fresh, exactly symmetric buffer, which is Cholesky-factored
-    in place: its transpose is the same matrix in the Fortran order LAPACK
-    works in, so no copy is made.  The finiteness check runs once, on the
-    Hessian; the solve does not rescan the factor.  Where the Hessian is not
-    positive definite, which only the nonconvex J can reach, the iteration
-    takes the small gradient step u - min(1e-2, res) g instead.
+    direction(u, g) returns the Newton direction, an approximate solution
+    of H(u) d = -g: the time steps solve by PCG with a lagged inverse
+    (_stepper), the stationary polish by one Cholesky factorization per
+    iteration (_cholesky_direction).  Where it raises LinAlgError because
+    the Hessian is not positive definite, which only the nonconvex J can
+    reach, the iteration takes the small gradient step u - min(1e-2, res) g
+    instead.
 
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
@@ -228,13 +247,12 @@ def _newton_minimize(
         if res <= tol:
             return u, it, res
         try:
-            chol = cho_factor(hess(u).T, overwrite_a=True)
+            d = direction(u, g)
         except np.linalg.LinAlgError:
             u = u - min(1e-2, res) * g
             g = grad(u)
             res = float(np.linalg.norm(g)) * scale
             continue
-        d = cho_solve(chol, -g, check_finite=False)
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
@@ -255,17 +273,85 @@ def _newton_minimize(
     )
 
 
+def _cholesky_direction(
+    hess: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Newton directions by one Cholesky factorization per iteration.
+
+    hess returns a fresh, exactly symmetric buffer, which is factored in
+    place: its transpose is the same matrix in the Fortran order LAPACK
+    works in, so no copy is made.  The finiteness check runs once, on the
+    Hessian; the solve does not rescan the factor.
+    """
+
+    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        chol = cho_factor(hess(u).T, overwrite_a=True)
+        return cho_solve(chol, -g, check_finite=False)
+
+    return direction
+
+
+def _pcg(
+    K: np.ndarray, D: np.ndarray, inverse: np.ndarray, g: np.ndarray, counts: list
+) -> np.ndarray | None:
+    """Preconditioned CG on (K + diag(D)) d = -g from d = 0, the
+    preconditioner being the symmetric matrix stored in the upper triangle
+    of inverse.  Returns d once ||H d + g|| <= KRYLOV_TOL ||g||, or None
+    after KRYLOV_MAX iterations (counted in counts[0]) or on a direction of
+    nonpositive (or NaN) curvature."""
+    d = np.zeros_like(g)
+    r = -g
+    stop = KRYLOV_TOL * np.linalg.norm(g)
+    z = dsymv(1.0, inverse, r)
+    p = z
+    rz = r @ z
+    for _ in range(KRYLOV_MAX):
+        q = K @ p + D * p
+        pq = p @ q
+        if not pq > 0.0:
+            return None
+        alpha = rz / pq
+        d += alpha * p
+        r -= alpha * q
+        counts[0] += 1
+        if np.linalg.norm(r) <= stop:
+            return d
+        z = dsymv(1.0, inverse, r)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    return None
+
+
 def _stepper(
     flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
 ) -> Callable[[Field], tuple[Field, Field, StepStats]]:
     """The step u_prev -> (u_n, w_n, stats): Newton on F_n, then w_n and the
-    potential-equation residual."""
+    potential-equation residual.
+
+    The Hessian of F_n is K + h diag(beta'(u)), where K = G/tau + A_sigma
+    does not depend on u or on the step; K is built once, in one buffer.
+    Each Newton direction is PCG on the current Hessian, preconditioned by
+    the explicit inverse of the last Hessian factored.  Only when PCG misses
+    KRYLOV_TOL within KRYLOV_MAX iterations is the current Hessian
+    Cholesky-factored in place; its factor gives the direction and is then
+    inverted in place, and that inverse serves every later step until the
+    next refactorization.  The gradient keeps the difference form
+    K (u - u_prev) + A_sigma u_prev + h beta(u) - lam M_c u_prev, so nothing
+    cancels near newton_tol.
+    """
     dom = flow.domain
     h = dom.h
-    diag = np.diag_indices(dom.M)
-    Mc = flow.mass
+    mass_vector = (flow.interface or flow.metric).mass_vector
     A = None if flow.interface is None else flow.interface.A
-    G = Mc if flow.metric is None else flow.metric.dual_kernel
+    if flow.metric is None:
+        K = _mass_rows(np.eye(dom.M), h)
+    else:
+        K = flow.metric._dual_kernel_buffer()
+    K /= tau
+    if A is not None:
+        K += A
+    diag = np.diag_indices(dom.M)
+    inverse = [None]  # upper triangle of the last factored Hessian's inverse
 
     def step(u_prev: Field) -> tuple[Field, Field, StepStats]:
         if u_prev.domain != dom:
@@ -273,31 +359,40 @@ def _stepper(
         if not np.all(np.isfinite(u_prev.values)):
             raise ValueError("previous state contains non-finite values")
         up = u_prev.values
-        explicit = flow.lam * (Mc @ up)
+        explicit = flow.lam * mass_vector(up)
+        offset = -explicit if A is None else A @ up - explicit
+        counts = [0, 0]  # PCG iterations, factorizations
 
         def grad(u):
-            g = G @ (u - up) / tau
-            if A is not None:
-                g = g + A @ u
-            return g + h * pot.beta_reg(params, u) - explicit
+            return K @ (u - up) + h * pot.beta_reg(params, u) + offset
 
-        def hess(u):
-            H = G / tau
-            if A is not None:
-                H += A
-            H[diag] += h * pot.beta_prime_reg(params, u)
-            return H
+        def direction(u, g):
+            D = h * pot.beta_prime_reg(params, u)
+            if inverse[0] is not None:
+                d = _pcg(K, D, inverse[0], g, counts)
+                if d is not None:
+                    return d
+                inverse[0] = None  # released before the new buffer is built
+            H = np.array(K, order="F")
+            H[diag] += D
+            chol = cho_factor(H, overwrite_a=True)
+            counts[1] += 1
+            d = cho_solve(chol, -g, check_finite=False)
+            inverse[0], _ = dpotri(chol[0], lower=chol[1], overwrite_c=1)
+            return d
 
-        un, iters, res = _newton_minimize(grad, hess, up, settings.newton_tol, h)
+        un, iters, res = _newton_minimize(grad, direction, up, settings.newton_tol, h)
         if flow.metric is None:
             wn = -(un - up) / tau
         else:
-            wn = -flow.metric.solve_vector(Mc @ (un - up)) / tau
+            wn = -flow.metric.solve_vector(mass_vector(un - up)) / tau
         potential = h * pot.beta_reg(params, un)
         if A is not None:
             potential = A @ un + potential
-        td2 = Mc @ wn - (potential - explicit)
-        stats = StepStats(iters, res, float(np.linalg.norm(td2) / np.sqrt(h)))
+        td2 = mass_vector(wn) - (potential - explicit)
+        stats = StepStats(
+            iters, res, float(np.linalg.norm(td2) / np.sqrt(h)), counts[0], counts[1]
+        )
         return Field(dom, un), Field(dom, wn), stats
 
     return step

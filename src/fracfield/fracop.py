@@ -124,13 +124,15 @@ def kernel_constant(r: float, N: int = 1) -> KernelConstant:
     return KernelConstant(r, N, float(value))
 
 
-def _consistent_mass(M: int, h: float) -> np.ndarray:
-    Mc = np.zeros((M, M))
-    idx = np.arange(M)
-    Mc[idx, idx] = 4.0
-    Mc[idx[:-1], idx[:-1] + 1] = 1.0
-    Mc[idx[:-1] + 1, idx[:-1]] = 1.0
-    return (h / 6.0) * Mc
+def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
+    """M_c Y in a fresh buffer, O(M) per column: (h/6)(4 Y_i + Y_(i-1) +
+    Y_(i+1)) on the rows Y_i of Y (a vector or a matrix), the tridiagonal
+    stencil of the consistent P1 mass."""
+    out = 4.0 * Y
+    out[1:] += Y[:-1]
+    out[:-1] += Y[1:]
+    out *= h / 6.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,11 @@ class FracOperator:
     then.  Two threads racing on a first read build the same arrays, so
     operators are safe to share.
 
-    Outside this module the dense storage (A, M_c, dual_kernel) is read only
-    by the two Newton-system builders, dynamics._stepper (through Flow.mass)
-    and stationary._descend; the eigensolver reads the column alone.
+    Outside this module the dense storage is read only by the two
+    Newton-system builders: dynamics._stepper reads A and a fresh
+    _dual_kernel_buffer (never M_c or the cached dual_kernel), and
+    stationary._descend reads A and M_c.  The eigensolver reads the column
+    alone.
     """
 
     domain: Domain1D
@@ -170,7 +174,7 @@ class FracOperator:
     @cached_property
     def M_c(self) -> np.ndarray:
         """Dense consistent mass, built on first read (read-only)."""
-        Mc = _consistent_mass(self.domain.M, self.domain.h)
+        Mc = _mass_rows(np.eye(self.domain.M), self.domain.h)
         Mc.flags.writeable = False
         return Mc
 
@@ -180,16 +184,12 @@ class FracOperator:
         return self.domain.h * np.eye(self.domain.M)
 
     def mass_vector(self, x: np.ndarray) -> np.ndarray:
-        """M_c x for a raw coefficient vector in O(M): (h/6)(4 x_i + x_(i-1)
-        + x_(i+1)), the tridiagonal stencil of _consistent_mass."""
-        y = 4.0 * x
-        y[1:] += x[:-1]
-        y[:-1] += x[1:]
-        return (self.domain.h / 6.0) * y
+        """M_c x for a raw coefficient vector in O(M)."""
+        return _mass_rows(x, self.domain.h)
 
     def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
         """Solve M_c x = b for a raw coefficient vector in O(M), as the
-        tridiagonal band of _consistent_mass."""
+        tridiagonal band of _mass_rows."""
         M, h = self.domain.M, self.domain.h
         band = np.empty((3, M))
         band[0] = band[2] = h / 6.0
@@ -242,12 +242,22 @@ class FracOperator:
         rhs = self.mass_vector(v.values)
         return float(rhs @ self.solve_vector(rhs))
 
+    def _dual_kernel_buffer(self) -> np.ndarray:
+        """M_c A^(-1) M_c in a fresh, writable, Fortran-ordered buffer: the
+        mass stencil applied to the rows of Y = A^(-1) M_c, where Y is
+        solved in place over the banded M_c (symmetric, so its C-ordered
+        buffer is M_c in Fortran order).  Symmetric up to rounding."""
+        h = self.domain.h
+        B = _mass_rows(np.eye(self.domain.M), h)
+        Y = cho_solve((self._factor(), True), B.T, overwrite_b=True, check_finite=False)
+        return _mass_rows(Y, h)
+
     @property
     def dual_kernel(self) -> np.ndarray:
         """M_c A^(-1) M_c, the Gram matrix of the dual norm (cached,
-        read-only)."""
+        read-only, exactly symmetric)."""
         if self._dual_kernel_cache[0] is None:
-            K = self.M_c @ cho_solve((self._factor(), True), self.M_c)
+            K = self._dual_kernel_buffer()
             K = 0.5 * (K + K.T)
             K.flags.writeable = False
             self._dual_kernel_cache[0] = K

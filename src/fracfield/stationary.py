@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import potential as pot
-from .dynamics import NewtonDivergenceError, _newton_minimize
+from .dynamics import NewtonDivergenceError, _cholesky_direction, _newton_minimize
 from .fracop import FracOperator, OutOfRangeError, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
@@ -157,7 +157,8 @@ def _descend(
 
     try:
         u, _, res = _newton_minimize(
-            lambda v: _gradient(op, params, v), hess, u, stat_tol, h
+            lambda v: _gradient(op, params, v), _cholesky_direction(hess), u,
+            stat_tol, h,
         )
     except NewtonDivergenceError:
         return None

@@ -414,7 +414,7 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
     scipy.linalg.solve(assume_a="pos"); same damped Newton and residual
     line search as the library."""
     h = u_prev.domain.h
-    Mc = flow.mass
+    Mc = (flow.interface or flow.metric).M_c
     A = None if flow.interface is None else flow.interface.A
     G = Mc if flow.metric is None else flow.metric.dual_kernel
     up = u_prev.values

@@ -306,6 +306,27 @@ def test_mass_vector_is_the_consistent_mass_product(unit64, rng):
         assert np.max(np.abs(op.mass_vector(x) - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
+def test_mass_rows_is_the_dense_mass_product(unit64):
+    # the stencil on the rows of Y = A^-1 M_c, as the dual kernel uses it
+    for op in unit64.values():
+        Y = np.linalg.solve(op.A, op.M_c)
+        dense = op.M_c @ Y
+        rows = fracop._mass_rows(Y, op.domain.h)
+        assert np.max(np.abs(rows - dense)) <= 1e-15 * np.max(np.abs(dense))
+        assert np.array_equal(fracop._mass_rows(np.eye(64), op.domain.h), op.M_c)
+
+
+def test_dual_kernel_matches_the_dense_form(unit64):
+    for op in unit64.values():
+        dense = op.M_c @ np.linalg.solve(op.A, op.M_c)
+        K = op.dual_kernel
+        assert np.array_equal(K, K.T)
+        assert np.max(np.abs(K - dense)) <= 1e-13 * np.max(np.abs(dense))
+        fresh = op._dual_kernel_buffer()
+        assert fresh.flags.writeable
+        assert np.max(np.abs(fresh - K)) <= 1e-14 * np.max(np.abs(K))
+
+
 def test_dual_norm_zero_and_eigen_identity(unit64):
     op = unit64[0.5]
     assert op.dual_norm_sq(ff.zero_field(op.domain)) == 0.0
