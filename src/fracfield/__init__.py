@@ -35,15 +35,11 @@ from .dynamics import (
     Flow,
     SolverSettings,
     Trajectory,
-    ac_evolve,
     beta_bound_check,
-    ch_evolve,
-    ch_evolve_modified,
     check_energy_identity_gap,
     energy,
     energy_modified,
     evolve,
-    pm_evolve,
 )
 from .stationary import (
     StationaryResult,
@@ -68,9 +64,7 @@ __all__ = [
     "EigenPair", "EigenBounds", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
     "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "evolve", "energy",
-    "energy_modified", "ch_evolve", "ch_evolve_modified", "ac_evolve",
-    "pm_evolve",
-    "check_energy_identity_gap", "beta_bound_check",
+    "energy_modified", "check_energy_identity_gap", "beta_bound_check",
     "StationaryResult", "minimize_energy", "nontriviality_predicate",
     "smallness_bound", "stationary_sigma_sweep",
     "LimitReport", "limit_sigma_to_pm", "limit_sigma_to_fd", "limit_s_to_ac",

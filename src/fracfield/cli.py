@@ -1,12 +1,13 @@
-"""Command-line front end: `fracfield <config> [--threads K] [--output DIR]`.
+"""Command-line front end: `fracfield <config> [--output DIR]`.
 
 Artifacts are assembled in memory and written only after the run and all
 runtime checks succeed, so a failing run leaves no partial files.  Reruns of
 the same config produce bit-identical CSVs; FRACFIELD_SEED (default 0) fixes
 the RNG used for random starts and random initial data.
 
-Exit codes: 0 success; 1 configuration error (unreadable file, unknown key,
-value out of range, or a key the experiment does not use); 2 solver failure
+Exit codes: 0 success; 1 usage or configuration error (bad command line,
+unreadable file, unknown key, value out of range, empty list, or a key the
+experiment does not use) or unwritable output directory; 2 solver failure
 (Newton, eigen or stationary iteration stalled, stiffness failed its sign or
 positivity gate, lowest stationary state not one-signed); 3 violation of one
 of the built-in inequality checks.  Each failure prints one line to stderr.
@@ -18,7 +19,6 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,10 @@ from .potential import PotentialParams
 
 class CheckViolationError(RuntimeError):
     """A paper-derived inequality failed beyond its stated slack."""
+
+
+class OutputError(RuntimeError):
+    """The artifact directory could not be created or written."""
 
 
 def _initial_field(cfg: RunConfig, domain: Domain1D, rng: np.random.Generator) -> Field:
@@ -73,7 +77,6 @@ def _check_trace_monotone(trace, column: str, tol: float) -> None:
 def run(
     cfg: RunConfig,
     output_dir: str | None = None,
-    threads: int = 1,
     config_text: str = "",
 ) -> dict[str, str]:
     """Execute one experiment; returns {filename: contents} after writing."""
@@ -90,14 +93,13 @@ def run(
         op_s = None
         if exp != "evolve-ac":
             op_s = assemble(domain, cfg.s)
+        lam = params.lam
         if exp == "evolve-pm":
-            # no interface energy and no concave term in the porous-medium flow
-            op_sigma, params = None, dc_replace(params, lam=0.0)
+            op_sigma, lam = None, 0.0  # no interface energy
         elif op_s is not None and cfg.sigma == cfg.s:
             op_sigma = op_s  # operators are immutable, so one serves both orders
         else:
             op_sigma = assemble(domain, cfg.sigma)
-        lam = params.lam
         if exp == "evolve-ch-modified":
             lam = spectral.first_eigenpair(op_sigma, cfg.eig_tol).lambda1
         traj, trace = dynamics.evolve(
@@ -110,9 +112,8 @@ def run(
         artifacts["energy.csv"] = trace.to_csv()
 
     elif exp == "eigen-sweep":
-        refinements = cfg.refinements or [cfg.M]
         rows = spectral.lambda1_sweep(
-            domain, cfg.sequence, refinements, max_workers=threads, eig_tol=cfg.eig_tol
+            domain, cfg.sequence, cfg.refinements, eig_tol=cfg.eig_tol
         )
         for row in rows:
             if row["lambda1"] < row["lower"] - 1e-9:
@@ -135,18 +136,16 @@ def run(
         if exp == "limit-sigma":
             if cfg.p > 2:
                 report = limits.limit_sigma_to_pm(
-                    domain, cfg.s, params, u0, cfg.sequence, settings,
-                    max_workers=threads,
+                    domain, cfg.s, params, u0, cfg.sequence, settings
                 )
             else:
                 report = limits.limit_sigma_to_fd(
                     domain, cfg.s, params, u0, cfg.sequence, settings,
-                    max_workers=threads, eig_tol=cfg.eig_tol,
+                    eig_tol=cfg.eig_tol,
                 )
         else:
             report = limits.limit_s_to_ac(
-                domain, cfg.sigma, params, u0, cfg.sequence, settings,
-                max_workers=threads,
+                domain, cfg.sigma, params, u0, cfg.sequence, settings
             )
         artifacts["report.csv"] = report.to_csv()
         artifacts["report.txt"] = (
@@ -207,44 +206,53 @@ def run(
         raise ConfigError(f"unhandled experiment {exp!r}")
 
     out = Path(output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts["manifest.txt"] = _manifest(cfg, seed, threads, config_text)
-    for name, text in sorted(artifacts.items()):
-        (out / name).write_text(text)
+    artifacts["manifest.txt"] = _manifest(cfg, seed, config_text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in sorted(artifacts.items()):
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write artifacts: {exc}") from exc
     return artifacts
 
 
-def _manifest(cfg: RunConfig, seed: int, threads: int, config_text: str) -> str:
+def _manifest(cfg: RunConfig, seed: int, config_text: str) -> str:
     lines = [f"{k}={v}" for k, v in cfg.manifest_items()]
     lines.append(f"input_sha256={config_hash(config_text)}")
     lines.append(f"seed={seed}")
-    lines.append(f"threads={threads}")
     lines.append(f"version={__version__}")
     return "\n".join(lines) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line and exit 1 like a bad config, not argparse's usage text
+        # and exit 2, which here means solver failure
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fracfield",
         description="Fractional Cahn-Hilliard experiments from a key=value config.",
     )
     parser.add_argument("config", help="path to a key=value config file")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
     parser.add_argument("--output", default=None, help="artifact directory")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         text = Path(args.config).read_text()
+        cfg = parse_config(text)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    try:
-        cfg = parse_config(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        run(cfg, output_dir=args.output, threads=args.threads, config_text=text)
+        run(cfg, output_dir=args.output, config_text=text)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (NewtonDivergenceError, AssemblyError, NotSPDError,
             stationary.NoConvergenceError, stationary.NotOneSignedError,
             spectral.NoConvergenceError) as exc:

@@ -107,10 +107,12 @@ def parse_config(text: str) -> RunConfig:
                 setattr(cfg, key, int(value))
             elif key in _STR_KEYS:
                 setattr(cfg, key, value)
-            elif key == "sequence":
-                cfg.sequence = [float(x) for x in value.split(",") if x.strip()]
-            elif key == "refinements":
-                cfg.refinements = [int(x) for x in value.split(",") if x.strip()]
+            elif key in _LIST_KEYS:
+                kind = float if key == "sequence" else int
+                items = [kind(x) for x in value.split(",") if x.strip()]
+                if not items:
+                    raise ParseError(lineno, f"empty list for {key!r}")
+                setattr(cfg, key, items)
             else:
                 raise ParseError(lineno, f"unknown key {key!r}")
         except ParseError:

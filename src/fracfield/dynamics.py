@@ -127,7 +127,8 @@ class Flow:
     metric is the operator A_s of the H^(-s) metric G = M_c A_s^(-1) M_c, or
     None for the L2 metric G = M_c (Allen-Cahn).  interface is A_sigma, or
     None when the energy has no Gagliardo term (porous medium).  lam weighs
-    the explicit concave quadratic.
+    the explicit concave quadratic; evolve requires lam = 0 without an
+    interface.
     """
 
     metric: FracOperator | None
@@ -402,7 +403,17 @@ def evolve(
     flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
 ) -> tuple[Trajectory, EnergyTrace]:
     """March the flow over settings.n_steps steps and trace its energies;
-    deterministic."""
+    deterministic.
+
+    A flow without an interface (porous medium, fast diffusion) has no
+    concave term: its lam must be 0 and params.lam is ignored, so E_sigma
+    is the Lyapunov functional h sum beta_hat(u_i) and dissipation is exact.
+    """
+    if flow.interface is None:
+        if flow.lam != 0.0:
+            raise ValueError("a flow without an interface has no concave term, "
+                             f"so lam must be 0, got {flow.lam}")
+        params = dc_replace(params, lam=0.0)
     tau = settings.tau
     step = _stepper(flow, params, tau, settings)
     us, ws, stats = [u0], [], []
@@ -446,56 +457,6 @@ def evolve(
         + convex[:-1]
     )
     return traj, EnergyTrace(tau, traj.times, E, Et, gw, du, l2, lp, slack)
-
-
-def ch_evolve(
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    u0: Field,
-    settings: SolverSettings,
-) -> tuple[Trajectory, EnergyTrace]:
-    """Evolve the fractional Cahn-Hilliard system; deterministic."""
-    return evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
-
-
-def ch_evolve_modified(
-    op_s: FracOperator,
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    lambda1_sigma: float,
-    u0: Field,
-    settings: SolverSettings,
-) -> tuple[Trajectory, EnergyTrace]:
-    """Modified scheme: the explicit concave term carries lambda1(sigma).
-
-    With lambda1_sigma = params.lam this reproduces ch_evolve bitwise.
-    """
-    return evolve(Flow(op_s, op_sigma, lambda1_sigma), params, u0, settings)
-
-
-def ac_evolve(
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    u0: Field,
-    settings: SolverSettings,
-) -> tuple[Trajectory, EnergyTrace]:
-    """Implicit Allen-Cahn flow: the L2 metric with the same convex splitting;
-    stores w_n = -(u_n - u_prev)/tau."""
-    return evolve(Flow(None, op_sigma, params.lam), params, u0, settings)
-
-
-def pm_evolve(
-    op_s: FracOperator,
-    params: PotentialParams,
-    u0: Field,
-    settings: SolverSettings,
-) -> tuple[Trajectory, EnergyTrace]:
-    """Porous-medium / fast-diffusion flow as an H^(-s) gradient flow of the
-    convex potential integral; no concave term (params.lam is ignored), so
-    dissipation is exact and E_sigma holds the Lyapunov functional
-    sum_i h beta_hat(u_i)."""
-    return evolve(Flow(op_s, None, 0.0), dc_replace(params, lam=0.0), u0, settings)
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,8 @@ class FracOperator:
     M_c, the Cholesky factor of A (_chol) and the dual kernel
     (_dual_kernel_cache) are built on first read and then cached read-only;
     _chol and _dual_kernel_cache are one-slot lists that read None until
-    then.  Two threads racing on a first read build the same arrays, so
-    operators are safe to share.
+    then.  A filled cache is never written again, so flows and runs can
+    share one operator.
 
     Outside this module the dense storage is read only by the two
     Newton-system builders: dynamics._stepper reads A and a fresh

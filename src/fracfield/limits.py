@@ -15,18 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (
-    SolverSettings,
-    Trajectory,
-    ac_evolve,
-    ch_evolve,
-    ch_evolve_modified,
-    pm_evolve,
-)
+from .dynamics import Flow, SolverSettings, Trajectory, evolve
 from .fracop import assemble
 from .grid import Domain1D, Field, lp_norm
 from .potential import PotentialParams
-from .spectral import EIG_TOL, _ordered_map, first_eigenpair
+from .spectral import EIG_TOL, first_eigenpair
 
 
 class CompatibilityError(ValueError):
@@ -94,22 +87,20 @@ def limit_sigma_to_pm(
     u0: Field,
     sigmas: Sequence[float],
     settings: SolverSettings,
-    max_workers: int = 1,
 ) -> LimitReport:
     """Coercive case p > 2: Cahn-Hilliard trajectories approach the
     porous-medium flow as sigma decreases to 0."""
     if params.p <= 2:
         raise ValueError(f"porous-medium limit needs p > 2, got {params.p}")
     op_s = assemble(domain, s)
-    ref, _ = pm_evolve(op_s, params, u0, settings)
+    ref, _ = evolve(Flow(op_s, None, 0.0), params, u0, settings)
 
     def one(sigma: float) -> float:
         op_sigma = assemble(domain, sigma)
-        traj, _ = ch_evolve(op_s, op_sigma, params, u0, settings)
+        traj, _ = evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
         return spacetime_l2_distance(traj, ref, settings.tau)
 
-    dists = _ordered_map(one, list(sigmas), max_workers)
-    return _report(sigmas, dists, "porous-medium")
+    return _report(sigmas, [one(sigma) for sigma in sigmas], "porous-medium")
 
 
 def limit_sigma_to_fd(
@@ -119,7 +110,6 @@ def limit_sigma_to_fd(
     u0: Field,
     sigmas: Sequence[float],
     settings: SolverSettings,
-    max_workers: int = 1,
     eig_tol: float = EIG_TOL,
 ) -> LimitReport:
     """Fast-diffusion case p in (2_*, 2) with 2_* = 2N/(N+2s): the modified
@@ -133,15 +123,15 @@ def limit_sigma_to_fd(
             f"need 2N/(N+2s) = {two_star:.6g} < p < 2, got p={params.p}"
         )
     op_s = assemble(domain, s)
-    ref, _ = pm_evolve(op_s, params, u0, settings)
+    ref, _ = evolve(Flow(op_s, None, 0.0), params, u0, settings)
 
     def one(sigma: float) -> tuple[float, float]:
         op_sigma = assemble(domain, sigma)
         lam1 = float(first_eigenpair(op_sigma, eig_tol).lambda1)
-        traj, _ = ch_evolve_modified(op_s, op_sigma, params, lam1, u0, settings)
+        traj, _ = evolve(Flow(op_s, op_sigma, lam1), params, u0, settings)
         return spacetime_l2_distance(traj, ref, settings.tau), lam1
 
-    pairs = _ordered_map(one, list(sigmas), max_workers)
+    pairs = [one(sigma) for sigma in sigmas]
     dists = [d for d, _ in pairs]
     lambda1s = [lam for _, lam in pairs]
     return _report(sigmas, dists, "fast-diffusion", lambda1s)
@@ -154,20 +144,18 @@ def limit_s_to_ac(
     u0: Field,
     ss: Sequence[float],
     settings: SolverSettings,
-    max_workers: int = 1,
 ) -> LimitReport:
     """s -> 0 at fixed sigma: trajectories approach the Allen-Cahn flow in
     the max-in-time L2 metric."""
     op_sigma = assemble(domain, sigma)
-    ref, _ = ac_evolve(op_sigma, params, u0, settings)
+    ref, _ = evolve(Flow(None, op_sigma, params.lam), params, u0, settings)
 
     def one(s: float) -> float:
         op_s = assemble(domain, s)
-        traj, _ = ch_evolve(op_s, op_sigma, params, u0, settings)
+        traj, _ = evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
         return max_l2_distance(traj, ref)
 
-    dists = _ordered_map(one, list(ss), max_workers)
-    return _report(ss, dists, "allen-cahn")
+    return _report(ss, [one(s) for s in ss], "allen-cahn")
 
 
 def operator_identity_limit(

@@ -14,9 +14,8 @@ length L.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -27,19 +26,6 @@ EIG_TOL = 1e-10
 EIG_MAXIT = 10000
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
-
-
-_T = TypeVar("_T")
-_S = TypeVar("_S")
-
-
-def _ordered_map(fn: Callable[[_T], _S], items: Sequence[_T], max_workers: int) -> list[_S]:
-    # runs are independent; results come back in parameter order either way,
-    # so sweeps and reports are deterministic regardless of scheduling
-    if max_workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class NoConvergenceError(RuntimeError):
@@ -177,20 +163,14 @@ def lambda1_sweep(
     domain: Domain1D,
     rs: Sequence[float],
     refinements: Sequence[int] | None = None,
-    max_workers: int = 1,
     eig_tol: float = EIG_TOL,
 ) -> list[dict]:
-    """Rows (r, M, lambda1, lower, upper, residual) over orders and meshes.
-
-    Rows are independent eigensolves and may run on a thread pool; the
-    result order is fixed by the (M, r) task list either way.
-    """
+    """Rows (r, M, lambda1, lower, upper, residual) over orders and meshes,
+    mesh-major."""
     if refinements is None:
         refinements = [domain.M]
-    tasks = [(int(M), float(r)) for M in refinements for r in rs]
 
-    def one(task: tuple[int, float]) -> dict:
-        M, r = task
+    def one(M: int, r: float) -> dict:
         dom = Domain1D(domain.a, domain.b, M)
         pair = first_eigenpair(assemble(dom, r), eig_tol)
         return {
@@ -202,7 +182,7 @@ def lambda1_sweep(
             "residual": pair.residual,
         }
 
-    return _ordered_map(one, tasks, max_workers)
+    return [one(int(M), float(r)) for M in refinements for r in rs]
 
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:

@@ -38,5 +38,5 @@ def ch_reference_run(get_op):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op.domain)
     settings = ff.SolverSettings(tau=1e-3, T=0.5)
-    traj, trace = ff.ch_evolve(op, op, params, u0, settings)
+    traj, trace = ff.evolve(ff.Flow(op, op, params.lam), params, u0, settings)
     return {"traj": traj, "trace": trace, "params": params, "op": op}

@@ -96,11 +96,12 @@ def test_criterion_06_energy_identity_trend(get_op):
     op_s = get_op(0.0, 1.0, 128, 0.5)
     op_sigma = get_op(0.0, 1.0, 128, 0.75)
     params = ff.PotentialParams(p=4)
-    warm, _ = ff.ch_evolve(op_s, op_sigma, params, ff.bump_field(op_s.domain),
-                           ff.SolverSettings(tau=5e-4, T=0.05))
+    warm, _ = ff.evolve(ff.Flow(op_s, op_sigma, params.lam), params,
+                        ff.bump_field(op_s.domain), ff.SolverSettings(tau=5e-4, T=0.05))
     u0 = warm.u[-1]
     traces = [
-        ff.ch_evolve(op_s, op_sigma, params, u0, ff.SolverSettings(tau=tau, T=0.25))[1]
+        ff.evolve(ff.Flow(op_s, op_sigma, params.lam), params, u0,
+                  ff.SolverSettings(tau=tau, T=0.25))[1]
         for tau in (2e-3, 1e-3, 5e-4)
     ]
     rep = ff.check_energy_identity_gap(traces, sigma=0.75, s=0.5)

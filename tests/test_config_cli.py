@@ -167,7 +167,7 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.dynamics, "evolve", boom)
     assert cli.main([str(good), "--output", str(tmp_path / "o2")]) == 2
     # inequality violation surfaces as exit 3
-    def fake_run(cfg, output_dir=None, threads=1, config_text=""):
+    def fake_run(cfg, output_dir=None, config_text=""):
         raise cli.CheckViolationError("energy rose")
     monkeypatch.setattr(cli, "run", fake_run)
     assert cli.main([str(good)]) == 3
@@ -306,6 +306,41 @@ def test_main_rejects_configs_the_solvers_cannot_run(tmp_path, capsys):
          "refinements = 1\n", "refinements"),
     ):
         _assert_fails_cleanly(tmp_path, capsys, text, 1, f"error: {key}: ")
+
+
+def test_main_rejects_empty_lists(tmp_path, capsys):
+    limit_s = MINIMAL_CH.replace("s = 0.5\n", "") + "experiment = limit-s\n"
+    eigen = "a = 0\nb = 1\nM = 24\nexperiment = eigen-sweep\n"
+    for text, key in (
+        (limit_s + "sequence = ,\n", "sequence"),
+        (eigen + "sequence = , ,\n", "sequence"),
+        (eigen + "sequence = 0.5\nrefinements = ,\n", "refinements"),
+    ):
+        _assert_fails_cleanly(tmp_path, capsys, text, 1, f"empty list for {key!r}")
+
+
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CH)
+    out = tmp_path / "out"
+    assert cli.main([str(cfg), "--threads", "2", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --threads 2\n"
+    assert not out.exists()
+    for argv in ([], [str(cfg), "--output"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CH)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([str(cfg), "--output", str(blocker / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifacts: ") and err.count("\n") == 1, err
 
 
 def test_main_maps_operator_and_stationary_failures_to_exit_2(tmp_path, capsys, monkeypatch):

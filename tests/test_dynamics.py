@@ -172,8 +172,9 @@ def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite(monkeypatc
 def test_ch_evolve_zero_initial_datum(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    traj, trace = ff.ch_evolve(op_s, op_sig, params, ff.zero_field(op_s.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.01))
+    traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                            ff.zero_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.01))
     assert all(np.all(u.values == 0.0) for u in traj.u)
     assert np.all(trace.E_sigma == 0.0)
 
@@ -182,8 +183,8 @@ def test_ch_evolve_energy_dissipation(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
-    traj, trace = ff.ch_evolve(op_s, op_sig, params, u0,
-                               ff.SolverSettings(tau=1e-3, T=0.05))
+    traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0,
+                            ff.SolverSettings(tau=1e-3, T=0.05))
     assert traj.times[0] == 0.0
     assert np.allclose(np.diff(traj.times), 1e-3, rtol=0, atol=1e-15)
     assert np.array_equal(traj.u[0].values, u0.values)
@@ -196,8 +197,10 @@ def test_ch_evolve_deterministic_bitwise(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     settings = ff.SolverSettings(tau=1e-3, T=0.02)
-    t1, _ = ff.ch_evolve(op_s, op_sig, params, ff.bump_field(op_s.domain), settings)
-    t2, _ = ff.ch_evolve(op_s, op_sig, params, ff.bump_field(op_s.domain), settings)
+    t1, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                      ff.bump_field(op_s.domain), settings)
+    t2, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                      ff.bump_field(op_s.domain), settings)
     for u1, u2 in zip(t1.u, t2.u):
         assert np.array_equal(u1.values, u2.values)
 
@@ -207,8 +210,8 @@ def test_modified_scheme_reduces_to_original_bitwise(ops48):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
     settings = ff.SolverSettings(tau=1e-3, T=0.02)
-    t1, tr1 = ff.ch_evolve(op_s, op_sig, params, u0, settings)
-    t2, tr2 = ff.ch_evolve_modified(op_s, op_sig, params, 1.0, u0, settings)
+    t1, tr1 = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0, settings)
+    t2, tr2 = ff.evolve(ff.Flow(op_s, op_sig, 1.0), params, u0, settings)
     for u1, u2 in zip(t1.u, t2.u):
         assert np.array_equal(u1.values, u2.values)
     assert np.array_equal(tr1.E_sigma, tr2.E_sigma)
@@ -218,9 +221,9 @@ def test_modified_scheme_dissipates_modified_energy(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=1.5)
     lam1 = ff.first_eigenpair(op_sig).lambda1
-    traj, trace = ff.ch_evolve_modified(op_s, op_sig, params, lam1,
-                                        ff.bump_field(op_s.domain),
-                                        ff.SolverSettings(tau=1e-3, T=0.05))
+    traj, trace = ff.evolve(ff.Flow(op_s, op_sig, lam1), params,
+                            ff.bump_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.05))
     assert np.all(np.diff(trace.E_tilde) <= 1e-9)
     assert trace.step_slack[1:].min() >= -1e-9
     # coercivity along the trajectory, with the lumped-eigenvalue allowance
@@ -238,7 +241,8 @@ def test_a_priori_monitors_stable_under_tau_halving(ops48):
     u0 = ff.bump_field(op_s.domain)
     m = {}
     for tau in (1e-3, 5e-4):
-        traj, _ = ff.ch_evolve(op_s, op_sig, params, u0, ff.SolverSettings(tau=tau, T=0.1))
+        traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0,
+                            ff.SolverSettings(tau=tau, T=0.1))
         m[tau] = a_priori_monitors(traj, op_s, op_sig, params, tau)
     for key in m[1e-3]:
         rel = abs(m[1e-3][key] - m[5e-4][key]) / abs(m[1e-3][key])
@@ -253,10 +257,11 @@ def test_perturbation_growth_bounded_uniformly_in_size(ops48):
     u0 = ff.bump_field(op_s.domain)
     pert = ff.sample(op_s.domain, lambda x: np.sin(3 * np.pi * x))
     settings = ff.SolverSettings(tau=1e-3, T=0.05)
-    base, _ = ff.ch_evolve(op_s, op_sig, params, u0, settings)
+    base, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0, settings)
     ratios = []
     for eta in (1e-2, 1e-4, 1e-6):
-        traj, _ = ff.ch_evolve(op_s, op_sig, params, u0 + eta * pert, settings)
+        traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0 + eta * pert,
+                            settings)
         d0 = np.sqrt(op_s.dual_norm_sq(traj.u[0] - base.u[0]))
         dT = np.sqrt(op_s.dual_norm_sq(traj.u[-1] - base.u[-1]))
         ratios.append(dT / d0)
@@ -267,11 +272,13 @@ def test_perturbation_growth_bounded_uniformly_in_size(ops48):
 def test_ac_evolve_zero_and_dissipation(ops48):
     _, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    traj, trace = ff.ac_evolve(op_sig, params, ff.zero_field(op_sig.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.01))
+    traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
+                            ff.zero_field(op_sig.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.01))
     assert all(np.all(u.values == 0.0) for u in traj.u)
-    traj, trace = ff.ac_evolve(op_sig, params, ff.bump_field(op_sig.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.05))
+    traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
+                            ff.bump_field(op_sig.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.05))
     assert np.all(np.diff(trace.E_sigma) <= 1e-9)
     assert trace.step_slack[1:].min() >= -1e-9
 
@@ -281,7 +288,8 @@ def test_ac_stationary_state_is_fixed_point(get_op):
     params = ff.PotentialParams(p=4)
     res = ff.minimize_energy(op, params)
     assert not res.is_trivial
-    traj, _ = ff.ac_evolve(op, params, res.u_star, ff.SolverSettings(tau=1e-3, T=0.1))
+    traj, _ = ff.evolve(ff.Flow(None, op, params.lam), params, res.u_star,
+                        ff.SolverSettings(tau=1e-3, T=0.1))
     assert len(traj.w) == 100
     drift = ff.lp_norm(traj.u[-1] - traj.u[0], 2)
     assert drift <= 1e-8
@@ -290,11 +298,13 @@ def test_ac_stationary_state_is_fixed_point(get_op):
 def test_pm_evolve_zero_and_monotone_dissipation(ops48):
     op_s, _ = ops48
     params = ff.PotentialParams(p=3)
-    traj, trace = ff.pm_evolve(op_s, params, ff.zero_field(op_s.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.01))
+    traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
+                            ff.zero_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.01))
     assert all(np.all(u.values == 0.0) for u in traj.u)
-    traj, trace = ff.pm_evolve(op_s, params, ff.bump_field(op_s.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.05))
+    traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
+                            ff.bump_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.05))
     assert np.all(np.diff(trace.E_sigma) <= 1e-12)
     assert trace.step_slack[1:].min() >= -1e-10
 
@@ -302,8 +312,9 @@ def test_pm_evolve_zero_and_monotone_dissipation(ops48):
 def test_fast_diffusion_branch_runs(ops48):
     op_s, _ = ops48
     params = ff.PotentialParams(p=1.5)
-    traj, trace = ff.pm_evolve(op_s, params, ff.bump_field(op_s.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.02))
+    traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
+                            ff.bump_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.02))
     assert np.all(np.diff(trace.E_sigma) <= 1e-12)
     assert all(np.all(np.isfinite(u.values)) for u in traj.u)
 
@@ -311,12 +322,16 @@ def test_fast_diffusion_branch_runs(ops48):
 def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
     # the porous-medium energy has no concave term: the concave weight in
     # params must not reach the steps, and E_sigma is h sum |u|^p / p with
-    # the exact (unsmoothed) power law
+    # the exact (unsmoothed) power law; a concave weight on the flow itself
+    # is rejected
     op_s, _ = ops48
     u0 = ff.bump_field(op_s.domain)
     settings = ff.SolverSettings(tau=1e-3, T=0.01)
-    t1, tr1 = ff.pm_evolve(op_s, ff.PotentialParams(p=1.5, lam=1.0), u0, settings)
-    t0, tr0 = ff.pm_evolve(op_s, ff.PotentialParams(p=1.5, lam=0.0), u0, settings)
+    flow = ff.Flow(op_s, None, 0.0)
+    t1, tr1 = ff.evolve(flow, ff.PotentialParams(p=1.5, lam=1.0), u0, settings)
+    t0, tr0 = ff.evolve(flow, ff.PotentialParams(p=1.5, lam=0.0), u0, settings)
+    with pytest.raises(ValueError, match="no concave term"):
+        ff.evolve(ff.Flow(op_s, None, 1.0), ff.PotentialParams(p=1.5), u0, settings)
     for a, b in zip(t1.u, t0.u):
         assert np.array_equal(a.values, b.values)
     assert np.array_equal(tr1.E_sigma, tr0.E_sigma)
@@ -452,15 +467,16 @@ def test_identity_gap_linear_case_closed_form(ops48, monkeypatch):
     lam1 = ff.first_eigenpair(op_sig).lambda1
     u0 = ff.bump_field(op_s.domain)
     st = ff.SolverSettings(tau=2e-3, T=0.02)
-    runs = {
-        "cahn-hilliard": (params.lam, ff.ch_evolve(op_s, op_sig, params, u0, st)),
-        "modified": (lam1, ff.ch_evolve_modified(op_s, op_sig, params, lam1, u0, st)),
-        "allen-cahn": (params.lam, ff.ac_evolve(op_sig, params, u0, st)),
+    flows = {
+        "cahn-hilliard": ff.Flow(op_s, op_sig, params.lam),
+        "modified": ff.Flow(op_s, op_sig, lam1),
+        "allen-cahn": ff.Flow(None, op_sig, params.lam),
     }
-    for name, (lam, (traj, trace)) in runs.items():
+    for name, flow in flows.items():
+        traj, trace = ff.evolve(flow, params, u0, st)
         for n in range(1, len(traj.u)):
             du = traj.u[n].values - traj.u[n - 1].values
-            closed = 0.5 * lam * du @ (op_sig.M_c @ du) + 0.5 * du @ (op_sig.A @ du)
+            closed = 0.5 * flow.lam * du @ (op_sig.M_c @ du) + 0.5 * du @ (op_sig.A @ du)
             assert trace.step_slack[n] == pytest.approx(closed, rel=1e-9), name
 
 
@@ -469,7 +485,8 @@ def test_identity_gap_report_requires_decreasing_taus(ops48):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
     traces = [
-        ff.ch_evolve(op_s, op_sig, params, u0, ff.SolverSettings(tau=t, T=0.02))[1]
+        ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0,
+                  ff.SolverSettings(tau=t, T=0.02))[1]
         for t in (2e-3, 1e-3)
     ]
     rep = ff.check_energy_identity_gap(traces, sigma=0.6, s=0.5)
@@ -483,7 +500,8 @@ def test_identity_gap_not_asserted_when_sigma_below_s(ops48):
     params = ff.PotentialParams(p=4)
     u0 = ff.bump_field(op_s.domain)
     traces = [
-        ff.ch_evolve(op_sig, op_s, params, u0, ff.SolverSettings(tau=t, T=0.02))[1]
+        ff.evolve(ff.Flow(op_sig, op_s, params.lam), params, u0,
+                  ff.SolverSettings(tau=t, T=0.02))[1]
         for t in (2e-3, 1e-3)
     ]
     rep = ff.check_energy_identity_gap(traces, sigma=0.5, s=0.6)
@@ -494,16 +512,16 @@ def test_identity_gap_not_asserted_when_sigma_below_s(ops48):
 def test_beta_bound_zero_trajectory(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    traj, _ = ff.ch_evolve(op_s, op_sig, params, ff.zero_field(op_s.domain),
-                           ff.SolverSettings(tau=1e-3, T=0.01))
+    traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                        ff.zero_field(op_s.domain), ff.SolverSettings(tau=1e-3, T=0.01))
     assert ff.beta_bound_check(traj, params) == 0.0
 
 
 def test_beta_bound_along_quartic_run(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    traj, _ = ff.ch_evolve(op_s, op_sig, params, ff.bump_field(op_s.domain),
-                           ff.SolverSettings(tau=1e-3, T=0.05))
+    traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                        ff.bump_field(op_s.domain), ff.SolverSettings(tau=1e-3, T=0.05))
     assert ff.beta_bound_check(traj, params) <= 1e-8
 
 
@@ -511,9 +529,8 @@ def test_beta_bound_modified_run_recorded(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=1.5)
     lam1 = ff.first_eigenpair(op_sig).lambda1
-    traj, _ = ff.ch_evolve_modified(op_s, op_sig, params, lam1,
-                                    ff.bump_field(op_s.domain),
-                                    ff.SolverSettings(tau=1e-3, T=0.02))
+    traj, _ = ff.evolve(ff.Flow(op_s, op_sig, lam1), params, ff.bump_field(op_s.domain),
+                        ff.SolverSettings(tau=1e-3, T=0.02))
     violation = ff.beta_bound_check(traj, params, lambda_coef=lam1)
     assert np.isfinite(violation)
 
@@ -522,8 +539,9 @@ def test_beta_bound_modified_run_recorded(ops48):
 def test_trajectory_csv_shape(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    traj, trace = ff.ch_evolve(op_s, op_sig, params, ff.bump_field(op_s.domain),
-                               ff.SolverSettings(tau=1e-3, T=0.005))
+    traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
+                            ff.bump_field(op_s.domain),
+                            ff.SolverSettings(tau=1e-3, T=0.005))
     lines = trajectory_to_csv(traj).strip().splitlines()
     assert lines[0].startswith("t,u_1,") and lines[0].endswith(",u_48")
     assert len(lines) == 1 + len(traj.u)

@@ -29,8 +29,8 @@ def test_reference_solver_reproduces_itself():
     u0 = ff.bump_field(dom)
     op_s = ff.assemble(dom, 0.5)
     params = ff.PotentialParams(p=3)
-    a, _ = ff.pm_evolve(op_s, params, u0, settings_fast())
-    b, _ = ff.pm_evolve(op_s, params, u0, settings_fast())
+    a, _ = ff.evolve(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
+    b, _ = ff.evolve(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
     assert spacetime_l2_distance(a, b, 1e-3) == 0.0
     assert max_l2_distance(a, b) == 0.0
 
@@ -144,16 +144,3 @@ def test_pm_limit_verdict_stable_under_mesh_doubling():
                                    sigmas, st)
         verdicts.append(rep.monotone)
     assert verdicts[0] == verdicts[1] is True
-
-
-def test_thread_pool_does_not_change_results():
-    dom = ff.make_domain(0, 1, 32)
-    u0 = ff.bump_field(dom)
-    st = ff.SolverSettings(tau=1e-3, T=0.01)
-    params = ff.PotentialParams(p=3)
-    seq = ff.limit_sigma_to_pm(dom, 0.5, params, u0, [0.4, 0.2], st, max_workers=1)
-    par = ff.limit_sigma_to_pm(dom, 0.5, params, u0, [0.4, 0.2], st, max_workers=2)
-    assert seq.distances == par.distances
-    rows1 = ff.lambda1_sweep(dom, [0.5, 0.25], max_workers=1)
-    rows2 = ff.lambda1_sweep(dom, [0.5, 0.25], max_workers=2)
-    assert rows1 == rows2
