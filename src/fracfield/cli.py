@@ -1,9 +1,10 @@
 """Command-line front end: `fracfield <config> [--output DIR]`.
 
 Artifacts are assembled in memory and written only after the run and all
-runtime checks succeed, so a failing run leaves no partial files.  Reruns of
-the same config produce bit-identical CSVs; FRACFIELD_SEED (default 0) fixes
-the RNG used for random starts and random initial data.
+runtime checks succeed, each to a temporary file that os.replace then moves
+into place, so a failing run or a failing write leaves no partial files.
+Reruns of the same config produce bit-identical CSVs; FRACFIELD_SEED
+(default 0) fixes the RNG used for random starts and random initial data.
 
 Exit codes: 0 success; 1 usage or configuration error (bad command line,
 unreadable file, unknown key, value out of range, empty list, or a key the
@@ -16,6 +17,7 @@ of the built-in inequality checks.  Each failure prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -205,15 +207,28 @@ def run(
     else:  # pragma: no cover - validate() rejects unknown experiments
         raise ConfigError(f"unhandled experiment {exp!r}")
 
-    out = Path(output_dir or cfg.output_dir)
     artifacts["manifest.txt"] = _manifest(cfg, seed, config_text)
+    _write_atomic(Path(output_dir or cfg.output_dir), artifacts)
+    return artifacts
+
+
+def _write_atomic(out: Path, artifacts: dict[str, str]) -> None:
+    """Write every artifact to NAME.tmp in out, then os.replace each into
+    place, so no artifact is ever partially written.  On OSError the
+    temporary files are removed and OutputError is raised."""
+    temps = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in sorted(artifacts.items()):
-            (out / name).write_text(text)
+            temps.append(out / f"{name}.tmp")
+            temps[-1].write_text(text)
+        for tmp in temps:
+            os.replace(tmp, tmp.with_suffix(""))
     except OSError as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
         raise OutputError(f"cannot write artifacts: {exc}") from exc
-    return artifacts
 
 
 def _manifest(cfg: RunConfig, seed: int, config_text: str) -> str:

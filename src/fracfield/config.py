@@ -180,8 +180,15 @@ def validate(cfg: RunConfig) -> None:
         raise ValidationError("p", "stationary minimization needs p > 2")
     if exp == "operator-limit" and cfg.initial == "zero":
         raise ValidationError("initial", "operator-limit needs a nonzero field")
-    if cfg.tau is not None and cfg.T is not None and not 0 < cfg.tau <= cfg.T:
-        raise ValidationError("tau", "need 0 < tau <= T")
+    if cfg.tau is not None and cfg.T is not None:
+        if not 0 < cfg.tau <= cfg.T:
+            raise ValidationError("tau", "need 0 < tau <= T")
+        # relative 1e-9 absorbs the rounding of T / tau, as in SolverSettings
+        steps = cfg.T / cfg.tau
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(
+                "T", f"T = {cfg.T:g} is not a whole number of steps tau = {cfg.tau:g}"
+            )
     if cfg.sequence is not None:
         if any(not 0.0 < x < 1.0 for x in cfg.sequence):
             raise ValidationError("sequence", "entries must lie in (0,1)")

@@ -22,12 +22,13 @@ Mass treatment: consistent mass M_c for all linear pairings, lumped mass for
 the nonlinearity, which is what makes the per-step inequality an exact
 consequence of convexity.
 
-The chemical potential w_n is recovered from the flow equation: by the dual
-solve w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in the H^(-s) metric, and as
-w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly, and
-the residual of the potential equation
+evolve marches u alone, then recovers w_n, the residual of the potential
+equation and the energy trace for all levels at once.  w_n comes from the
+flow equation: by the dual solve w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in
+the H^(-s) metric, and as w_n = -(u_n - u_prev)/tau in L2.  The flow
+equation then holds exactly, and the residual of the potential equation
 M_c w_n = A_sigma u_n + h beta(u_n) - lam M_c u_prev equals the Newton
-stopping residual; it is reported per step.
+stopping residual; StepStats records it for every step.
 
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
@@ -45,6 +46,7 @@ built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Sequence
 
@@ -55,7 +57,7 @@ from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
 from .fracop import FracOperator, _mass_rows
-from .grid import Domain1D, DomainMismatchError, Field, lp_norm
+from .grid import Domain1D, DomainMismatchError, Field
 from .potential import PotentialParams
 
 NEWTON_TOL = 1e-10
@@ -76,7 +78,8 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Time step, horizon and Newton tolerance."""
+    """Time step, horizon and Newton tolerance; T must be a whole number of
+    steps (to a relative 1e-9, which absorbs the rounding of T / tau)."""
 
     tau: float
     T: float
@@ -85,6 +88,11 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.tau <= 0 or self.T <= 0 or self.tau > self.T:
             raise ValueError(f"need 0 < tau <= T, got tau={self.tau}, T={self.T}")
+        steps = self.T / self.tau
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"T={self.T} is not a whole number of steps tau={self.tau}"
+            )
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
 
@@ -182,16 +190,20 @@ class EnergyTrace:
     step_slack: np.ndarray
 
     def to_csv(self) -> str:
-        header = "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack"
-        lines = [header]
-        for k in range(len(self.t)):
-            vals = (
-                self.t[k], self.E_sigma[k], self.E_tilde[k],
-                self.gagliardo_s_of_w[k], self.dual_norm_u[k],
-                self.l2_u[k], self.lp_u[k], self.step_slack[k],
-            )
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-        return "\n".join(lines) + "\n"
+        columns = (self.t, self.E_sigma, self.E_tilde, self.gagliardo_s_of_w,
+                   self.dual_norm_u, self.l2_u, self.lp_u, self.step_slack)
+        return _csv(
+            "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack",
+            zip(*(c.tolist() for c in columns)),
+        )
+
+
+def _csv(header: str, rows) -> str:
+    """header, then one line per row (a tuple of floats, one per header
+    field), every value written as f"{v:.17g}" would: one %-format string
+    per row."""
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
 
 
 def energy(op_sigma: FracOperator | None, params: PotentialParams, u: Field) -> float:
@@ -243,7 +255,7 @@ def _newton_minimize(
     u = u0.copy()
     scale = 1.0 / np.sqrt(h)
     g = grad(u)
-    res = float(np.linalg.norm(g)) * scale
+    res = math.sqrt(g @ g) * scale
     for it in range(NEWTON_MAX):
         if res <= tol:
             return u, it, res
@@ -252,13 +264,13 @@ def _newton_minimize(
         except np.linalg.LinAlgError:
             u = u - min(1e-2, res) * g
             g = grad(u)
-            res = float(np.linalg.norm(g)) * scale
+            res = math.sqrt(g @ g) * scale
             continue
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
             gn = grad(un)
-            resn = float(np.linalg.norm(gn)) * scale
+            resn = math.sqrt(gn @ gn) * scale
             if resn <= (1.0 - LS_SUFFICIENT * t) * res or resn <= tol:
                 break
             t *= LS_SHRINK
@@ -302,7 +314,7 @@ def _pcg(
     nonpositive (or NaN) curvature."""
     d = np.zeros_like(g)
     r = -g
-    stop = KRYLOV_TOL * np.linalg.norm(g)
+    stop = KRYLOV_TOL * math.sqrt(g @ g)
     z = dsymv(1.0, inverse, r)
     p = z
     rz = r @ z
@@ -315,7 +327,7 @@ def _pcg(
         d += alpha * p
         r -= alpha * q
         counts[0] += 1
-        if np.linalg.norm(r) <= stop:
+        if math.sqrt(r @ r) <= stop:
             return d
         z = dsymv(1.0, inverse, r)
         rz, rz_prev = r @ z, rz
@@ -325,9 +337,9 @@ def _pcg(
 
 def _stepper(
     flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
-) -> Callable[[Field], tuple[Field, Field, StepStats]]:
-    """The step u_prev -> (u_n, w_n, stats): Newton on F_n, then w_n and the
-    potential-equation residual.
+) -> Callable[[np.ndarray], tuple[np.ndarray, int, float, int, int]]:
+    """The step u_prev -> (u_n, iterations, residual, krylov,
+    factorizations) on nodal vectors: Newton on F_n, nothing else.
 
     The Hessian of F_n is K + h diag(beta'(u)), where K = G/tau + A_sigma
     does not depend on u or on the step; K is built once, in one buffer.
@@ -354,12 +366,7 @@ def _stepper(
     diag = np.diag_indices(dom.M)
     inverse = [None]  # upper triangle of the last factored Hessian's inverse
 
-    def step(u_prev: Field) -> tuple[Field, Field, StepStats]:
-        if u_prev.domain != dom:
-            raise DomainMismatchError("operators and state must share one domain")
-        if not np.all(np.isfinite(u_prev.values)):
-            raise ValueError("previous state contains non-finite values")
-        up = u_prev.values
+    def step(up: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
         explicit = flow.lam * mass_vector(up)
         offset = -explicit if A is None else A @ up - explicit
         counts = [0, 0]  # PCG iterations, factorizations
@@ -383,27 +390,30 @@ def _stepper(
             return d
 
         un, iters, res = _newton_minimize(grad, direction, up, settings.newton_tol, h)
-        if flow.metric is None:
-            wn = -(un - up) / tau
-        else:
-            wn = -flow.metric.solve_vector(mass_vector(un - up)) / tau
-        potential = h * pot.beta_reg(params, un)
-        if A is not None:
-            potential = A @ un + potential
-        td2 = mass_vector(wn) - (potential - explicit)
-        stats = StepStats(
-            iters, res, float(np.linalg.norm(td2) / np.sqrt(h)), counts[0], counts[1]
-        )
-        return Field(dom, un), Field(dom, wn), stats
+        return un, iters, res, counts[0], counts[1]
 
     return step
+
+
+def _rows_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x_k . y_k for every row k, one BLAS dot per row (stacked matmul), so
+    each rounds as x_k @ y_k.  A matrix-matrix product would round
+    differently and move step_slack and the td2 residual, small differences
+    of O(1) terms, by up to 1e-10 of their scale."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _rows_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x_k for every row k, one BLAS gemv per row as in _rows_dot."""
+    return (A @ X[:, :, None])[:, :, 0]
 
 
 def evolve(
     flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
 ) -> tuple[Trajectory, EnergyTrace]:
-    """March the flow over settings.n_steps steps and trace its energies;
-    deterministic.
+    """March the flow over settings.n_steps steps, keeping only the Newton
+    solves in the loop, then recover w, the step statistics and the energy
+    trace from all levels at once; deterministic.
 
     A flow without an interface (porous medium, fast diffusion) has no
     concave term: its lam must be 0 and params.lam is ignored, so E_sigma
@@ -414,41 +424,62 @@ def evolve(
             raise ValueError("a flow without an interface has no concave term, "
                              f"so lam must be 0, got {flow.lam}")
         params = dc_replace(params, lam=0.0)
-    tau = settings.tau
+    dom = flow.domain
+    if u0.domain != dom:
+        raise DomainMismatchError("operators and state must share one domain")
+    if not np.all(np.isfinite(u0.values)):
+        raise ValueError("initial state contains non-finite values")
+    tau, h, n = settings.tau, dom.h, settings.n_steps
     step = _stepper(flow, params, tau, settings)
-    us, ws, stats = [u0], [], []
-    for _ in range(settings.n_steps):
-        un, wn, st = step(us[-1])
-        us.append(un)
-        ws.append(wn)
-        stats.append(st)
-    n = len(ws)
-    traj = Trajectory(times=tau * np.arange(n + 1), u=us, w=ws, stats=stats)
+    rows, newton = [u0.values], []
+    for _ in range(n):
+        un, *st = step(rows[-1])
+        rows.append(un)
+        newton.append(st)
+    # U is stacked after the march: preallocated, it would add to the
+    # march's memory peak (the first Hessian factorization).  K and the
+    # lagged inverse are freed first.
+    del step
+    U = np.array(rows)
+    del rows
 
-    h = flow.domain.h
-    mass_vector = (flow.interface or flow.metric).mass_vector
-    mass_sq = np.array([u.values @ mass_vector(u.values) for u in us])
+    def mass(X):  # M_c on every row
+        return _mass_rows(X.T, h).T
 
-    def convex_part(u: Field) -> float:
-        c = h * np.sum(pot.beta_hat_reg(params, u.values))
-        if flow.interface is not None:
-            c = 0.5 * flow.interface.gagliardo_sq(u) + c
-        return float(c)
-
-    E = np.array([energy(flow.interface, params, u) for u in us])
-    if flow.lam == params.lam:
-        Et = E.copy()
-    else:
-        Et = np.array([energy_modified(flow.interface, params, flow.lam, u) for u in us])
+    # td2 = M_c w_n - (A_sigma u_n + h beta(u_n) - lam M_c u_prev), built in
+    # place, in an order that keeps few (n+1, M) arrays alive at once
+    half_gag = 0.0  # (1/2) u^T A_sigma u of every level, if there is an interface
+    td2 = h * pot.beta_reg(params, U[1:])
+    if flow.interface is not None:
+        AU = _rows_matvec(flow.interface.A, U)
+        half_gag = 0.5 * _rows_dot(U, AU)
+        td2 += AU[1:]
+        del AU
+    MU = mass(U)
+    mass_sq = _rows_dot(U, MU)
+    td2 -= flow.lam * MU[:-1]
     if flow.metric is None:
         du = mass_sq
-        gw = np.array([0.0] + [w.values @ mass_vector(w.values) for w in ws])
+        W = (U[:-1] - U[1:]) / tau
+        gw = _rows_dot(W, mass(W))
     else:
-        du = np.array([flow.metric.dual_norm_sq(u) for u in us])
-        gw = np.array([0.0] + [flow.metric.gagliardo_sq(w) for w in ws])
-    l2 = np.array([lp_norm(u, 2) for u in us])
-    lp = np.array([lp_norm(u, params.p) for u in us])
-    convex = np.array([convex_part(u) for u in us])
+        du = _rows_dot(MU, flow.metric.solve_vector(MU.T).T)
+        del MU
+        W = flow.metric.solve_vector(mass(U[:-1] - U[1:]).T).T / tau
+        gw = _rows_dot(W, _rows_matvec(flow.metric.A, W))
+    np.subtract(mass(W), td2, out=td2)
+    td2 = np.sqrt(_rows_dot(td2, td2)) / np.sqrt(h)
+
+    def energy_rows(lam):  # E_sigma of every level with concave weight lam
+        return half_gag + h * np.sum(pot.W(dc_replace(params, lam=lam), U), axis=1)
+
+    def lp_rows(p):  # grid.lp_norm of every level
+        return (h * np.sum(np.abs(U) ** p, axis=1)) ** (1.0 / p)
+
+    E = energy_rows(params.lam)
+    Et = E.copy() if flow.lam == params.lam else energy_rows(flow.lam)
+    convex = half_gag + h * np.sum(pot.beta_hat_reg(params, U), axis=1)
+    gw = np.concatenate(([0.0], gw))
     slack = np.zeros(n + 1)
     slack[1:] = (
         0.5 * flow.lam * (mass_sq[1:] - mass_sq[:-1])
@@ -456,7 +487,12 @@ def evolve(
         - convex[1:]
         + convex[:-1]
     )
-    return traj, EnergyTrace(tau, traj.times, E, Et, gw, du, l2, lp, slack)
+    t = tau * np.arange(n + 1)
+    trace = EnergyTrace(tau, t, E, Et, gw, du, lp_rows(2), lp_rows(params.p), slack)
+    stats = [StepStats(it, res, r, kr, fa)
+             for (it, res, kr, fa), r in zip(newton, td2.tolist())]
+    u = [u0] + [Field(dom, v) for v in U[1:]]
+    return Trajectory(t, u, [Field(dom, v) for v in W], stats), trace
 
 
 @dataclass(frozen=True)
@@ -521,10 +557,6 @@ def beta_bound_check(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """One row per time level: t, then the nodal values of u."""
-    M = traj.domain.M
-    header = "t," + ",".join(f"u_{i}" for i in range(1, M + 1))
-    lines = [header]
-    for k, t in enumerate(traj.times):
-        vals = ",".join(f"{v:.17g}" for v in traj.u[k].values)
-        lines.append(f"{t:.17g},{vals}")
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"u_{i}" for i in range(1, traj.domain.M + 1))
+    rows = ((t, *u.values.tolist()) for t, u in zip(traj.times.tolist(), traj.u))
+    return _csv(header, rows)

@@ -228,9 +228,10 @@ class FracOperator:
         return self._chol[0]
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a raw coefficient vector; ValueError on a
-        non-finite rhs.  The factor is checked finite when it is computed and
-        immutable afterwards, so only the rhs is scanned."""
+        """Solve A x = rhs for a raw coefficient vector, or for every column
+        of a matrix rhs; ValueError on a non-finite rhs.  The factor is
+        checked finite when it is computed and immutable afterwards, so only
+        the rhs is scanned."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side contains infs or NaNs")
         return cho_solve((self._factor(), True), rhs, check_finite=False)

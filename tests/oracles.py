@@ -30,6 +30,10 @@ with dense M_c products and a freshly computed residual, its deflated
 second-eigenvalue variant, and the Newton step that assembles the Hessian
 from full-matrix sums and solves it with scipy.linalg.solve.
 
+The per-level trace is evolve's earlier recovery: w_n, the potential-equation
+residual and the energy trace computed one level at a time, against which the
+stacked recovery of the library is checked.
+
 The proof devices of the existence theory live here too, since the library
 never computes them: the Yosida approximation and the truncation of beta, and
 the discrete a-priori monitors along a Cahn-Hilliard trajectory.
@@ -39,11 +43,13 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+from dataclasses import replace
 from math import cos, gamma, log, pi
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.special import roots_legendre
 
 from fracfield import potential as pot
+from fracfield.dynamics import energy, energy_modified
 from fracfield.fracop import OutOfRangeError, kernel_constant
 from fracfield.grid import Domain1D, Field, lp_norm
 
@@ -456,6 +462,68 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
     else:
         w = -cho_solve(cho_factor(flow.metric.A, lower=True), Mc @ (u - up)) / tau
     return u, w, it, res
+
+
+def energy_trace_per_level(flow, params, traj, tau: float):
+    """The recovery evolve made one level at a time before it stacked the
+    levels: w_n and the potential-equation residual of every step from
+    (u_{n-1}, u_n), then the energy trace through the single-state library
+    functions (energy, energy_modified, gagliardo_sq, dual_norm_sq,
+    lp_norm).  Returns (W, td2_residual, columns): W with one row per step
+    and columns the EnergyTrace arrays E_sigma, E_tilde, gagliardo_s_of_w,
+    dual_norm_u, l2_u, lp_u and step_slack."""
+    if flow.interface is None:
+        params = replace(params, lam=0.0)
+    h = traj.domain.h
+    mass_vector = (flow.interface or flow.metric).mass_vector
+    A = None if flow.interface is None else flow.interface.A
+    us = traj.u
+    ws, td2s = [], []
+    for u_prev, u_n in zip(us, us[1:]):
+        up, un = u_prev.values, u_n.values
+        explicit = flow.lam * mass_vector(up)
+        if flow.metric is None:
+            wn = -(un - up) / tau
+        else:
+            wn = -flow.metric.solve_vector(mass_vector(un - up)) / tau
+        potential = h * pot.beta_reg(params, un)
+        if A is not None:
+            potential = A @ un + potential
+        td2 = mass_vector(wn) - (potential - explicit)
+        ws.append(Field(traj.domain, wn))
+        td2s.append(float(np.linalg.norm(td2) / np.sqrt(h)))
+    n = len(ws)
+    mass_sq = np.array([u.values @ mass_vector(u.values) for u in us])
+
+    def convex_part(u: Field) -> float:
+        c = h * np.sum(pot.beta_hat_reg(params, u.values))
+        if flow.interface is not None:
+            c = 0.5 * flow.interface.gagliardo_sq(u) + c
+        return float(c)
+
+    E = np.array([energy(flow.interface, params, u) for u in us])
+    if flow.lam == params.lam:
+        Et = E.copy()
+    else:
+        Et = np.array([energy_modified(flow.interface, params, flow.lam, u) for u in us])
+    if flow.metric is None:
+        du = mass_sq
+        gw = np.array([0.0] + [w.values @ mass_vector(w.values) for w in ws])
+    else:
+        du = np.array([flow.metric.dual_norm_sq(u) for u in us])
+        gw = np.array([0.0] + [flow.metric.gagliardo_sq(w) for w in ws])
+    l2 = np.array([lp_norm(u, 2) for u in us])
+    lp = np.array([lp_norm(u, params.p) for u in us])
+    convex = np.array([convex_part(u) for u in us])
+    slack = np.zeros(n + 1)
+    slack[1:] = (
+        0.5 * flow.lam * (mass_sq[1:] - mass_sq[:-1])
+        - tau * gw[1:]
+        - convex[1:]
+        + convex[:-1]
+    )
+    W = np.array([w.values for w in ws])
+    return W, np.array(td2s), [E, Et, gw, du, l2, lp, slack]
 
 
 def a_priori_monitors(traj, op_s, op_sigma, params, tau: float) -> dict:

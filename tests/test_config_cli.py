@@ -374,3 +374,49 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_horizon_not_a_whole_number_of_steps_exits_1_naming_T(tmp_path, capsys):
+    text = MINIMAL_CH.replace("tau = 1e-3\nT = 0.005\n", "tau = 0.3\nT = 0.5\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "T"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: T: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    for tau, T in (("1e-3", "0.5"), ("1e-3", "0.03"), ("0.1", "0.3")):
+        parse_config(MINIMAL_CH.replace("tau = 1e-3\nT = 0.005\n", f"tau = {tau}\nT = {T}\n"))
+
+
+def test_failed_write_leaves_no_temporary_or_truncated_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CH)
+    out = tmp_path / "out"
+    assert cli.main([str(cfg), "--output", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["energy.csv", "manifest.txt", "trajectory.csv"]
+
+    # a rerun at another horizon whose third write stops halfway, as on a
+    # full disk
+    cfg.write_text(MINIMAL_CH.replace("T = 0.005", "T = 0.006"))
+    write_text = Path.write_text
+    calls = []
+
+    def failing_third_write(self, data, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 3:
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_third_write)
+    assert cli.main([str(cfg), "--output", str(out)]) == 1
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifacts: ") and err.count("\n") == 1, err
+    assert len(calls) == 3 and all(name.endswith(".tmp") for name in calls)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -7,7 +7,6 @@ from fracfield.dynamics import (
     NewtonDivergenceError,
     _cholesky_direction,
     _newton_minimize,
-    _stepper,
     trajectory_to_csv,
 )
 from fracfield import potential
@@ -16,6 +15,7 @@ from fracfield.grid import DomainMismatchError
 from oracles import (
     a_priori_monitors,
     ch_step_functional_value,
+    energy_trace_per_level,
     newton_step_dense,
     stiffness_closed_form,
 )
@@ -78,9 +78,10 @@ def test_modified_energy_coercivity_on_random_fields(ops48, rng):
 
 # ------------------------------------------------------------------ CH step
 def _ch_step(op_s, op_sig, params, u_prev, tau):
-    """One Cahn-Hilliard step u_prev -> (u_n, w_n, stats)."""
+    """One Cahn-Hilliard step u_prev -> (u_n, w_n, stats), as a one-step run."""
     flow = ff.Flow(op_s, op_sig, params.lam)
-    return _stepper(flow, params, tau, ff.SolverSettings(tau=tau, T=tau))(u_prev)
+    traj, _ = ff.evolve(flow, params, u_prev, ff.SolverSettings(tau=tau, T=tau))
+    return traj.u[1], traj.w[0], traj.stats[0]
 
 
 def test_ch_step_zero_fixed_point(ops48):
@@ -355,40 +356,71 @@ def test_flow_needs_an_operator_on_one_domain(ops48):
 
 
 def _check_against_oracle(flow, params, settings, u):
-    """Step from u n_steps times; at every step compare with the oracle
+    """Run n_steps steps from u; at every step compare with the oracle
     started from the same u_prev, and return the steps' StepStats.  The
     stepper's directions come from PCG with a lagged inverse, the oracle's
     from scipy.linalg.solve on the full Hessian, so the two agree to
     rounding, not bit for bit."""
-    step = _stepper(flow, params, settings.tau, settings)
-    all_stats = []
-    for _ in range(settings.n_steps):
-        un, wn, stats = step(u)
-        all_stats.append(stats)
-        u_ref, w_ref, iters, res = newton_step_dense(flow, params, settings.tau, settings, u)
+    traj, _ = ff.evolve(flow, params, u, settings)
+    assert len(traj.stats) == settings.n_steps
+    for k, stats in enumerate(traj.stats):
+        un, wn = traj.u[k + 1], traj.w[k]
+        u_ref, w_ref, iters, res = newton_step_dense(
+            flow, params, settings.tau, settings, traj.u[k]
+        )
         assert np.max(np.abs(un.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
         assert np.max(np.abs(wn.values - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
         assert stats.iterations == iters
         assert stats.residual <= settings.newton_tol
-        u = un
-    return all_stats
+    return traj.stats
 
 
-@pytest.mark.parametrize("kind", ["cahn-hilliard", "modified", "allen-cahn", "porous-medium"])
+FLOWS = ["cahn-hilliard", "modified", "allen-cahn", "porous-medium"]
+
+
+def _flow(get_op, M, kind):
+    """(flow, params) of one of the four flows on (0, 1) with s = 0.5 and
+    sigma = 0.75."""
+    op_s, op_sigma = get_op(0.0, 1.0, M, 0.5), get_op(0.0, 1.0, M, 0.75)
+    if kind == "porous-medium":
+        return ff.Flow(op_s, None, 0.0), ff.PotentialParams(p=3, lam=0.0)
+    params = ff.PotentialParams(p=4)
+    flow = {
+        "cahn-hilliard": ff.Flow(op_s, op_sigma, params.lam),
+        "modified": ff.Flow(op_s, op_sigma, ff.first_eigenpair(op_sigma).lambda1),
+        "allen-cahn": ff.Flow(None, op_sigma, params.lam),
+    }[kind]
+    return flow, params
+
+
+@pytest.mark.parametrize("kind", FLOWS)
 def test_stepper_matches_dense_newton_oracle(get_op, kind):
     for M in (64, 512):
-        op_s, op_sigma = get_op(0.0, 1.0, M, 0.5), get_op(0.0, 1.0, M, 0.75)
-        params = ff.PotentialParams(p=4)
-        flow = {
-            "cahn-hilliard": ff.Flow(op_s, op_sigma, params.lam),
-            "modified": ff.Flow(op_s, op_sigma, ff.first_eigenpair(op_sigma).lambda1),
-            "allen-cahn": ff.Flow(None, op_sigma, params.lam),
-            "porous-medium": ff.Flow(op_s, None, 0.0),
-        }[kind]
-        if kind == "porous-medium":
-            params = ff.PotentialParams(p=3, lam=0.0)
+        flow, params = _flow(get_op, M, kind)
         settings = ff.SolverSettings(tau=1e-3, T=5e-3)
-        _check_against_oracle(flow, params, settings, ff.bump_field(op_s.domain))
+        _check_against_oracle(flow, params, settings, ff.bump_field(flow.domain))
+
+
+@pytest.mark.parametrize("kind", FLOWS)
+def test_stacked_recovery_matches_the_per_level_oracle(get_op, kind):
+    # every EnergyTrace column, w and the potential-equation residual, each
+    # to 1e-13 of its largest magnitude; step_slack and td2 are small
+    # differences of O(1) terms, so this needs the per-level rounding
+    for M in (64, 512):
+        flow, params = _flow(get_op, M, kind)
+        settings = ff.SolverSettings(tau=1e-3, T=1e-2)
+        traj, trace = ff.evolve(flow, params, ff.bump_field(flow.domain), settings)
+        W, td2, columns = energy_trace_per_level(flow, params, traj, settings.tau)
+        got = [trace.E_sigma, trace.E_tilde, trace.gagliardo_s_of_w, trace.dual_norm_u,
+               trace.l2_u, trace.lp_u, trace.step_slack,
+               np.array([w.values for w in traj.w]),
+               np.array([st.td2_residual for st in traj.stats])]
+        for name, ref, val in zip(
+            ["E_sigma", "E_tilde", "gagliardo_s_of_w", "dual_norm_u", "l2_u", "lp_u",
+             "step_slack", "w", "td2_residual"], columns + [W, td2], got,
+        ):
+            assert val.shape == ref.shape, name
+            assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref)), (M, name)
 
 
 def test_ch_run_factors_its_hessian_once():
@@ -429,6 +461,43 @@ def test_evolve_builds_no_dense_mass_or_dual_kernel():
             if op is not None:
                 assert "M_c" not in vars(op)
                 assert op._dual_kernel_cache == [None]
+
+
+def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
+    # the dual solves of the recovery take all steps at once, so only the
+    # stepper's refactorizations add cho_solve calls as the run gets longer
+    from fracfield import fracop
+
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fracop.FracOperator, "solve_vector",
+                        counted(fracop.FracOperator.solve_vector))
+    monkeypatch.setattr(fracop, "cho_solve", counted(fracop.cho_solve))
+    monkeypatch.setattr(dynamics, "cho_solve", counted(dynamics.cho_solve))
+    dom = ff.make_domain(0, 1, 32)
+    tau = 1e-3
+    for s, sigma, lam, params in [
+        (0.5, 0.75, 1.0, ff.PotentialParams(p=4)),
+        (None, 0.75, 1.0, ff.PotentialParams(p=4)),
+        (0.5, None, 0.0, ff.PotentialParams(p=3, lam=0.0)),
+    ]:
+        counts = []
+        for steps in (5, 50):
+            # fresh operators, so every run pays for its own factor of A_s
+            op_s = None if s is None else ff.assemble(dom, s)
+            op_sigma = None if sigma is None else ff.assemble(dom, sigma)
+            calls[0] = 0
+            traj, _ = ff.evolve(ff.Flow(op_s, op_sigma, lam), params, ff.bump_field(dom),
+                                ff.SolverSettings(tau=tau, T=steps * tau))
+            assert len(traj.stats) == steps
+            counts.append(calls[0] - sum(st.factorizations for st in traj.stats))
+        assert counts[0] == counts[1], (s, sigma, counts)
 
 
 def test_evolve_leaves_operator_arrays_untouched():
@@ -549,3 +618,39 @@ def test_trajectory_csv_shape(ops48):
     assert float(vals[2]) == traj.u[2].values[1]
     tlines = trace.to_csv().strip().splitlines()
     assert tlines[0] == "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack"
+
+
+def test_csv_rows_match_per_value_formatting():
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e308, -1e308,
+               np.inf, -np.inf, np.nan]
+    vals = np.concatenate((
+        rng.standard_normal(79) * 10.0 ** rng.integers(-300, 300, 79), special
+    ))
+    rng.shuffle(vals)
+    table = vals.reshape(11, 8)  # t and 7 nodal values per row
+    dom = ff.make_domain(0, 1, 7)
+
+    def expected(header, rows):
+        return "\n".join([header] + [",".join(f"{v:.17g}" for v in r) for r in rows]) + "\n"
+
+    traj = dynamics.Trajectory(times=table[:, 0], u=[ff.Field(dom, r) for r in table[:, 1:]],
+                               w=[], stats=[])
+    assert trajectory_to_csv(traj) == expected(
+        "t," + ",".join(f"u_{i}" for i in range(1, 8)), table
+    )
+    cols = vals.reshape(8, 11)
+    trace = dynamics.EnergyTrace(1e-3, *cols)
+    assert trace.to_csv() == expected(
+        "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack", cols.T
+    )
+
+
+def test_horizon_must_be_a_whole_number_of_steps():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        ff.SolverSettings(tau=0.3, T=0.5)
+    # T / tau rounds to just off an integer here; the relative 1e-9 absorbs it
+    assert 0.3 / 0.1 != 3 and ff.SolverSettings(tau=0.1, T=0.3).n_steps == 3
+    assert ff.SolverSettings(tau=1e-3, T=0.5).n_steps == 500
+    assert ff.SolverSettings(tau=1e-3, T=0.03).n_steps == 30
+    assert ff.SolverSettings(tau=0.25, T=0.25).n_steps == 1
