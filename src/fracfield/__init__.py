@@ -10,8 +10,8 @@ Core layers:
   column, elliptic solves, dual norms;
 - spectral: first eigenpair, interpolation constant, eigenvalue bounds;
 - dynamics: one energy-stable convex-splitting step for all four flows
-  (Cahn-Hilliard, modified, Allen-Cahn, porous medium) with per-step
-  inequality monitors;
+  (Cahn-Hilliard, modified, Allen-Cahn, porous medium): march, then
+  recover w and the energy trace with its per-step inequality monitors;
 - stationary: free-energy minimization and existence criteria;
 - limits: quantitative singular-limit experiments;
 - cli: the `fracfield` command.
@@ -38,8 +38,9 @@ from .dynamics import (
     beta_bound_check,
     check_energy_identity_gap,
     energy,
-    energy_modified,
     evolve,
+    march,
+    recover,
 )
 from .stationary import (
     StationaryResult,
@@ -63,8 +64,8 @@ __all__ = [
     "KernelConstant", "FracOperator", "kernel_constant", "assemble",
     "EigenPair", "EigenBounds", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
-    "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "evolve", "energy",
-    "energy_modified", "check_energy_identity_gap", "beta_bound_check",
+    "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "march", "recover",
+    "evolve", "energy", "check_energy_identity_gap", "beta_bound_check",
     "StationaryResult", "minimize_energy", "nontriviality_predicate",
     "smallness_bound", "stationary_sigma_sweep",
     "LimitReport", "limit_sigma_to_pm", "limit_sigma_to_fd", "limit_s_to_ac",

@@ -4,6 +4,7 @@ comma-separated."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 # keys every experiment reads
@@ -124,6 +125,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate(cfg: RunConfig) -> None:
+    # non-finite sequence entries fail the (0,1) range check below
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        if f.name in _FLOAT_KEYS and val is not None and not math.isfinite(val):
+            raise ValidationError(f.name, f"must be finite, got {val}")
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(
             "experiment", f"must be one of {', '.join(EXPERIMENTS)}"
@@ -185,6 +191,8 @@ def validate(cfg: RunConfig) -> None:
             raise ValidationError("tau", "need 0 < tau <= T")
         # relative 1e-9 absorbs the rounding of T / tau, as in SolverSettings
         steps = cfg.T / cfg.tau
+        if not math.isfinite(steps):
+            raise ValidationError("tau", f"T / tau = {steps} is not a finite step count")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationError(
                 "T", f"T = {cfg.T:g} is not a whole number of steps tau = {cfg.tau:g}"

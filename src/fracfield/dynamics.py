@@ -22,11 +22,13 @@ Mass treatment: consistent mass M_c for all linear pairings, lumped mass for
 the nonlinearity, which is what makes the per-step inequality an exact
 consequence of convexity.
 
-evolve marches u alone, then recovers w_n, the residual of the potential
-equation and the energy trace for all levels at once.  w_n comes from the
-flow equation: by the dual solve w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in
-the H^(-s) metric, and as w_n = -(u_n - u_prev)/tau in L2.  The flow
-equation then holds exactly, and the residual of the potential equation
+evolve is march, the Newton solves alone with u_0..u_n as rows of one
+array (all the singular-limit drivers need), then recover: w_n, the
+residual of the potential equation and the energy trace for all levels at
+once.  w_n comes from the flow equation: by the dual solve
+w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in the H^(-s) metric, and as
+w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly,
+and the residual of the potential equation
 M_c w_n = A_sigma u_n + h beta(u_n) - lam M_c u_prev equals the Newton
 stopping residual; StepStats records it for every step.
 
@@ -86,8 +88,9 @@ class SolverSettings:
     newton_tol: float = NEWTON_TOL
 
     def __post_init__(self) -> None:
-        if self.tau <= 0 or self.T <= 0 or self.tau > self.T:
-            raise ValueError(f"need 0 < tau <= T, got tau={self.tau}, T={self.T}")
+        if not (0 < self.tau <= self.T and self.T / self.tau < math.inf):
+            raise ValueError(f"need 0 < tau <= T with T / tau finite, "
+                             f"got tau={self.tau}, T={self.T}")
         steps = self.T / self.tau
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
@@ -116,16 +119,14 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series (u_n, w_n); u has n_steps+1 entries, w starts at step 1."""
+    """Time series (u_n, w_n) as arrays: row n of U, shape (n_steps+1, M),
+    holds u_n; row n-1 of W, shape (n_steps, M), holds w_n."""
 
     times: np.ndarray
-    u: list[Field]
-    w: list[Field]
+    U: np.ndarray
+    W: np.ndarray
     stats: list[StepStats]
-
-    @property
-    def domain(self) -> Domain1D:
-        return self.u[0].domain
+    domain: Domain1D
 
 
 @dataclass(frozen=True)
@@ -213,16 +214,6 @@ def energy(op_sigma: FracOperator | None, params: PotentialParams, u: Field) -> 
     if op_sigma is not None:
         e = 0.5 * op_sigma.gagliardo_sq(u) + e
     return float(e)
-
-
-def energy_modified(
-    op_sigma: FracOperator,
-    params: PotentialParams,
-    lambda1_sigma: float,
-    u: Field,
-) -> float:
-    """Modified energy with the concave quadratic weighted by lambda1(sigma)."""
-    return energy(op_sigma, dc_replace(params, lam=lambda1_sigma), u)
 
 
 def _newton_minimize(
@@ -408,31 +399,24 @@ def _rows_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (A @ X[:, :, None])[:, :, 0]
 
 
-def evolve(
+def march(
     flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
-) -> tuple[Trajectory, EnergyTrace]:
-    """March the flow over settings.n_steps steps, keeping only the Newton
-    solves in the loop, then recover w, the step statistics and the energy
-    trace from all levels at once; deterministic.
-
-    A flow without an interface (porous medium, fast diffusion) has no
-    concave term: its lam must be 0 and params.lam is ignored, so E_sigma
-    is the Lyapunov functional h sum beta_hat(u_i) and dissipation is exact.
-    """
-    if flow.interface is None:
-        if flow.lam != 0.0:
-            raise ValueError("a flow without an interface has no concave term, "
-                             f"so lam must be 0, got {flow.lam}")
-        params = dc_replace(params, lam=0.0)
-    dom = flow.domain
-    if u0.domain != dom:
+) -> tuple[np.ndarray, list[list]]:
+    """March the flow over settings.n_steps steps, Newton solves only;
+    deterministic.  Returns U, shape (n_steps+1, M), with u_n in row n, and
+    per step its [iterations, residual, krylov, factorizations].  A flow
+    without an interface (porous medium, fast diffusion) has no concave
+    term, so its lam must be 0."""
+    if flow.interface is None and flow.lam != 0.0:
+        raise ValueError("a flow without an interface has no concave term, "
+                         f"so lam must be 0, got {flow.lam}")
+    if u0.domain != flow.domain:
         raise DomainMismatchError("operators and state must share one domain")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial state contains non-finite values")
-    tau, h, n = settings.tau, dom.h, settings.n_steps
-    step = _stepper(flow, params, tau, settings)
+    step = _stepper(flow, params, settings.tau, settings)
     rows, newton = [u0.values], []
-    for _ in range(n):
+    for _ in range(settings.n_steps):
         un, *st = step(rows[-1])
         rows.append(un)
         newton.append(st)
@@ -440,8 +424,19 @@ def evolve(
     # march's memory peak (the first Hessian factorization).  K and the
     # lagged inverse are freed first.
     del step
-    U = np.array(rows)
-    del rows
+    return np.array(rows), newton
+
+
+def recover(
+    flow: Flow, params: PotentialParams, U: np.ndarray, newton: list[list], tau: float
+) -> tuple[Trajectory, EnergyTrace]:
+    """w, the step statistics and the energy trace of a march (U, newton)
+    with time step tau, from all levels at once.  Without an interface
+    params.lam is ignored, so E_sigma is the Lyapunov functional
+    h sum beta_hat(u_i) and dissipation is exact."""
+    if flow.interface is None:
+        params = dc_replace(params, lam=0.0)
+    h, n = flow.domain.h, len(U) - 1
 
     def mass(X):  # M_c on every row
         return _mass_rows(X.T, h).T
@@ -491,8 +486,14 @@ def evolve(
     trace = EnergyTrace(tau, t, E, Et, gw, du, lp_rows(2), lp_rows(params.p), slack)
     stats = [StepStats(it, res, r, kr, fa)
              for (it, res, kr, fa), r in zip(newton, td2.tolist())]
-    u = [u0] + [Field(dom, v) for v in U[1:]]
-    return Trajectory(t, u, [Field(dom, v) for v in W], stats), trace
+    return Trajectory(t, U, W, stats, flow.domain), trace
+
+
+def evolve(
+    flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
+) -> tuple[Trajectory, EnergyTrace]:
+    """march, then recover; deterministic."""
+    return recover(flow, params, *march(flow, params, u0, settings), settings.tau)
 
 
 @dataclass(frozen=True)
@@ -543,20 +544,15 @@ def beta_bound_check(
     """Max positive violation of ||beta(u)||^2 <= 2(||w||^2 + lam^2 ||u||^2)
     along the trajectory, in lumped L2 norms (0 means the bound holds)."""
     h = traj.domain.h
-    worst = 0.0
-    for k in range(1, len(traj.u)):
-        u = traj.u[k].values
-        w = traj.w[k - 1].values
-        lhs = h * float(np.sum(pot.beta(params, u) ** 2))
-        rhs = 2.0 * (
-            h * float(np.sum(w**2)) + lambda_coef**2 * h * float(np.sum(u**2))
-        )
-        worst = max(worst, lhs - rhs)
-    return worst
+    U = traj.U[1:]
+    lhs = h * np.sum(pot.beta(params, U) ** 2, axis=1)
+    rhs = 2.0 * (h * np.sum(traj.W**2, axis=1) + lambda_coef**2 * h * np.sum(U**2, axis=1))
+    return max(0.0, float(np.max(lhs - rhs)))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """One row per time level: t, then the nodal values of u."""
     header = "t," + ",".join(f"u_{i}" for i in range(1, traj.domain.M + 1))
-    rows = ((t, *u.values.tolist()) for t, u in zip(traj.times.tolist(), traj.u))
+    # row by row: the whole table as Python floats would raise peak memory
+    rows = ((t, *u) for t, u in zip(traj.times.tolist(), map(np.ndarray.tolist, traj.U)))
     return _csv(header, rows)

@@ -1,11 +1,12 @@
 """Singular-limit experiments: sigma -> 0 (Cahn-Hilliard to porous medium /
 fast diffusion) and s -> 0 (Cahn-Hilliard to Allen-Cahn).
 
-Each experiment reruns the Cahn-Hilliard solver along a decreasing sequence
-of fractional orders against a fixed reference trajectory and reports
-trajectory distances: space-time L2 for the sigma-limits, max-in-time L2 for
-the s-limit.  All runs in a report share grid, time step, horizon and
-initial datum so that only the operator order varies.
+Each experiment marches the Cahn-Hilliard flow along a decreasing sequence
+of fractional orders against a fixed reference flow and reports distances
+between the levels u_n: space-time L2 for the sigma-limits, max-in-time L2
+for the s-limit.  They need u alone, so no run recovers w or an energy
+trace.  All runs in a report share grid, time step, horizon and initial
+datum so that only the operator order varies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Flow, SolverSettings, Trajectory, evolve
+from .dynamics import Flow, SolverSettings, _csv, march
 from .fracop import assemble
 from .grid import Domain1D, Field, lp_norm
 from .potential import PotentialParams
@@ -43,14 +44,10 @@ class LimitReport:
             raise ValueError("distances must be nonnegative")
 
     def to_csv(self) -> str:
-        cols = "param,distance" + (",lambda1" if self.lambda1s else "")
-        lines = [cols]
-        for k, (p, d) in enumerate(zip(self.parameter_sequence, self.distances)):
-            row = f"{p:.17g},{d:.17g}"
-            if self.lambda1s:
-                row += f",{self.lambda1s[k]:.17g}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        columns = [self.parameter_sequence, self.distances]
+        if self.lambda1s:
+            columns.append(self.lambda1s)
+        return _csv("param,distance" + (",lambda1" if self.lambda1s else ""), zip(*columns))
 
 
 def _report(seq, dists, reference, lambda1s=None) -> LimitReport:
@@ -66,18 +63,32 @@ def _report(seq, dists, reference, lambda1s=None) -> LimitReport:
     )
 
 
-def spacetime_l2_distance(a: Trajectory, b: Trajectory, tau: float) -> float:
-    """(sum_n tau sum_i h (a_n,i - b_n,i)^2)^(1/2) over steps n >= 1."""
-    h = a.domain.h
-    acc = 0.0
-    for ua, ub in zip(a.u[1:], b.u[1:]):
-        acc += tau * h * float(np.sum((ua.values - ub.values) ** 2))
-    return float(np.sqrt(acc))
+def spacetime_l2_distance(a: np.ndarray, b: np.ndarray, tau: float, h: float) -> float:
+    """(sum_n tau sum_i h (a_n,i - b_n,i)^2)^(1/2) over the levels n >= 1 of
+    two marches (rows of a and b); the levels are summed in order."""
+    levels = tau * h * np.sum((a[1:] - b[1:]) ** 2, axis=1)
+    return float(np.sqrt(np.cumsum(levels)[-1]))
 
 
-def max_l2_distance(a: Trajectory, b: Trajectory) -> float:
-    """max_n ||a_n - b_n||_L2 including the initial level."""
-    return max(lp_norm(ua - ub, 2) for ua, ub in zip(a.u, b.u))
+def max_l2_distance(a: np.ndarray, b: np.ndarray, h: float) -> float:
+    """max_n ||a_n - b_n||_L2 (lumped) over all levels of two marches."""
+    return float((h * np.max(np.sum((a - b) ** 2, axis=1))) ** 0.5)
+
+
+def _sigma_limit(domain, s, params, u0, sigmas, settings, concave):
+    """Space-time L2 distances of the Cahn-Hilliard marches along sigmas to
+    the porous-medium march, and their concave weights concave(A_sigma)."""
+    op_s = assemble(domain, s)
+    ref, _ = march(Flow(op_s, None, 0.0), params, u0, settings)
+    lams = []
+
+    def one(sigma: float) -> float:  # frees its operator and march before the next
+        op_sigma = assemble(domain, sigma)
+        lams.append(concave(op_sigma))
+        U, _ = march(Flow(op_s, op_sigma, lams[-1]), params, u0, settings)
+        return spacetime_l2_distance(U, ref, settings.tau, domain.h)
+
+    return [one(sigma) for sigma in sigmas], lams
 
 
 def limit_sigma_to_pm(
@@ -92,15 +103,8 @@ def limit_sigma_to_pm(
     porous-medium flow as sigma decreases to 0."""
     if params.p <= 2:
         raise ValueError(f"porous-medium limit needs p > 2, got {params.p}")
-    op_s = assemble(domain, s)
-    ref, _ = evolve(Flow(op_s, None, 0.0), params, u0, settings)
-
-    def one(sigma: float) -> float:
-        op_sigma = assemble(domain, sigma)
-        traj, _ = evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
-        return spacetime_l2_distance(traj, ref, settings.tau)
-
-    return _report(sigmas, [one(sigma) for sigma in sigmas], "porous-medium")
+    dists, _ = _sigma_limit(domain, s, params, u0, sigmas, settings, lambda op: params.lam)
+    return _report(sigmas, dists, "porous-medium")
 
 
 def limit_sigma_to_fd(
@@ -122,18 +126,8 @@ def limit_sigma_to_fd(
         raise CompatibilityError(
             f"need 2N/(N+2s) = {two_star:.6g} < p < 2, got p={params.p}"
         )
-    op_s = assemble(domain, s)
-    ref, _ = evolve(Flow(op_s, None, 0.0), params, u0, settings)
-
-    def one(sigma: float) -> tuple[float, float]:
-        op_sigma = assemble(domain, sigma)
-        lam1 = float(first_eigenpair(op_sigma, eig_tol).lambda1)
-        traj, _ = evolve(Flow(op_s, op_sigma, lam1), params, u0, settings)
-        return spacetime_l2_distance(traj, ref, settings.tau), lam1
-
-    pairs = [one(sigma) for sigma in sigmas]
-    dists = [d for d, _ in pairs]
-    lambda1s = [lam for _, lam in pairs]
+    dists, lambda1s = _sigma_limit(domain, s, params, u0, sigmas, settings,
+                                   lambda op: float(first_eigenpair(op, eig_tol).lambda1))
     return _report(sigmas, dists, "fast-diffusion", lambda1s)
 
 
@@ -148,12 +142,12 @@ def limit_s_to_ac(
     """s -> 0 at fixed sigma: trajectories approach the Allen-Cahn flow in
     the max-in-time L2 metric."""
     op_sigma = assemble(domain, sigma)
-    ref, _ = evolve(Flow(None, op_sigma, params.lam), params, u0, settings)
+    ref, _ = march(Flow(None, op_sigma, params.lam), params, u0, settings)
 
     def one(s: float) -> float:
         op_s = assemble(domain, s)
-        traj, _ = evolve(Flow(op_s, op_sigma, params.lam), params, u0, settings)
-        return max_l2_distance(traj, ref)
+        U, _ = march(Flow(op_s, op_sigma, params.lam), params, u0, settings)
+        return max_l2_distance(U, ref, domain.h)
 
     return _report(ss, [one(s) for s in ss], "allen-cahn")
 

@@ -32,7 +32,9 @@ from full-matrix sums and solves it with scipy.linalg.solve.
 
 The per-level trace is evolve's earlier recovery: w_n, the potential-equation
 residual and the energy trace computed one level at a time, against which the
-stacked recovery of the library is checked.
+stacked recovery of the library is checked.  The per-level trajectory
+distances and pointwise bound are the earlier loops over the levels, against
+which their array expressions are checked bit for bit.
 
 The proof devices of the existence theory live here too, since the library
 never computes them: the Yosida approximation and the truncation of beta, and
@@ -49,7 +51,7 @@ from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.special import roots_legendre
 
 from fracfield import potential as pot
-from fracfield.dynamics import energy, energy_modified
+from fracfield.dynamics import energy
 from fracfield.fracop import OutOfRangeError, kernel_constant
 from fracfield.grid import Domain1D, Field, lp_norm
 
@@ -468,16 +470,17 @@ def energy_trace_per_level(flow, params, traj, tau: float):
     """The recovery evolve made one level at a time before it stacked the
     levels: w_n and the potential-equation residual of every step from
     (u_{n-1}, u_n), then the energy trace through the single-state library
-    functions (energy, energy_modified, gagliardo_sq, dual_norm_sq,
-    lp_norm).  Returns (W, td2_residual, columns): W with one row per step
-    and columns the EnergyTrace arrays E_sigma, E_tilde, gagliardo_s_of_w,
-    dual_norm_u, l2_u, lp_u and step_slack."""
+    functions (energy, gagliardo_sq, dual_norm_sq, lp_norm; the modified
+    energy is energy with lam replaced).  Returns (W, td2_residual,
+    columns): W with one row per step and columns the EnergyTrace arrays
+    E_sigma, E_tilde, gagliardo_s_of_w, dual_norm_u, l2_u, lp_u and
+    step_slack."""
     if flow.interface is None:
         params = replace(params, lam=0.0)
     h = traj.domain.h
     mass_vector = (flow.interface or flow.metric).mass_vector
     A = None if flow.interface is None else flow.interface.A
-    us = traj.u
+    us = [Field(traj.domain, v) for v in traj.U]
     ws, td2s = [], []
     for u_prev, u_n in zip(us, us[1:]):
         up, un = u_prev.values, u_n.values
@@ -505,7 +508,7 @@ def energy_trace_per_level(flow, params, traj, tau: float):
     if flow.lam == params.lam:
         Et = E.copy()
     else:
-        Et = np.array([energy_modified(flow.interface, params, flow.lam, u) for u in us])
+        Et = np.array([energy(flow.interface, replace(params, lam=flow.lam), u) for u in us])
     if flow.metric is None:
         du = mass_sq
         gw = np.array([0.0] + [w.values @ mass_vector(w.values) for w in ws])
@@ -526,13 +529,50 @@ def energy_trace_per_level(flow, params, traj, tau: float):
     return W, np.array(td2s), [E, Et, gw, du, l2, lp, slack]
 
 
+def spacetime_l2_distance_per_level(domain, A, B, tau: float) -> float:
+    """limits.spacetime_l2_distance as a loop over the levels n >= 1 of two
+    marches, one Field difference at a time, summed in a Python float."""
+    a = [Field(domain, v) for v in A]
+    b = [Field(domain, v) for v in B]
+    h = domain.h
+    acc = 0.0
+    for ua, ub in zip(a[1:], b[1:]):
+        acc += tau * h * float(np.sum((ua.values - ub.values) ** 2))
+    return float(np.sqrt(acc))
+
+
+def max_l2_distance_per_level(domain, A, B) -> float:
+    """limits.max_l2_distance as the maximum of one lumped L2 norm per
+    level, including the initial one."""
+    a = [Field(domain, v) for v in A]
+    b = [Field(domain, v) for v in B]
+    return max(lp_norm(ua - ub, 2) for ua, ub in zip(a, b))
+
+
+def beta_bound_per_level(traj, params, lambda_coef: float = 1.0) -> float:
+    """dynamics.beta_bound_check as a loop over the levels n >= 1, one
+    (u_n, w_n) pair at a time."""
+    h = traj.domain.h
+    worst = 0.0
+    for k in range(1, len(traj.U)):
+        u = traj.U[k]
+        w = traj.W[k - 1]
+        lhs = h * float(np.sum(pot.beta(params, u) ** 2))
+        rhs = 2.0 * (
+            h * float(np.sum(w**2)) + lambda_coef**2 * h * float(np.sum(u**2))
+        )
+        worst = max(worst, lhs - rhs)
+    return worst
+
+
 def a_priori_monitors(traj, op_s, op_sigma, params, tau: float) -> dict:
     """Discrete counterparts of the a-priori bounds: max dual norm of u,
     time-summed Gagliardo energy of w, max of (u^T A_sigma u + ||u||_p^p)."""
-    max_dual = max(op_s.dual_norm_sq(u) for u in traj.u)
-    sum_w = tau * sum(float(w.values @ (op_s.A @ w.values)) for w in traj.w)
+    us = [Field(traj.domain, v) for v in traj.U]
+    max_dual = max(op_s.dual_norm_sq(u) for u in us)
+    sum_w = tau * sum(float(w @ (op_s.A @ w)) for w in traj.W)
     max_core = max(
-        op_sigma.gagliardo_sq(u) + lp_norm(u, params.p) ** params.p for u in traj.u
+        op_sigma.gagliardo_sq(u) + lp_norm(u, params.p) ** params.p for u in us
     )
     return {
         "max_dual_norm_u_sq": float(max_dual),

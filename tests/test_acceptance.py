@@ -98,7 +98,7 @@ def test_criterion_06_energy_identity_trend(get_op):
     params = ff.PotentialParams(p=4)
     warm, _ = ff.evolve(ff.Flow(op_s, op_sigma, params.lam), params,
                         ff.bump_field(op_s.domain), ff.SolverSettings(tau=5e-4, T=0.05))
-    u0 = warm.u[-1]
+    u0 = ff.Field(warm.domain, warm.U[-1])
     traces = [
         ff.evolve(ff.Flow(op_s, op_sigma, params.lam), params, u0,
                   ff.SolverSettings(tau=tau, T=0.25))[1]

@@ -6,10 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracfield.cli as cli
 from fracfield import fracop, stationary
-from fracfield.config import ParseError, RunConfig, ValidationError, parse_config
+from fracfield.config import (
+    ConfigError,
+    ParseError,
+    RunConfig,
+    ValidationError,
+    parse_config,
+)
 from fracfield.dynamics import NewtonDivergenceError
 
 from test_acceptance import _DETERMINISM_CONFIGS
@@ -390,6 +397,58 @@ def test_horizon_not_a_whole_number_of_steps_exits_1_naming_T(tmp_path, capsys):
     assert not out.exists()
     for tau, T in (("1e-3", "0.5"), ("1e-3", "0.03"), ("0.1", "0.3")):
         parse_config(MINIMAL_CH.replace("tau = 1e-3\nT = 0.005\n", f"tau = {tau}\nT = {T}\n"))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("T = inf", "T"),
+    ("tau = 1e-320", "tau"),  # finite, but T / tau overflows
+    ("amplitude = nan", "amplitude"),
+    ("p = nan", "p"),
+    ("a = -inf", "a"),
+    ("lam = nan", "lam"),
+    ("newton_tol = inf", "newton_tol"),
+])
+def test_non_finite_values_exit_1_naming_the_key(tmp_path, capsys, line, key):
+    text = MINIMAL_CH.replace("M = 24", "M = 16") + line + "\n"
+    _assert_fails_cleanly(tmp_path, capsys, text, 1, f"error: {key}: ")
+
+
+_FUZZ_VALUE = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999",
+                     "1e308", "1.7976931348623157e308", "1e-320", "5e-324", "-5e-324"]),
+    st.floats().map(repr),  # finite, nan, +-inf, huge and subnormal
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.text(max_size=12),  # junk
+)
+_FUZZ_KEYS = sorted(f.name for f in fields(RunConfig)) + ["bogus", ""]
+
+
+@st.composite
+def _fuzzed_config_text(draw):
+    """A valid config of one experiment (or none) with one of its values
+    replaced, then up to two lines of a known key and a fuzzed value
+    (lists included) or of random text."""
+    base = draw(st.sampled_from([""] + sorted(_DETERMINISM_CONFIGS.values())))
+    own = [line.partition("=")[0].strip() for line in base.splitlines()]
+    key = draw(st.sampled_from(own or _FUZZ_KEYS))
+    line = st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUE),
+        st.builds("{} = {}".format, st.sampled_from(["sequence", "refinements"]),
+                  st.lists(_FUZZ_VALUE, min_size=1, max_size=4).map(", ".join)),
+        st.text(max_size=30),
+    )
+    lines = [f"{key} = {draw(_FUZZ_VALUE)}"] + draw(st.lists(line, max_size=2))
+    return base + "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_fuzzed_config_text())
+def test_parser_fuzz_gives_a_config_or_a_config_error(text):
+    try:
+        cfg = parse_config(text)  # runs validate
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_failed_write_leaves_no_temporary_or_truncated_file(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fracfield.grid import DomainMismatchError
 
 from oracles import (
     a_priori_monitors,
+    beta_bound_per_level,
     ch_step_functional_value,
     energy_trace_per_level,
     newton_step_dense,
@@ -52,9 +55,13 @@ def test_energy_modified_interpolates_to_energy(ops48):
     _, op_sig = ops48
     params = ff.PotentialParams(p=4)
     u = ff.bump_field(op_sig.domain)
-    assert ff.energy_modified(op_sig, params, params.lam, u) == ff.energy(op_sig, params, u)
-    assert ff.energy_modified(op_sig, params, 0.7, u) > ff.energy(op_sig, params, u)
-    assert ff.energy_modified(op_sig, params, 0.7, ff.zero_field(op_sig.domain)) == 0.0
+    # the modified energy is E_sigma with the concave weight replaced
+    def modified(lam, v):
+        return ff.energy(op_sig, replace(params, lam=lam), v)
+
+    assert modified(params.lam, u) == ff.energy(op_sig, params, u)
+    assert modified(0.7, u) > ff.energy(op_sig, params, u)
+    assert modified(0.7, ff.zero_field(op_sig.domain)) == 0.0
 
 
 def test_modified_energy_coercivity_on_random_fields(ops48, rng):
@@ -70,7 +77,7 @@ def test_modified_energy_coercivity_on_random_fields(ops48, rng):
     gap = max(0.0, lam1 - lam1_lumped)
     for _ in range(100):
         v = ff.Field(dom, rng.standard_normal(dom.M))
-        lhs = ff.energy_modified(op_sig, params, lam1, v)
+        lhs = ff.energy(op_sig, replace(params, lam=lam1), v)
         rhs = ff.lp_norm(v, 4) ** 4 / 4
         allowance = 0.5 * gap * ff.lp_norm(v, 2) ** 2 + 1e-9
         assert lhs >= rhs - allowance
@@ -78,17 +85,18 @@ def test_modified_energy_coercivity_on_random_fields(ops48, rng):
 
 # ------------------------------------------------------------------ CH step
 def _ch_step(op_s, op_sig, params, u_prev, tau):
-    """One Cahn-Hilliard step u_prev -> (u_n, w_n, stats), as a one-step run."""
+    """One Cahn-Hilliard step from the Field u_prev to the nodal arrays
+    (u_n, w_n) and its stats, as a one-step run."""
     flow = ff.Flow(op_s, op_sig, params.lam)
     traj, _ = ff.evolve(flow, params, u_prev, ff.SolverSettings(tau=tau, T=tau))
-    return traj.u[1], traj.w[0], traj.stats[0]
+    return traj.U[1], traj.W[0], traj.stats[0]
 
 
 def test_ch_step_zero_fixed_point(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     u, w, stats = _ch_step(op_s, op_sig, params, ff.zero_field(op_s.domain), 1e-3)
-    assert np.all(u.values == 0.0) and np.all(w.values == 0.0)
+    assert np.all(u == 0.0) and np.all(w == 0.0)
     assert stats.iterations == 0
 
 
@@ -102,10 +110,10 @@ def test_ch_step_returns_the_minimizer(ops48, rng):
     def value(u):
         return ch_step_functional_value(op_s, 0.6, 4.0, params.lam, u0, tau, u)
 
-    f_star = value(un.values)
+    f_star = value(un)
     for _ in range(10):
         z = rng.standard_normal(op_s.domain.M)
-        assert value(un.values + 1e-3 * z) >= f_star
+        assert value(un + 1e-3 * z) >= f_star
 
 
 def test_ch_step_flow_equation_holds_exactly(ops48):
@@ -116,7 +124,7 @@ def test_ch_step_flow_equation_holds_exactly(ops48):
     u0 = ff.bump_field(op_s.domain)
     tau = 1e-3
     un, wn, stats = _ch_step(op_s, op_sig, params, u0, tau)
-    res = op_s.M_c @ (un.values - u0.values) / tau + op_s.A @ wn.values
+    res = op_s.M_c @ (un - u0.values) / tau + op_s.A @ wn
     assert np.linalg.norm(res) <= 1e-9
     assert stats.td2_residual <= 1e-9
 
@@ -124,13 +132,14 @@ def test_ch_step_flow_equation_holds_exactly(ops48):
 def test_ch_step_halving_consistency_order(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    u0 = ff.bump_field(op_s.domain)
+    dom = op_s.domain
+    u0 = ff.bump_field(dom)
     errs = []
     for tau in (2e-3, 1e-3, 5e-4):
         u1, _, _ = _ch_step(op_s, op_sig, params, u0, tau)
         uh, _, _ = _ch_step(op_s, op_sig, params, u0, tau / 2)
-        uh2, _, _ = _ch_step(op_s, op_sig, params, uh, tau / 2)
-        errs.append(ff.lp_norm(u1 - uh2, 2))
+        uh2, _, _ = _ch_step(op_s, op_sig, params, ff.Field(dom, uh), tau / 2)
+        errs.append(ff.lp_norm(ff.Field(dom, u1 - uh2), 2))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(o >= 0.8 for o in orders)
 
@@ -176,7 +185,7 @@ def test_ch_evolve_zero_initial_datum(ops48):
     traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
                             ff.zero_field(op_s.domain),
                             ff.SolverSettings(tau=1e-3, T=0.01))
-    assert all(np.all(u.values == 0.0) for u in traj.u)
+    assert np.all(traj.U == 0.0)
     assert np.all(trace.E_sigma == 0.0)
 
 
@@ -188,7 +197,7 @@ def test_ch_evolve_energy_dissipation(ops48):
                             ff.SolverSettings(tau=1e-3, T=0.05))
     assert traj.times[0] == 0.0
     assert np.allclose(np.diff(traj.times), 1e-3, rtol=0, atol=1e-15)
-    assert np.array_equal(traj.u[0].values, u0.values)
+    assert np.array_equal(traj.U[0], u0.values)
     assert np.all(np.diff(trace.E_sigma) <= 1e-9)
     assert trace.step_slack[1:].min() >= -1e-9
     assert np.all(np.isfinite(trace.gagliardo_s_of_w))
@@ -202,8 +211,7 @@ def test_ch_evolve_deterministic_bitwise(ops48):
                       ff.bump_field(op_s.domain), settings)
     t2, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
                       ff.bump_field(op_s.domain), settings)
-    for u1, u2 in zip(t1.u, t2.u):
-        assert np.array_equal(u1.values, u2.values)
+    assert np.array_equal(t1.U, t2.U)
 
 
 def test_modified_scheme_reduces_to_original_bitwise(ops48):
@@ -213,8 +221,7 @@ def test_modified_scheme_reduces_to_original_bitwise(ops48):
     settings = ff.SolverSettings(tau=1e-3, T=0.02)
     t1, tr1 = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0, settings)
     t2, tr2 = ff.evolve(ff.Flow(op_s, op_sig, 1.0), params, u0, settings)
-    for u1, u2 in zip(t1.u, t2.u):
-        assert np.array_equal(u1.values, u2.values)
+    assert np.array_equal(t1.U, t2.U)
     assert np.array_equal(tr1.E_sigma, tr2.E_sigma)
 
 
@@ -230,7 +237,8 @@ def test_modified_scheme_dissipates_modified_energy(ops48):
     # coercivity along the trajectory, with the lumped-eigenvalue allowance
     evals = np.linalg.eigvalsh(np.linalg.solve(op_sig.M_L, op_sig.A))
     gap = max(0.0, lam1 - float(evals.min()))
-    for k, u in enumerate(traj.u):
+    for v in traj.U:
+        u = ff.Field(traj.domain, v)
         lhs = ff.lp_norm(u, 1.5) ** 1.5 / 1.5
         allowance = 0.5 * gap * ff.lp_norm(u, 2) ** 2 + 1e-9
         assert lhs <= trace.E_tilde[0] + allowance
@@ -263,8 +271,8 @@ def test_perturbation_growth_bounded_uniformly_in_size(ops48):
     for eta in (1e-2, 1e-4, 1e-6):
         traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, u0 + eta * pert,
                             settings)
-        d0 = np.sqrt(op_s.dual_norm_sq(traj.u[0] - base.u[0]))
-        dT = np.sqrt(op_s.dual_norm_sq(traj.u[-1] - base.u[-1]))
+        d0 = np.sqrt(op_s.dual_norm_sq(ff.Field(op_s.domain, traj.U[0] - base.U[0])))
+        dT = np.sqrt(op_s.dual_norm_sq(ff.Field(op_s.domain, traj.U[-1] - base.U[-1])))
         ratios.append(dT / d0)
     assert (max(ratios) - min(ratios)) / min(ratios) <= 0.10
 
@@ -276,7 +284,7 @@ def test_ac_evolve_zero_and_dissipation(ops48):
     traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
                             ff.zero_field(op_sig.domain),
                             ff.SolverSettings(tau=1e-3, T=0.01))
-    assert all(np.all(u.values == 0.0) for u in traj.u)
+    assert np.all(traj.U == 0.0)
     traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
                             ff.bump_field(op_sig.domain),
                             ff.SolverSettings(tau=1e-3, T=0.05))
@@ -291,8 +299,8 @@ def test_ac_stationary_state_is_fixed_point(get_op):
     assert not res.is_trivial
     traj, _ = ff.evolve(ff.Flow(None, op, params.lam), params, res.u_star,
                         ff.SolverSettings(tau=1e-3, T=0.1))
-    assert len(traj.w) == 100
-    drift = ff.lp_norm(traj.u[-1] - traj.u[0], 2)
+    assert traj.W.shape == (100, 127)
+    drift = ff.lp_norm(ff.Field(op.domain, traj.U[-1] - traj.U[0]), 2)
     assert drift <= 1e-8
 
 
@@ -302,7 +310,7 @@ def test_pm_evolve_zero_and_monotone_dissipation(ops48):
     traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
                             ff.zero_field(op_s.domain),
                             ff.SolverSettings(tau=1e-3, T=0.01))
-    assert all(np.all(u.values == 0.0) for u in traj.u)
+    assert np.all(traj.U == 0.0)
     traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
                             ff.bump_field(op_s.domain),
                             ff.SolverSettings(tau=1e-3, T=0.05))
@@ -317,7 +325,7 @@ def test_fast_diffusion_branch_runs(ops48):
                             ff.bump_field(op_s.domain),
                             ff.SolverSettings(tau=1e-3, T=0.02))
     assert np.all(np.diff(trace.E_sigma) <= 1e-12)
-    assert all(np.all(np.isfinite(u.values)) for u in traj.u)
+    assert np.all(np.isfinite(traj.U))
 
 
 def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
@@ -333,13 +341,12 @@ def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
     t0, tr0 = ff.evolve(flow, ff.PotentialParams(p=1.5, lam=0.0), u0, settings)
     with pytest.raises(ValueError, match="no concave term"):
         ff.evolve(ff.Flow(op_s, None, 1.0), ff.PotentialParams(p=1.5), u0, settings)
-    for a, b in zip(t1.u, t0.u):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(t1.U, t0.U)
     assert np.array_equal(tr1.E_sigma, tr0.E_sigma)
     assert np.array_equal(tr1.E_tilde, tr1.E_sigma)
     h = op_s.domain.h
-    for u, e in zip(t1.u, tr1.E_sigma):
-        assert e == pytest.approx(h * np.sum(np.abs(u.values) ** 1.5 / 1.5), rel=1e-12)
+    for u, e in zip(t1.U, tr1.E_sigma):
+        assert e == pytest.approx(h * np.sum(np.abs(u) ** 1.5 / 1.5), rel=1e-12)
 
 
 def test_flow_needs_an_operator_on_one_domain(ops48):
@@ -364,12 +371,12 @@ def _check_against_oracle(flow, params, settings, u):
     traj, _ = ff.evolve(flow, params, u, settings)
     assert len(traj.stats) == settings.n_steps
     for k, stats in enumerate(traj.stats):
-        un, wn = traj.u[k + 1], traj.w[k]
+        un, wn = traj.U[k + 1], traj.W[k]
         u_ref, w_ref, iters, res = newton_step_dense(
-            flow, params, settings.tau, settings, traj.u[k]
+            flow, params, settings.tau, settings, ff.Field(traj.domain, traj.U[k])
         )
-        assert np.max(np.abs(un.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
-        assert np.max(np.abs(wn.values - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
+        assert np.max(np.abs(un - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(wn - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
         assert stats.iterations == iters
         assert stats.residual <= settings.newton_tol
     return traj.stats
@@ -413,7 +420,7 @@ def test_stacked_recovery_matches_the_per_level_oracle(get_op, kind):
         W, td2, columns = energy_trace_per_level(flow, params, traj, settings.tau)
         got = [trace.E_sigma, trace.E_tilde, trace.gagliardo_s_of_w, trace.dual_norm_u,
                trace.l2_u, trace.lp_u, trace.step_slack,
-               np.array([w.values for w in traj.w]),
+               traj.W,
                np.array([st.td2_residual for st in traj.stats])]
         for name, ref, val in zip(
             ["E_sigma", "E_tilde", "gagliardo_s_of_w", "dual_norm_u", "l2_u", "lp_u",
@@ -421,6 +428,18 @@ def test_stacked_recovery_matches_the_per_level_oracle(get_op, kind):
         ):
             assert val.shape == ref.shape, name
             assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref)), (M, name)
+
+
+@pytest.mark.parametrize("kind", FLOWS)
+def test_march_returns_the_levels_of_evolve_bitwise(get_op, kind):
+    flow, params = _flow(get_op, 64, kind)
+    settings = ff.SolverSettings(tau=1e-3, T=1e-2)
+    u0 = ff.bump_field(flow.domain)
+    U, newton = ff.march(flow, params, u0, settings)
+    traj, _ = ff.evolve(flow, params, u0, settings)
+    assert U.shape == (11, 64) and traj.W.shape == (10, 64)
+    assert np.array_equal(U, traj.U)
+    assert [st.iterations for st in traj.stats] == [it for it, *_ in newton]
 
 
 def test_ch_run_factors_its_hessian_once():
@@ -543,8 +562,8 @@ def test_identity_gap_linear_case_closed_form(ops48, monkeypatch):
     }
     for name, flow in flows.items():
         traj, trace = ff.evolve(flow, params, u0, st)
-        for n in range(1, len(traj.u)):
-            du = traj.u[n].values - traj.u[n - 1].values
+        for n in range(1, len(traj.U)):
+            du = traj.U[n] - traj.U[n - 1]
             closed = 0.5 * flow.lam * du @ (op_sig.M_c @ du) + 0.5 * du @ (op_sig.A @ du)
             assert trace.step_slack[n] == pytest.approx(closed, rel=1e-9), name
 
@@ -604,6 +623,22 @@ def test_beta_bound_modified_run_recorded(ops48):
     assert np.isfinite(violation)
 
 
+def test_beta_bound_equals_the_per_level_oracle_bitwise(ops48, rng):
+    op_s, op_sig = ops48
+    dom = op_s.domain
+    params = ff.PotentialParams(p=4)
+    traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params, ff.bump_field(dom),
+                        ff.SolverSettings(tau=1e-3, T=0.02))
+    assert ff.beta_bound_check(traj, params) == beta_bound_per_level(traj, params) == 0.0
+    # levels of random size with a small w violate the bound by varying amounts
+    U = rng.standard_normal((21, dom.M)) * rng.uniform(0.5, 3.0, (21, 1))
+    W = 0.1 * rng.standard_normal((20, dom.M))
+    synthetic = dynamics.Trajectory(traj.times, U, W, traj.stats, dom)
+    for coef in (1.0, 0.3):
+        got = ff.beta_bound_check(synthetic, params, lambda_coef=coef)
+        assert got > 0 and got == beta_bound_per_level(synthetic, params, lambda_coef=coef)
+
+
 # ------------------------------------------------------------------ export
 def test_trajectory_csv_shape(ops48):
     op_s, op_sig = ops48
@@ -613,9 +648,9 @@ def test_trajectory_csv_shape(ops48):
                             ff.SolverSettings(tau=1e-3, T=0.005))
     lines = trajectory_to_csv(traj).strip().splitlines()
     assert lines[0].startswith("t,u_1,") and lines[0].endswith(",u_48")
-    assert len(lines) == 1 + len(traj.u)
+    assert len(lines) == 1 + len(traj.U)
     vals = lines[3].split(",")
-    assert float(vals[2]) == traj.u[2].values[1]
+    assert float(vals[2]) == traj.U[2, 1]
     tlines = trace.to_csv().strip().splitlines()
     assert tlines[0] == "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack"
 
@@ -634,8 +669,8 @@ def test_csv_rows_match_per_value_formatting():
     def expected(header, rows):
         return "\n".join([header] + [",".join(f"{v:.17g}" for v in r) for r in rows]) + "\n"
 
-    traj = dynamics.Trajectory(times=table[:, 0], u=[ff.Field(dom, r) for r in table[:, 1:]],
-                               w=[], stats=[])
+    traj = dynamics.Trajectory(times=table[:, 0], U=table[:, 1:], W=np.empty((0, 7)),
+                               stats=[], domain=dom)
     assert trajectory_to_csv(traj) == expected(
         "t," + ",".join(f"u_{i}" for i in range(1, 8)), table
     )
@@ -644,6 +679,13 @@ def test_csv_rows_match_per_value_formatting():
     assert trace.to_csv() == expected(
         "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack", cols.T
     )
+
+
+@pytest.mark.parametrize("tau, T", [(1e-3, np.inf), (1e-320, 1.0), (np.nan, 1.0),
+                                    (1e-3, np.nan), (0.0, 1.0), (2.0, 1.0)])
+def test_settings_reject_horizons_without_a_finite_step_count(tau, T):
+    with pytest.raises(ValueError, match="need 0 < tau <= T"):
+        ff.SolverSettings(tau=tau, T=T)
 
 
 def test_horizon_must_be_a_whole_number_of_steps():

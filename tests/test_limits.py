@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import fracfield as ff
+from fracfield import dynamics
 from fracfield.limits import (
     CompatibilityError,
     LimitReport,
     max_l2_distance,
     spacetime_l2_distance,
 )
+
+from oracles import max_l2_distance_per_level, spacetime_l2_distance_per_level
 
 
 def settings_fast():
@@ -29,10 +32,50 @@ def test_reference_solver_reproduces_itself():
     u0 = ff.bump_field(dom)
     op_s = ff.assemble(dom, 0.5)
     params = ff.PotentialParams(p=3)
-    a, _ = ff.evolve(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
-    b, _ = ff.evolve(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
-    assert spacetime_l2_distance(a, b, 1e-3) == 0.0
-    assert max_l2_distance(a, b) == 0.0
+    a, _ = ff.march(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
+    b, _ = ff.march(ff.Flow(op_s, None, 0.0), params, u0, settings_fast())
+    assert spacetime_l2_distance(a, b, 1e-3, dom.h) == 0.0
+    assert max_l2_distance(a, b, dom.h) == 0.0
+
+
+def test_distances_equal_the_per_level_oracle_bitwise():
+    # the sigma-limit pairs (porous-medium reference against Cahn-Hilliard
+    # marches) and the s-limit pairs (Allen-Cahn reference against
+    # Cahn-Hilliard marches), as the drivers run them at M = 32; pairwise
+    # summation over the levels would round differently at sigma = 0.4
+    dom = ff.make_domain(0, 1, 32)
+    st = ff.SolverSettings(tau=1e-3, T=0.05)
+    u0 = ff.bump_field(dom, 2.0)
+    op_s = ff.assemble(dom, 0.5)
+    pm = ff.PotentialParams(p=3)
+    ref, _ = ff.march(ff.Flow(op_s, None, 0.0), pm, u0, st)
+    for sigma in (0.4, 0.2, 0.1):
+        U, _ = ff.march(ff.Flow(op_s, ff.assemble(dom, sigma), pm.lam), pm, u0, st)
+        got = spacetime_l2_distance(U, ref, st.tau, dom.h)
+        assert got > 0 and got == spacetime_l2_distance_per_level(dom, U, ref, st.tau)
+    ac = ff.PotentialParams(p=4)
+    op_sigma = ff.assemble(dom, 0.5)
+    ref, _ = ff.march(ff.Flow(None, op_sigma, ac.lam), ac, u0, st)
+    for s in (0.4, 0.2, 0.1):
+        U, _ = ff.march(ff.Flow(ff.assemble(dom, s), op_sigma, ac.lam), ac, u0, st)
+        got = max_l2_distance(U, ref, dom.h)
+        assert got > 0 and got == max_l2_distance_per_level(dom, U, ref)
+
+
+def test_limit_drivers_only_march(monkeypatch):
+    def no_recovery(*args, **kwargs):
+        raise AssertionError("a limit driver recovered w and the energy trace")
+
+    monkeypatch.setattr(dynamics, "recover", no_recovery)
+    dom = ff.make_domain(0, 1, 16)
+    u0 = ff.bump_field(dom)
+    with pytest.raises(AssertionError, match="recovered"):  # the patch is live
+        ff.evolve(ff.Flow(None, ff.assemble(dom, 0.5), 1.0), ff.PotentialParams(p=4), u0,
+                  settings_fast())
+    ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2], settings_fast())
+    ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2],
+                         settings_fast())
+    ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2], settings_fast())
 
 
 def test_fast_diffusion_compatibility_precondition():
