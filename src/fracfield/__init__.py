@@ -14,7 +14,7 @@ Core layers:
   recover w and the energy trace with its per-step inequality monitors;
 - stationary: free-energy minimization and existence criteria;
 - limits: quantitative singular-limit experiments;
-- cli: the `fracfield` command.
+- cli: the `fracfield` command and the one CSV table writer.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ from .grid import Domain1D, Field, bump_field, lp_norm, make_domain, sample, zer
 from .potential import PotentialParams, W, beta, beta_hat
 from .fracop import FracOperator, KernelConstant, assemble, kernel_constant
 from .spectral import (
-    EigenBounds,
     EigenPair,
     first_eigenpair,
     kappa,
@@ -62,7 +61,7 @@ __all__ = [
     "lp_norm",
     "PotentialParams", "beta", "beta_hat", "W",
     "KernelConstant", "FracOperator", "kernel_constant", "assemble",
-    "EigenPair", "EigenBounds", "first_eigenpair", "kappa",
+    "EigenPair", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
     "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "march", "recover",
     "evolve", "energy", "check_energy_identity_gap", "beta_bound_check",

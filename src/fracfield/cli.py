@@ -1,14 +1,17 @@
 """Command-line front end: `fracfield <config> [--output DIR]`.
 
-Artifacts are assembled in memory and written only after the run and all
-runtime checks succeed, each to a temporary file that os.replace then moves
-into place, so a failing run or a failing write leaves no partial files.
-Reruns of the same config produce bit-identical CSVs; FRACFIELD_SEED
-(default 0) fixes the RNG used for random starts and random initial data.
+The numerical modules return records, arrays and row dicts; every CSV
+table is formatted here, by table_to_csv.  Artifacts are assembled in
+memory and written only after the run and all runtime checks succeed, each
+to a temporary file that os.replace then moves into place, so a failing run
+or a failing write leaves no partial files.  Reruns of the same config
+produce bit-identical CSVs; FRACFIELD_SEED (default 0) fixes the RNG used
+for random starts and random initial data.
 
 Exit codes: 0 success; 1 usage or configuration error (bad command line,
-unreadable file, unknown key, value out of range, empty list, or a key the
-experiment does not use) or unwritable output directory; 2 solver failure
+unreadable file, unknown key, value out of range, empty list, a key the
+experiment does not use, or a FRACFIELD_SEED that is not a nonnegative
+integer) or unwritable output directory; 2 solver failure
 (Newton, eigen or stationary iteration stalled, stiffness failed its sign or
 positivity gate, lowest stationary state not one-signed); 3 violation of one
 of the built-in inequality checks.  Each failure prints one line to stderr.
@@ -22,6 +25,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +67,43 @@ def _settings(cfg: RunConfig) -> SolverSettings:
     return SolverSettings(tau=cfg.tau, T=cfg.T, newton_tol=cfg.newton_tol)
 
 
+# the columns of energy.csv, in order: the EnergyTrace arrays of those names
+_TRACE_COLUMNS = ("t", "E_sigma", "E_tilde", "gagliardo_s_of_w", "dual_norm_u",
+                 "l2_u", "lp_u", "step_slack")
+
+
+def table_to_csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """The one table writer: the header line, then one line per row, each a
+    tuple with one value per header field; a str is written as it is and
+    any other value as f"{v:.17g}" would write it.  The column formats are
+    read off the first row and joined into one %-format string applied to
+    every row.  The name keeps its to_csv suffix: benchmark/run.py counts
+    the time of spans so named as cli.serialize_s."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ",".join(header) + "\n"
+    if len(first) != len(header):
+        raise ValueError(f"{len(first)} values for {len(header)} columns")
+    fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first)
+    return "\n".join([",".join(header), fmt % first] + [fmt % row for row in rows]) + "\n"
+
+
+def _dicts_to_csv(header: Sequence[str], rows: Iterable[dict]) -> str:
+    return table_to_csv(header, (tuple(row[k] for k in header) for row in rows))
+
+
+def _seed() -> int:
+    text = os.environ.get("FRACFIELD_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"FRACFIELD_SEED must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _check_trace_monotone(trace, column: str, tol: float) -> None:
     vals = getattr(trace, column)
     rises = np.diff(vals)
@@ -82,7 +123,7 @@ def run(
     config_text: str = "",
 ) -> dict[str, str]:
     """Execute one experiment; returns {filename: contents} after writing."""
-    seed = int(os.environ.get("FRACFIELD_SEED", "0"))
+    seed = _seed()
     rng = np.random.default_rng(seed)
     domain = Domain1D(cfg.a, cfg.b, cfg.M)
     artifacts: dict[str, str] = {}
@@ -110,8 +151,13 @@ def run(
         # E_tilde is E_sigma except in the modified scheme, where it is the
         # energy the scheme dissipates
         _check_trace_monotone(trace, "E_tilde", slack_tol)
-        artifacts["trajectory.csv"] = dynamics.trajectory_to_csv(traj)
-        artifacts["energy.csv"] = trace.to_csv()
+        header = ["t"] + [f"u_{i}" for i in range(1, domain.M + 1)]
+        # row by row: the whole table as Python floats would raise peak memory
+        rows = ((t, *u) for t, u in zip(traj.times.tolist(), map(np.ndarray.tolist, traj.U)))
+        artifacts["trajectory.csv"] = table_to_csv(header, rows)
+        artifacts["energy.csv"] = table_to_csv(
+            _TRACE_COLUMNS, zip(*(getattr(trace, c).tolist() for c in _TRACE_COLUMNS))
+        )
 
     elif exp == "eigen-sweep":
         rows = spectral.lambda1_sweep(
@@ -129,7 +175,9 @@ def run(
                         f"lambda1({row['r']}) = {row['lambda1']:.6g} above the "
                         f"Dirichlet upper bound {row['upper']:.6g} + 0.05"
                     )
-        artifacts["eigen.csv"] = spectral.sweep_to_csv(rows)
+        artifacts["eigen.csv"] = _dicts_to_csv(
+            ("r", "M", "lambda1", "lower", "upper", "residual"), rows
+        )
 
     elif exp in ("limit-sigma", "limit-s"):
         params = _params(cfg)
@@ -149,7 +197,12 @@ def run(
             report = limits.limit_s_to_ac(
                 domain, cfg.sigma, params, u0, cfg.sequence, settings
             )
-        artifacts["report.csv"] = report.to_csv()
+        columns = [report.parameter_sequence, report.distances]
+        if report.lambda1s:
+            columns.append(report.lambda1s)
+        artifacts["report.csv"] = table_to_csv(
+            ["param", "distance", "lambda1"][:len(columns)], zip(*columns)
+        )
         artifacts["report.txt"] = (
             f"reference={report.reference}\n"
             f"monotone={report.monotone}\n"
@@ -182,27 +235,24 @@ def run(
                 f"stationary energy identity off by {identity_gap:.3e} "
                 f"(> {bound:.1e} from stat_tol)"
             )
-        lines = [
-            "sigma,lambda1,norm_u,energy,residual,classification",
-            f"{cfg.sigma:.17g},{result.lambda1_sigma:.17g},"
-            f"{norm_u:.17g},"
-            f"{result.energy:.17g},{result.residual:.17g},{result.classification}",
-        ]
-        artifacts["stationary.csv"] = "\n".join(lines) + "\n"
+        artifacts["stationary.csv"] = table_to_csv(
+            ("sigma", "lambda1", "norm_u", "energy", "residual", "classification"),
+            [(cfg.sigma, result.lambda1_sigma, norm_u, result.energy,
+              result.residual, result.classification)],
+        )
         if cfg.sequence:
             rows = stationary.stationary_sigma_sweep(
                 domain, params, cfg.sequence, cfg.stat_tol, known=result,
                 eig_tol=cfg.eig_tol,
             )
-            artifacts["sweep.csv"] = stationary.sweep_to_csv(rows)
+            artifacts["sweep.csv"] = _dicts_to_csv(
+                ("sigma", "lambda1", "norm_u", "bound", "energy", "classification"), rows
+            )
 
     elif exp == "operator-limit":
         u0 = _initial_field(cfg, domain, rng)
         rows = limits.operator_identity_limit(domain, u0, cfg.sequence)
-        lines = ["r,relative_gap"]
-        for row in rows:
-            lines.append(f"{row['r']:.17g},{row['relative_gap']:.17g}")
-        artifacts["operator_limit.csv"] = "\n".join(lines) + "\n"
+        artifacts["operator_limit.csv"] = _dicts_to_csv(("r", "relative_gap"), rows)
 
     else:  # pragma: no cover - validate() rejects unknown experiments
         raise ConfigError(f"unhandled experiment {exp!r}")
@@ -265,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         run(cfg, output_dir=args.output, config_text=text)
-    except OutputError as exc:
+    except (ConfigError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NewtonDivergenceError, AssemblyError, NotSPDError,

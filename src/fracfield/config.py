@@ -31,6 +31,11 @@ EXPERIMENTS = tuple(_KEYS)
 
 INITIAL_PROFILES = ("bump", "sine", "zero", "random")
 
+# largest time grid (T/tau + 1) * M a run may march: U holds every level in
+# one float64 array, 512 MiB at this size, and recover holds several arrays
+# of that shape at once (the largest shipped grid is 501 x 128)
+MAX_GRID_VALUES = 2**26
+
 
 class ConfigError(ValueError):
     pass
@@ -196,6 +201,11 @@ def validate(cfg: RunConfig) -> None:
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationError(
                 "T", f"T = {cfg.T:g} is not a whole number of steps tau = {cfg.tau:g}"
+            )
+        if (steps + 1) * cfg.M > MAX_GRID_VALUES:
+            raise ValidationError(
+                "T", f"T = {cfg.T:g} gives {steps:.3g} steps of {cfg.M} values, "
+                f"more than {MAX_GRID_VALUES} in all"
             )
     if cfg.sequence is not None:
         if any(not 0.0 < x < 1.0 for x in cfg.sequence):

@@ -30,7 +30,8 @@ w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in the H^(-s) metric, and as
 w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly,
 and the residual of the potential equation
 M_c w_n = A_sigma u_n + h beta(u_n) - lam M_c u_prev equals the Newton
-stopping residual; StepStats records it for every step.
+stopping residual; StepStats records it for every step.  The module
+formats no text: cli writes the trajectory and the trace as CSV tables.
 
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
@@ -189,22 +190,6 @@ class EnergyTrace:
     l2_u: np.ndarray
     lp_u: np.ndarray
     step_slack: np.ndarray
-
-    def to_csv(self) -> str:
-        columns = (self.t, self.E_sigma, self.E_tilde, self.gagliardo_s_of_w,
-                   self.dual_norm_u, self.l2_u, self.lp_u, self.step_slack)
-        return _csv(
-            "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack",
-            zip(*(c.tolist() for c in columns)),
-        )
-
-
-def _csv(header: str, rows) -> str:
-    """header, then one line per row (a tuple of floats, one per header
-    field), every value written as f"{v:.17g}" would: one %-format string
-    per row."""
-    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
 
 
 def energy(op_sigma: FracOperator | None, params: PotentialParams, u: Field) -> float:
@@ -548,11 +533,3 @@ def beta_bound_check(
     lhs = h * np.sum(pot.beta(params, U) ** 2, axis=1)
     rhs = 2.0 * (h * np.sum(traj.W**2, axis=1) + lambda_coef**2 * h * np.sum(U**2, axis=1))
     return max(0.0, float(np.max(lhs - rhs)))
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """One row per time level: t, then the nodal values of u."""
-    header = "t," + ",".join(f"u_{i}" for i in range(1, traj.domain.M + 1))
-    # row by row: the whole table as Python floats would raise peak memory
-    rows = ((t, *u) for t, u in zip(traj.times.tolist(), map(np.ndarray.tolist, traj.U)))
-    return _csv(header, rows)

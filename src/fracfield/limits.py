@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Flow, SolverSettings, _csv, march
+from .dynamics import Flow, SolverSettings, march
 from .fracop import assemble
 from .grid import Domain1D, Field, lp_norm
 from .potential import PotentialParams
@@ -42,12 +42,6 @@ class LimitReport:
             raise ValueError("parameter sequence must be strictly decreasing")
         if any(d < 0 for d in self.distances):
             raise ValueError("distances must be nonnegative")
-
-    def to_csv(self) -> str:
-        columns = [self.parameter_sequence, self.distances]
-        if self.lambda1s:
-            columns.append(self.lambda1s)
-        return _csv("param,distance" + (",lambda1" if self.lambda1s else ""), zip(*columns))
 
 
 def _report(seq, dists, reference, lambda1s=None) -> LimitReport:

@@ -42,14 +42,6 @@ class EigenPair:
     residual: float
 
 
-@dataclass(frozen=True)
-class EigenBounds:
-    r: float
-    lower: float
-    upper: float
-    kappa: float
-
-
 def dirichlet_lambda1(domain: Domain1D) -> float:
     """First eigenvalue of the standard Dirichlet Laplacian on the interval."""
     return (np.pi / domain.length) ** 2
@@ -149,16 +141,6 @@ def first_eigenpair(
     return EigenPair(op.r, lam, Field(op.domain, x), res)
 
 
-def eigen_bounds(domain: Domain1D, r: float) -> EigenBounds:
-    lam_d = dirichlet_lambda1(domain)
-    return EigenBounds(
-        r=r,
-        lower=lambda1_lower_bound(r, 1, domain.length),
-        upper=lam_d**r,
-        kappa=kappa(1, 2.0 * r),
-    )
-
-
 def lambda1_sweep(
     domain: Domain1D,
     rs: Sequence[float],
@@ -183,13 +165,3 @@ def lambda1_sweep(
         }
 
     return [one(int(M), float(r)) for M in refinements for r in rs]
-
-
-def sweep_to_csv(rows: Sequence[dict]) -> str:
-    lines = ["r,M,lambda1,lower,upper,residual"]
-    for row in rows:
-        lines.append(
-            f"{row['r']:.17g},{row['M']},{row['lambda1']:.17g},"
-            f"{row['lower']:.17g},{row['upper']:.17g},{row['residual']:.17g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -51,10 +51,6 @@ class StationaryResult:
     lambda1_sigma: float
     classification: str  # trivial | nontrivial-positive | nontrivial-negative
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.classification == "trivial"
-
 
 def nontriviality_predicate(lambda1_sigma: float) -> str:
     """'exists-nontrivial' iff lambda1(sigma) < 1, else 'only-trivial'."""
@@ -284,13 +280,3 @@ def stationary_sigma_sweep(
             }
         )
     return rows
-
-
-def sweep_to_csv(rows: Sequence[dict]) -> str:
-    lines = ["sigma,lambda1,norm_u,bound,energy,classification"]
-    for row in rows:
-        lines.append(
-            f"{row['sigma']:.17g},{row['lambda1']:.17g},{row['norm_u']:.17g},"
-            f"{row['bound']:.17g},{row['energy']:.17g},{row['classification']}"
-        )
-    return "\n".join(lines) + "\n"

@@ -36,6 +36,10 @@ stacked recovery of the library is checked.  The per-level trajectory
 distances and pointwise bound are the earlier loops over the levels, against
 which their array expressions are checked bit for bit.
 
+The f-string table formatters are the package's earlier CSV writers, one
+per table, against which the artifacts of the CLI's single table writer are
+checked byte for byte.
+
 The proof devices of the existence theory live here too, since the library
 never computes them: the Yosida approximation and the truncation of beta, and
 the discrete a-priori monitors along a Cahn-Hilliard trajectory.
@@ -626,3 +630,44 @@ def truncate_beta(params, eps: float, x: float) -> float:
         raise ValueError("eps must be positive")
     cap = float(pot.beta(params, 1.0 / eps))
     return float(np.clip(pot.beta(params, x), -cap, cap))
+
+
+def eigen_sweep_to_csv(rows) -> str:
+    """eigen.csv as spectral.sweep_to_csv wrote it."""
+    lines = ["r,M,lambda1,lower,upper,residual"]
+    for row in rows:
+        lines.append(
+            f"{row['r']:.17g},{row['M']},{row['lambda1']:.17g},"
+            f"{row['lower']:.17g},{row['upper']:.17g},{row['residual']:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def stationary_sweep_to_csv(rows) -> str:
+    """sweep.csv as stationary.sweep_to_csv wrote it."""
+    lines = ["sigma,lambda1,norm_u,bound,energy,classification"]
+    for row in rows:
+        lines.append(
+            f"{row['sigma']:.17g},{row['lambda1']:.17g},{row['norm_u']:.17g},"
+            f"{row['bound']:.17g},{row['energy']:.17g},{row['classification']}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def stationary_to_csv(cfg, result, norm_u: float) -> str:
+    """stationary.csv as cli.run wrote it."""
+    lines = [
+        "sigma,lambda1,norm_u,energy,residual,classification",
+        f"{cfg.sigma:.17g},{result.lambda1_sigma:.17g},"
+        f"{norm_u:.17g},"
+        f"{result.energy:.17g},{result.residual:.17g},{result.classification}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def operator_limit_to_csv(rows) -> str:
+    """operator_limit.csv as cli.run wrote it."""
+    lines = ["r,relative_gap"]
+    for row in rows:
+        lines.append(f"{row['r']:.17g},{row['relative_gap']:.17g}")
+    return "\n".join(lines) + "\n"

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracfield.cli as cli
-from fracfield import fracop, stationary
+from fracfield import fracop, limits, spectral, stationary
 from fracfield.config import (
+    MAX_GRID_VALUES,
     ConfigError,
     ParseError,
     RunConfig,
@@ -19,6 +20,12 @@ from fracfield.config import (
 )
 from fracfield.dynamics import NewtonDivergenceError
 
+from oracles import (
+    eigen_sweep_to_csv,
+    operator_limit_to_csv,
+    stationary_sweep_to_csv,
+    stationary_to_csv,
+)
 from test_acceptance import _DETERMINISM_CONFIGS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -159,6 +166,47 @@ def test_run_operator_limit(tmp_path):
     assert gaps[1] < gaps[0]
 
 
+def _record_returns(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records what each call returns."""
+    fn, returned = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        returned.append(fn(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return returned
+
+
+def test_tables_equal_the_f_string_oracles_bitwise(tmp_path, monkeypatch):
+    sweep = _record_returns(monkeypatch, spectral, "lambda1_sweep")
+    text = ("a = 0\nb = 1\nM = 32\nexperiment = eigen-sweep\nsequence = 0.5, 0.25\n"
+            "refinements = 16, 32\n")
+    arts = cli.run(parse_config(text), output_dir=str(tmp_path / "eigen"))
+    assert arts["eigen.csv"] == eigen_sweep_to_csv(sweep[0])
+
+    # on (0, 2.5) lambda1(0.9) > lam = 1, so the first sweep row has no bound
+    minimized = _record_returns(monkeypatch, stationary, "minimize_energy")
+    swept = _record_returns(monkeypatch, stationary, "stationary_sigma_sweep")
+    text = ("a = 0\nb = 2.5\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+            "sequence = 0.9, 0.5, 0.05\n")
+    cfg = parse_config(text)
+    arts = cli.run(cfg, output_dir=str(tmp_path / "stationary"))
+    result, rows = minimized[0], swept[0]
+    u = result.u_star.values
+    norm_u = np.sqrt(result.u_star.domain.h * np.sum(u**2))
+    assert result.classification == "nontrivial-negative"
+    assert arts["stationary.csv"] == stationary_to_csv(cfg, result, norm_u)
+    assert np.isnan(rows[0]["bound"]) and np.isfinite(rows[1]["bound"])
+    assert arts["sweep.csv"] == stationary_sweep_to_csv(rows)
+
+    gaps = _record_returns(monkeypatch, limits, "operator_identity_limit")
+    text = ("a = 0\nb = 1\nM = 64\nexperiment = operator-limit\n"
+            "sequence = 0.4, 0.2, 0.1, 0.05\ninitial = sine\n")
+    arts = cli.run(parse_config(text), output_dir=str(tmp_path / "operator"))
+    assert arts["operator_limit.csv"] == operator_limit_to_csv(gaps[0])
+
+
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     # missing config file
     assert cli.main([str(tmp_path / "missing.cfg")]) == 1
@@ -220,6 +268,12 @@ def test_seed_env_controls_random_initial(tmp_path, monkeypatch):
     t2 = (tmp_path / "s2" / "trajectory.csv").read_bytes()
     t1b = (tmp_path / "s1b" / "trajectory.csv").read_bytes()
     assert t1 != t2 and t1 == t1b
+
+
+@pytest.mark.parametrize("seed", ["abc", "1e3", "-1"])
+def test_malformed_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setenv("FRACFIELD_SEED", seed)
+    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH, 1, "error: FRACFIELD_SEED ")
 
 
 def test_shipped_configs_parse():
@@ -397,6 +451,22 @@ def test_horizon_not_a_whole_number_of_steps_exits_1_naming_T(tmp_path, capsys):
     assert not out.exists()
     for tau, T in (("1e-3", "0.5"), ("1e-3", "0.03"), ("0.1", "0.3")):
         parse_config(MINIMAL_CH.replace("tau = 1e-3\nT = 0.005\n", f"tau = {tau}\nT = {T}\n"))
+
+
+@pytest.mark.parametrize("grid", ["T = 1e300", "T = 1e6\nM = 4096"])
+def test_oversized_time_grid_exits_1_naming_T(tmp_path, capsys, grid):
+    text = MINIMAL_CH.replace("M = 24\n", "").replace("T = 0.005\n", grid + "\n")
+    _assert_fails_cleanly(tmp_path, capsys, text, 1, "error: T: ")
+
+
+def test_time_grid_cap_is_MAX_GRID_VALUES():
+    # 65536 levels of 1024 values are exactly 2**26; one step more is too many
+    assert MAX_GRID_VALUES == 2**26
+    at_cap = MINIMAL_CH.replace("M = 24", "M = 1024").replace("T = 0.005", "T = 65.535")
+    assert parse_config(at_cap).T == 65.535
+    with pytest.raises(ValidationError) as err:
+        parse_config(at_cap.replace("T = 65.535", "T = 65.536"))
+    assert err.value.key == "T"
 
 
 @pytest.mark.parametrize("line, key", [

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import fracfield as ff
-from fracfield import dynamics
+from fracfield import cli, dynamics
+from fracfield.config import parse_config
 from fracfield.dynamics import (
     NewtonDivergenceError,
     _cholesky_direction,
     _newton_minimize,
-    trajectory_to_csv,
 )
 from fracfield import potential
 from fracfield.grid import DomainMismatchError
@@ -296,7 +296,7 @@ def test_ac_stationary_state_is_fixed_point(get_op):
     op = get_op(0.0, 10.0, 127, 0.5)
     params = ff.PotentialParams(p=4)
     res = ff.minimize_energy(op, params)
-    assert not res.is_trivial
+    assert res.classification != "trivial"
     traj, _ = ff.evolve(ff.Flow(None, op, params.lam), params, res.u_star,
                         ff.SolverSettings(tau=1e-3, T=0.1))
     assert traj.W.shape == (100, 127)
@@ -640,18 +640,22 @@ def test_beta_bound_equals_the_per_level_oracle_bitwise(ops48, rng):
 
 
 # ------------------------------------------------------------------ export
-def test_trajectory_csv_shape(ops48):
+def test_trajectory_csv_shape(ops48, tmp_path, monkeypatch):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
                             ff.bump_field(op_s.domain),
                             ff.SolverSettings(tau=1e-3, T=0.005))
-    lines = trajectory_to_csv(traj).strip().splitlines()
+    # the CLI writes the artifacts of this very run
+    monkeypatch.setattr(dynamics, "evolve", lambda *args: (traj, trace))
+    text = "M = 48\ns = 0.5\nsigma = 0.6\np = 4\ntau = 1e-3\nT = 0.005\n"
+    artifacts = cli.run(parse_config(text), output_dir=str(tmp_path))
+    lines = artifacts["trajectory.csv"].strip().splitlines()
     assert lines[0].startswith("t,u_1,") and lines[0].endswith(",u_48")
     assert len(lines) == 1 + len(traj.U)
     vals = lines[3].split(",")
     assert float(vals[2]) == traj.U[2, 1]
-    tlines = trace.to_csv().strip().splitlines()
+    tlines = artifacts["energy.csv"].strip().splitlines()
     assert tlines[0] == "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack"
 
 
@@ -663,22 +667,24 @@ def test_csv_rows_match_per_value_formatting():
         rng.standard_normal(79) * 10.0 ** rng.integers(-300, 300, 79), special
     ))
     rng.shuffle(vals)
-    table = vals.reshape(11, 8)  # t and 7 nodal values per row
-    dom = ff.make_domain(0, 1, 7)
+    labels = ["trivial", "nontrivial-positive", "nan", "1e3", ""]
 
     def expected(header, rows):
-        return "\n".join([header] + [",".join(f"{v:.17g}" for v in r) for r in rows]) + "\n"
+        return "\n".join([",".join(header)] + [
+            ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in r) for r in rows
+        ]) + "\n"
 
-    traj = dynamics.Trajectory(times=table[:, 0], U=table[:, 1:], W=np.empty((0, 7)),
-                               stats=[], domain=dom)
-    assert trajectory_to_csv(traj) == expected(
-        "t," + ",".join(f"u_{i}" for i in range(1, 8)), table
-    )
-    cols = vals.reshape(8, 11)
-    trace = dynamics.EnergyTrace(1e-3, *cols)
-    assert trace.to_csv() == expected(
-        "t,E_sigma,E_tilde,gagliardo_s_of_w,dual_norm_u,l2_u,lp_u,step_slack", cols.T
-    )
+    # a str column between float columns, in rows of 8 floats and of 11
+    for table in (vals.reshape(11, 8), vals.reshape(8, 11)):
+        n = table.shape[1]
+        rows = [(*r[:3].tolist(), labels[k % len(labels)], *r[3:].tolist())
+                for k, r in enumerate(table)]
+        header = ["t", "E", "F", "classification"] + [f"u_{i}" for i in range(1, n - 2)]
+        assert cli.table_to_csv(header, rows) == expected(header, rows)
+        assert cli.table_to_csv(header, iter(rows)) == expected(header, rows)
+    assert cli.table_to_csv(["r", "gap"], []) == "r,gap\n"
+    with pytest.raises(ValueError, match="3 values for 2 columns"):
+        cli.table_to_csv(["r", "gap"], [(0.5, 1.0, 2.0)])
 
 
 @pytest.mark.parametrize("tau, T", [(1e-3, np.inf), (1e-320, 1.0), (np.nan, 1.0),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import fracfield as ff
-from fracfield import dynamics
+from fracfield import cli, dynamics, limits
+from fracfield.config import parse_config
 from fracfield.limits import (
     CompatibilityError,
     LimitReport,
@@ -130,10 +131,15 @@ def test_report_validates_sequences():
         LimitReport([0.4, 0.2], [1.0, -0.5], "porous-medium", True, 0.5)
 
 
-def test_report_csv_includes_lambda_column_when_present():
+def test_report_csv_includes_lambda_column_when_present(tmp_path, monkeypatch):
     rep = LimitReport([0.4, 0.2], [1.0, 0.5], "fast-diffusion", True, 0.5,
                       lambda1s=[0.3, 0.5])
-    lines = rep.to_csv().strip().splitlines()
+    # the CLI writes this report for a fast-diffusion limit run
+    monkeypatch.setattr(limits, "limit_sigma_to_fd", lambda *args, **kwargs: rep)
+    text = ("experiment = limit-sigma\nM = 16\ns = 0.5\np = 1.5\ntau = 1e-3\n"
+            "T = 0.01\nsequence = 0.4, 0.2\n")
+    artifacts = cli.run(parse_config(text), output_dir=str(tmp_path))
+    lines = artifacts["report.csv"].strip().splitlines()
     assert lines[0] == "param,distance,lambda1"
     assert lines[1] == "0.40000000000000002,1,0.29999999999999999"
 

@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import eigh
 
 import fracfield as ff
+from fracfield import cli
+from fracfield.config import parse_config
 from fracfield.fracop import OutOfRangeError
 from fracfield.spectral import (
     EIG_TOL,
     NoConvergenceError,
     dirichlet_lambda1,
-    eigen_bounds,
-    sweep_to_csv,
+    lambda1_lower_bound,
 )
 
 from oracles import (
@@ -195,8 +196,9 @@ def test_spectral_gap_is_strictly_positive(unit64):
 def test_eigen_bounds_ordering():
     dom = ff.make_domain(0, 1, 32)
     for r in (0.1, 0.4, 0.8):
-        b = eigen_bounds(dom, r)
-        assert 0 < b.lower <= b.upper
+        lower = lambda1_lower_bound(r, 1, dom.length)
+        upper = dirichlet_lambda1(dom) ** r
+        assert 0 < lower <= upper
 
 
 def test_dirichlet_reference_eigenvalue():
@@ -204,10 +206,11 @@ def test_dirichlet_reference_eigenvalue():
     assert dirichlet_lambda1(ff.make_domain(0, 10, 8)) == pytest.approx(np.pi**2 / 100)
 
 
-def test_sweep_csv_format():
+def test_sweep_csv_format(tmp_path):
     dom = ff.make_domain(0, 1, 32)
     rows = ff.lambda1_sweep(dom, [0.5], refinements=[32])
-    text = sweep_to_csv(rows)
+    cfg = "M = 32\nexperiment = eigen-sweep\nsequence = 0.5\nrefinements = 32\n"
+    text = cli.run(parse_config(cfg), output_dir=str(tmp_path))["eigen.csv"]
     lines = text.strip().splitlines()
     assert lines[0] == "r,M,lambda1,lower,upper,residual"
     fields = lines[1].split(",")

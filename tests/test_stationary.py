@@ -3,9 +3,14 @@ import pytest
 
 import fracfield as ff
 from fracfield import cli, stationary
+from fracfield.config import parse_config
 from fracfield.fracop import OutOfRangeError
 from fracfield.grid import DomainMismatchError
-from fracfield.stationary import NoConvergenceError, sweep_to_csv
+from fracfield.stationary import NoConvergenceError
+
+
+def _sweep_csv(rows) -> str:
+    return cli.table_to_csv(list(rows[0]), [tuple(row.values()) for row in rows])
 
 
 def test_nontriviality_predicate_thresholds():
@@ -129,7 +134,7 @@ def test_sign_reflected_starts_reach_equal_energy(get_op):
     }
 
 
-def test_sigma_sweep_norms_decrease(get_op):
+def test_sigma_sweep_norms_decrease(get_op, tmp_path, monkeypatch):
     dom = ff.make_domain(0, 10, 255)
     params = ff.PotentialParams(p=4)
     rows = ff.stationary_sigma_sweep(dom, params, [0.5, 0.3, 0.15])
@@ -140,7 +145,10 @@ def test_sigma_sweep_norms_decrease(get_op):
     for row in rows:
         assert row["classification"] != "trivial"
         assert row["norm_u"] < row["bound"]
-    text = sweep_to_csv(rows)
+    # the CLI writes these rows as sweep.csv
+    monkeypatch.setattr(stationary, "stationary_sigma_sweep", lambda *args, **kwargs: rows)
+    cfg = "a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\nsequence = 0.5\n"
+    text = cli.run(parse_config(cfg), output_dir=str(tmp_path))["sweep.csv"]
     assert text.splitlines()[0] == "sigma,lambda1,norm_u,bound,energy,classification"
 
 
@@ -168,7 +176,7 @@ def test_sigma_sweep_reuses_given_operator(get_op, monkeypatch):
     monkeypatch.setattr(stationary, "minimize_energy", minimize)
     reused = ff.stationary_sigma_sweep(dom, params, sigmas, known=known)
     assert orders == [0.3] and minimized == [0.3]
-    assert sweep_to_csv(reused) == sweep_to_csv(fresh)
+    assert _sweep_csv(reused) == _sweep_csv(fresh)
     other = ff.minimize_energy(get_op(0.0, 1.0, 63, 0.5), params)
     with pytest.raises(DomainMismatchError):
         ff.stationary_sigma_sweep(dom, params, sigmas, known=other)
