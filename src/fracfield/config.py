@@ -31,9 +31,9 @@ EXPERIMENTS = tuple(_KEYS)
 
 INITIAL_PROFILES = ("bump", "sine", "zero", "random")
 
-# largest time grid (T/tau + 1) * M a run may march: U holds every level in
-# one float64 array, 512 MiB at this size, and recover holds several arrays
-# of that shape at once (the largest shipped grid is 501 x 128)
+# the largest float64 array a run may hold, 512 MiB: the time grid
+# (T/tau + 1) * M of U, of which recover holds several at once (the largest
+# shipped grid is 501 x 128), and the M x M matrices of the dense solvers
 MAX_GRID_VALUES = 2**26
 
 
@@ -189,6 +189,10 @@ def validate(cfg: RunConfig) -> None:
             )
     if exp == "stationary" and cfg.p < 2:
         raise ValidationError("p", "stationary minimization needs p > 2")
+    if cfg.refinements is not None and cfg.M not in cfg.refinements:
+        raise ValidationError("refinements", f"must contain M = {cfg.M}, the recorded mesh")
+    if exp not in ("eigen-sweep", "operator-limit") and cfg.M * cfg.M > MAX_GRID_VALUES:
+        raise ValidationError("M", f"an M x M matrix would hold more than {MAX_GRID_VALUES} values")
     if exp == "operator-limit" and cfg.initial == "zero":
         raise ValidationError("initial", "operator-limit needs a nonzero field")
     if cfg.tau is not None and cfg.T is not None:

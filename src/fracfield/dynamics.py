@@ -44,7 +44,8 @@ misses KRYLOV_TOL within KRYLOV_MAX iterations.  In the shipped configs
 that is once per run at p = 4, and 6 to 10 times in 250 steps at p = 1.5
 and p = 3, where beta'(u) varies more with u.  StepStats counts PCG
 iterations and factorizations.  M_c products are the O(M) stencil; no dense M_c is
-built.
+built.  The stationary polish minimizes J with the same Newton and
+directions, its K being A_sigma - lam M_c.
 """
 
 from __future__ import annotations
@@ -215,12 +216,10 @@ def _newton_minimize(
     when the line search or the NEWTON_MAX cap runs out.
 
     direction(u, g) returns the Newton direction, an approximate solution
-    of H(u) d = -g: the time steps solve by PCG with a lagged inverse
-    (_stepper), the stationary polish by one Cholesky factorization per
-    iteration (_cholesky_direction).  Where it raises LinAlgError because
-    the Hessian is not positive definite, which only the nonconvex J can
-    reach, the iteration takes the small gradient step u - min(1e-2, res) g
-    instead.
+    of H(u) d = -g; both minimizations take it from _lagged_direction.
+    Where it raises LinAlgError because the Hessian is not positive
+    definite, which only the nonconvex J can reach, the iteration takes the
+    small gradient step u - min(1e-2, res) g instead.
 
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
@@ -262,24 +261,6 @@ def _newton_minimize(
     )
 
 
-def _cholesky_direction(
-    hess: Callable[[np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Newton directions by one Cholesky factorization per iteration.
-
-    hess returns a fresh, exactly symmetric buffer, which is factored in
-    place: its transpose is the same matrix in the Fortran order LAPACK
-    works in, so no copy is made.  The finiteness check runs once, on the
-    Hessian; the solve does not rescan the factor.
-    """
-
-    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        chol = cho_factor(hess(u).T, overwrite_a=True)
-        return cho_solve(chol, -g, check_finite=False)
-
-    return direction
-
-
 def _pcg(
     K: np.ndarray, D: np.ndarray, inverse: np.ndarray, g: np.ndarray, counts: list
 ) -> np.ndarray | None:
@@ -311,6 +292,42 @@ def _pcg(
     return None
 
 
+def _lagged_direction(
+    K: np.ndarray, params: PotentialParams, h: float, counts: list
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Newton directions for the Hessian K + h diag(beta'(u)), K fixed:
+    G/tau + A_sigma for F_n, A_sigma - lam M_c for J.  Each direction is
+    PCG preconditioned by the explicit inverse of the last Hessian
+    factored.  Only when PCG fails (KRYLOV_MAX iterations, or nonpositive
+    curvature) is the current Hessian Cholesky-factored in a fresh buffer;
+    that factor gives the direction, and its inverse serves every later
+    call.  counts adds up [PCG iterations, factorizations].  On an
+    indefinite Hessian (J only) a returned d minimizes the Newton quadratic
+    over a Krylov space on which the Hessian is positive, so g @ d < 0, a
+    descent direction for J; otherwise the factorization raises
+    LinAlgError and _newton_minimize takes its gradient step.
+    """
+    diag = np.diag_indices(K.shape[0])
+    inverse = [None]  # upper triangle of the last factored Hessian's inverse
+
+    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        D = h * pot.beta_prime_reg(params, u)
+        if inverse[0] is not None:
+            d = _pcg(K, D, inverse[0], g, counts)
+            if d is not None:
+                return d
+            inverse[0] = None  # released before the new buffer is built
+        H = np.array(K, order="F")
+        H[diag] += D
+        chol = cho_factor(H, overwrite_a=True)
+        counts[1] += 1
+        d = cho_solve(chol, -g, check_finite=False)
+        inverse[0], _ = dpotri(chol[0], lower=chol[1], overwrite_c=1)
+        return d
+
+    return direction
+
+
 def _stepper(
     flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
 ) -> Callable[[np.ndarray], tuple[np.ndarray, int, float, int, int]]:
@@ -318,15 +335,10 @@ def _stepper(
     factorizations) on nodal vectors: Newton on F_n, nothing else.
 
     The Hessian of F_n is K + h diag(beta'(u)), where K = G/tau + A_sigma
-    does not depend on u or on the step; K is built once, in one buffer.
-    Each Newton direction is PCG on the current Hessian, preconditioned by
-    the explicit inverse of the last Hessian factored.  Only when PCG misses
-    KRYLOV_TOL within KRYLOV_MAX iterations is the current Hessian
-    Cholesky-factored in place; its factor gives the direction and is then
-    inverted in place, and that inverse serves every later step until the
-    next refactorization.  The gradient keeps the difference form
-    K (u - u_prev) + A_sigma u_prev + h beta(u) - lam M_c u_prev, so nothing
-    cancels near newton_tol.
+    does not depend on u or on the step; K is built once, in one buffer,
+    and one _lagged_direction serves the whole run.  The gradient keeps the
+    difference form K (u - u_prev) + A_sigma u_prev + h beta(u) -
+    lam M_c u_prev, so nothing cancels near newton_tol.
     """
     dom = flow.domain
     h = dom.h
@@ -339,31 +351,16 @@ def _stepper(
     K /= tau
     if A is not None:
         K += A
-    diag = np.diag_indices(dom.M)
-    inverse = [None]  # upper triangle of the last factored Hessian's inverse
+    counts = [0, 0]  # PCG iterations, factorizations of the current step
+    direction = _lagged_direction(K, params, h, counts)
 
     def step(up: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
         explicit = flow.lam * mass_vector(up)
         offset = -explicit if A is None else A @ up - explicit
-        counts = [0, 0]  # PCG iterations, factorizations
+        counts[:] = [0, 0]
 
         def grad(u):
             return K @ (u - up) + h * pot.beta_reg(params, u) + offset
-
-        def direction(u, g):
-            D = h * pot.beta_prime_reg(params, u)
-            if inverse[0] is not None:
-                d = _pcg(K, D, inverse[0], g, counts)
-                if d is not None:
-                    return d
-                inverse[0] = None  # released before the new buffer is built
-            H = np.array(K, order="F")
-            H[diag] += D
-            chol = cho_factor(H, overwrite_a=True)
-            counts[1] += 1
-            d = cho_solve(chol, -g, check_finite=False)
-            inverse[0], _ = dpotri(chol[0], lower=chol[1], overwrite_c=1)
-            return d
 
         un, iters, res = _newton_minimize(grad, direction, up, settings.newton_tol, h)
         return un, iters, res, counts[0], counts[1]

@@ -152,8 +152,8 @@ class FracOperator:
     Outside this module the dense storage is read only by the two
     Newton-system builders: dynamics._stepper reads A and a fresh
     _dual_kernel_buffer (never M_c or the cached dual_kernel), and
-    stationary._descend reads A and M_c.  The eigensolver reads the column
-    alone.
+    stationary.minimize_energy reads A (never M_c).  The eigensolver reads
+    the column alone.
     """
 
     domain: Domain1D

@@ -18,13 +18,13 @@ coercivity radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import potential as pot
-from .dynamics import NewtonDivergenceError, _cholesky_direction, _newton_minimize
-from .fracop import FracOperator, OutOfRangeError, assemble
+from .dynamics import NewtonDivergenceError, _lagged_direction, _newton_minimize
+from .fracop import FracOperator, OutOfRangeError, _mass_rows, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
 from .spectral import EIG_TOL, first_eigenpair
@@ -108,9 +108,10 @@ def _descend(
     params: PotentialParams,
     u0: np.ndarray,
     stat_tol: float,
+    direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, float] | None:
     """Barzilai-Borwein descent with backtracking, then the shared damped
-    Newton on J; None where that diverges."""
+    Newton on J with the given direction; None where that diverges."""
     h = op.domain.h
     u = u0.copy()
     g = _gradient(op, params, u)
@@ -142,19 +143,9 @@ def _descend(
         if res <= 1e-4 or res <= stat_tol:
             break
 
-    diag = np.diag_indices(op.domain.M)
-
-    def hess(v: np.ndarray) -> np.ndarray:
-        # A + h diag(beta'(v)) - lam M_c in one fresh buffer
-        H = op.A.copy()
-        H[diag] += h * pot.beta_prime_reg(params, v)
-        H -= params.lam * op.M_c
-        return H
-
     try:
         u, _, res = _newton_minimize(
-            lambda v: _gradient(op, params, v), _cholesky_direction(hess), u,
-            stat_tol, h,
+            lambda v: _gradient(op, params, v), direction, u, stat_tol, h
         )
     except NewtonDivergenceError:
         return None
@@ -185,6 +176,9 @@ def minimize_energy(
     Default starts: 0, +eps e1, -eps e1, and a seeded random field, where
     eps is the amplitude that makes the energy of the eigen-direction
     negative whenever lambda1(sigma) < 1.
+
+    One dynamics._lagged_direction on K = A_sigma - lam M_c, built once,
+    serves every start, so a run factors about once per operator.
     """
     if params.p <= 2:
         raise OutOfRangeError("stationary minimization requires p > 2")
@@ -210,9 +204,13 @@ def minimize_energy(
             Field(dom, 0.1 * rng.standard_normal(dom.M)),
         ]
 
+    K = _mass_rows(np.eye(dom.M), h)  # M_c, not cached on the operator
+    K *= -params.lam
+    K += op_sigma.A
+    direction = _lagged_direction(K, params, h, [0, 0])
     candidates = []
     for s in starts:
-        out = _descend(op_sigma, params, s.values, stat_tol)
+        out = _descend(op_sigma, params, s.values, stat_tol, direction)
         if out is not None:
             u, res = out
             candidates.append(

@@ -27,8 +27,10 @@ Toeplitz structure.
 
 The dense solver oracles keep the library's earlier loops: inverse iteration
 with dense M_c products and a freshly computed residual, its deflated
-second-eigenvalue variant, and the Newton step that assembles the Hessian
-from full-matrix sums and solves it with scipy.linalg.solve.
+second-eigenvalue variant, the Newton step that assembles the Hessian
+from full-matrix sums and solves it with scipy.linalg.solve, and the
+stationary solver's earlier path, which Cholesky-factors a fresh dense
+Hessian of the free energy at every Newton iteration.
 
 The per-level trace is evolve's earlier recovery: w_n, the potential-equation
 residual and the energy trace computed one level at a time, against which the
@@ -468,6 +470,70 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
     else:
         w = -cho_solve(cho_factor(flow.metric.A, lower=True), Mc @ (u - up)) / tau
     return u, w, it, res
+
+
+def stationary_state_cholesky(op, params, u0: np.ndarray, stat_tol: float):
+    """The stationary solver's earlier path from one start, with dense
+    products throughout: Barzilai-Borwein descent with backtracking down to
+    the scaled residual 1e-4, then damped Newton on J with the residual line
+    search, the Hessian A + h diag(beta'(u)) - lam M_c built and
+    Cholesky-factored afresh at every iteration, and the gradient step
+    u - min(1e-2, res) g where it is not positive definite.  Returns
+    (u, residual)."""
+    h, lam = op.domain.h, params.lam
+    A, Mc = op.A, op.M_c
+
+    def J(u):
+        return (0.5 * u @ (A @ u) + h * np.sum(pot.beta_hat(params, u))
+                - 0.5 * lam * u @ (Mc @ u))
+
+    def grad(u):
+        return A @ u + h * pot.beta(params, u) - lam * (Mc @ u)
+
+    scale = 1.0 / np.sqrt(h)
+    u = u0.copy()
+    g = grad(u)
+    res = float(np.linalg.norm(g)) * scale
+    step = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
+    u_old = None
+    for _ in range(5000):
+        if res <= 1e-4 or res <= stat_tol:
+            break
+        if u_old is not None:
+            sy = (u - u_old) @ (g - g_old)
+            step = (u - u_old) @ (u - u_old) / sy if sy > 0 else step
+            step = min(max(step, 1e-12), 1e3)
+        t, f = step, J(u)
+        while J(u - t * g) > f - 1e-4 * t * (g @ g):
+            t *= 0.5
+            assert t > 1e-30, "descent line search exhausted"
+        u_old, g_old = u, g
+        u = u - t * g
+        g = grad(u)
+        res = float(np.linalg.norm(g)) * scale
+    for _ in range(100):
+        if res <= stat_tol:
+            return u, res
+        H = A + h * np.diag(pot.beta_prime_reg(params, u)) - lam * Mc
+        try:
+            d = cho_solve(cho_factor(H), -g)
+        except np.linalg.LinAlgError:
+            u = u - min(1e-2, res) * g
+            g = grad(u)
+            res = float(np.linalg.norm(g)) * scale
+            continue
+        t = 1.0
+        while True:
+            un = u + t * d
+            gn = grad(un)
+            resn = float(np.linalg.norm(gn)) * scale
+            if resn <= (1.0 - 1e-4 * t) * res or resn <= stat_tol:
+                break
+            t *= 0.5
+            assert t >= 1e-14, "line search exhausted"
+        u, g, res = un, gn, resn
+    assert res <= stat_tol, "Newton cap reached"
+    return u, res
 
 
 def energy_trace_per_level(flow, params, traj, tau: float):

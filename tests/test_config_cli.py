@@ -327,6 +327,8 @@ def test_every_config_key_reaches_the_run_or_is_rejected(tmp_path):
             if f.name == "output_dir":
                 continue
             value = _PERTURB[f.name](getattr(base_cfg, f.name))
+            if f.name == "refinements":  # the meshes must include the recorded M
+                value = [base_cfg.M] + value
             changed = text + f"{f.name} = {_value_text(value)}\n"
             try:
                 cfg = parse_config(changed)
@@ -467,6 +469,34 @@ def test_time_grid_cap_is_MAX_GRID_VALUES():
     with pytest.raises(ValidationError) as err:
         parse_config(at_cap.replace("T = 65.535", "T = 65.536"))
     assert err.value.key == "T"
+
+
+def test_refinements_without_M_exit_1_naming_them(tmp_path, capsys):
+    # M = 24 and M = 999 with refinements = 16 would run the same sweep under
+    # two different manifests
+    eigen = "a = 0\nb = 1\nexperiment = eigen-sweep\nsequence = 0.5\n"
+    for M in (24, 999):
+        text = eigen + f"M = {M}\nrefinements = 16\n"
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == "refinements"
+        _assert_fails_cleanly(tmp_path, capsys, text, 1, "error: refinements: ")
+    assert parse_config(eigen + "M = 16\nrefinements = 8, 16\n").refinements == [8, 16]
+    cfg = parse_config((REPO / "benchmark/configs/eigen_refine.cfg").read_text())
+    assert cfg.M == 511 and cfg.refinements == [511, 2047]
+
+
+def test_dense_experiment_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
+    # an M x M float64 matrix of more than MAX_GRID_VALUES values is refused
+    # before any assembly; the column-only experiments have no such matrix
+    stationary = "a = 0\nb = 10\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+    assert parse_config(stationary + "M = 8192\n").M == 8192
+    _assert_fails_cleanly(tmp_path, capsys, stationary + "M = 8193\n", 1, "error: M: ")
+    for exp in ("eigen-sweep", "operator-limit"):
+        assert parse_config(f"M = 8193\nexperiment = {exp}\nsequence = 0.2, 0.1\n").M == 8193
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL_CH.replace("M = 24", "M = 8193"))
+    assert err.value.key == "M"
 
 
 @pytest.mark.parametrize("line, key", [

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import fracfield as ff
-from fracfield import cli, dynamics
+from fracfield import cli, dynamics, stationary
 from fracfield.config import parse_config
 from fracfield.dynamics import (
     NewtonDivergenceError,
-    _cholesky_direction,
+    _lagged_direction,
     _newton_minimize,
 )
 from fracfield import potential
@@ -168,14 +168,49 @@ def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite(monkeypatc
             raise
 
     monkeypatch.setattr(dynamics, "cho_factor", counting_cho_factor)
+    # Hessian K + h beta'(u) = -1 + 3 u^2 with p = 4 and h = 1
     u, iters, res = _newton_minimize(
         lambda u: u**3 - u,
-        _cholesky_direction(lambda u: np.array([[3.0 * u[0] ** 2 - 1.0]])),
+        _lagged_direction(np.array([[-1.0]]), potential.PotentialParams(p=4), 1.0, [0, 0]),
         np.array([0.5]), 1e-12, 1.0,
     )
     assert calls["fallback"] >= 1
     assert res <= 1e-12 and iters <= dynamics.NEWTON_MAX
     assert u[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
+    # J's Hessian A + h diag(3 u^2) - M_c is positive definite at u = 1 and
+    # indefinite near 0 on (0, 10), where lambda1(1/2) < 1; with the inverse
+    # from u = 1 lagged, a direction at small u either descends on J or
+    # raises LinAlgError, on which Newton takes its gradient step
+    op = ff.assemble(ff.make_domain(0, 10, 63), 0.5)
+    params = ff.PotentialParams(p=4)
+    h, M = op.domain.h, op.domain.M
+    K = op.A - op.M_c
+    for amplitude in (0.05, 0.3):
+        u = amplitude * rng.standard_normal(M)
+        assert np.linalg.eigvalsh(K + h * np.diag(3.0 * u**2)).min() < 0
+        counts = [0, 0]
+        direction = _lagged_direction(K, params, h, counts)
+        direction(np.ones(M), stationary._gradient(op, params, np.ones(M)))
+        assert counts == [0, 1]
+        g = stationary._gradient(op, params, u)
+        try:
+            d = direction(u, g)
+        except np.linalg.LinAlgError:
+            continue
+        assert g @ d < 0
+
+    # both outcomes by hand: the lagged inverse is diag(1/2, 1/13) from
+    # diag(2, 13), and the Hessian at u = (1/2, 0) is diag(-1/4, 10)
+    direction = _lagged_direction(np.diag([-1.0, 10.0]), params, 1.0, [0, 0])
+    direction(np.ones(2), np.ones(2))
+    g = np.array([0.0, 1.0])  # the Krylov space misses the negative direction
+    d = direction(np.array([0.5, 0.0]), g)
+    assert g @ d < 0 and d == pytest.approx([0.0, -0.1], abs=1e-15)
+    with pytest.raises(np.linalg.LinAlgError):  # p^T H p < 0 on the first step
+        direction(np.array([0.5, 0.0]), np.ones(2))
 
 
 # ------------------------------------------------------------------ evolve

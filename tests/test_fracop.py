@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, circulant, toeplitz
+from scipy.linalg import cho_factor, circulant, solve_toeplitz, toeplitz
+from scipy import special
 from hypothesis import given, settings, strategies as st
 
 import fracfield as ff
@@ -162,6 +163,26 @@ def test_identity_limit_at_fixed_resolution(get_op):
         gaps.append(abs(op.gagliardo_sq(v) - ref) / ref)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 0.10
+
+
+def test_torsion_energy_error_has_order_one_half():
+    # on (-1, 1), u = (1 - x^2)_+^s / Gamma(2s+1) solves (-Delta)^s u = 1
+    # (Getoor, Trans. AMS 101, 1961).  With A u_h = h 1, Galerkin
+    # orthogonality gives the squared energy error exactly:
+    # int u - u_h^T A u_h = B(1/2, s+1) / Gamma(2s+1) - h sum(u_h).  P1
+    # elements converge like h^(1/2) in energy (Acosta & Borthagaray, SIAM
+    # J. Numer. Anal. 55, 2017), so the squared error halves with h.  The
+    # solve is Levinson's, not the library's
+    for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+        int_u = special.beta(0.5, s + 1.0) / special.gamma(2.0 * s + 1.0)
+        errs = []
+        for n in (2**10, 2**11, 2**12):  # M + 1 intervals
+            op = ff.assemble(ff.make_domain(-1, 1, n - 1), s)
+            h = op.domain.h
+            errs.append(int_u - h * solve_toeplitz(op.column, np.full(n - 1, h)).sum())
+        assert min(errs) > 0, (s, errs)
+        orders = [np.log2(e1 / e2) / 2 for e1, e2 in zip(errs, errs[1:])]
+        assert all(0.49 <= o <= 0.51 for o in orders), (s, orders)
 
 
 def test_assemble_rejects_bad_order():

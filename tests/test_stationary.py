@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import fracfield as ff
-from fracfield import cli, stationary
+from fracfield import cli, dynamics, stationary
 from fracfield.config import parse_config
 from fracfield.fracop import OutOfRangeError
 from fracfield.grid import DomainMismatchError
 from fracfield.stationary import NoConvergenceError
+
+from oracles import stationary_state_cholesky
 
 
 def _sweep_csv(rows) -> str:
@@ -120,6 +122,43 @@ def test_norm_below_smallness_bound(wide_result):
     op, result = wide_result
     bound = ff.smallness_bound(ff.PotentialParams(p=4), result.lambda1_sigma, 10.0)
     assert ff.lp_norm(result.u_star, 2) < bound
+
+
+def test_minimize_energy_factors_the_hessian_at_most_once(get_op, monkeypatch):
+    # one lagged direction serves every start, so the first factored Hessian
+    # preconditions every later Newton direction of the run
+    calls = [0]
+    cho_factor = dynamics.cho_factor
+
+    def counting_cho_factor(a, **kwargs):
+        calls[0] += 1
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(dynamics, "cho_factor", counting_cho_factor)
+    result = ff.minimize_energy(get_op(0.0, 10.0, 255, 0.5), ff.PotentialParams(p=4))
+    assert result.classification != "trivial"
+    assert calls[0] <= 1
+
+
+@pytest.mark.parametrize("b, M, sigma, p", [(10.0, 255, 0.5, 4.0), (20.0, 127, 0.3, 3.0)])
+def test_minimizer_matches_the_cholesky_polish_oracle(get_op, b, M, sigma, p):
+    # two starts of one sign reach one state; the second start's Newton
+    # runs on the lagged inverse the first one factored.  At the default
+    # stat_tol both sides may stop at residuals near 1e-9 and differ by up
+    # to 5e-11 of max |u|, so both polish to 1e-12
+    op = get_op(0.0, b, M, sigma)
+    params = ff.PotentialParams(p=p)
+    e1 = ff.first_eigenpair(op).e1
+    for sign, cls in ((1.0, "nontrivial-positive"), (-1.0, "nontrivial-negative")):
+        result = ff.minimize_energy(
+            op, params, starts=[0.1 * sign * e1, 0.2 * sign * e1], stat_tol=1e-12
+        )
+        u_ref, res_ref = stationary_state_cholesky(op, params, 0.1 * sign * e1.values, 1e-12)
+        assert res_ref <= 1e-12
+        assert (u_ref.min() > 0 if sign > 0 else u_ref.max() < 0)
+        assert result.classification == cls
+        err = np.max(np.abs(result.u_star.values - u_ref))
+        assert err <= 1e-10 * np.max(np.abs(u_ref)), (sign, err)
 
 
 def test_sign_reflected_starts_reach_equal_energy(get_op):
