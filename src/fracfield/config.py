@@ -33,7 +33,9 @@ INITIAL_PROFILES = ("bump", "sine", "zero", "random")
 
 # the largest float64 array a run may hold, 512 MiB: the time grid
 # (T/tau + 1) * M of U, of which recover holds several at once (the largest
-# shipped grid is 501 x 128), and the M x M matrices of the dense solvers
+# shipped grid is 501 x 128), the M x M matrices of the dense solvers, and
+# the circulant embedding of the stiffness column (the power of two
+# >= 2M - 1) that every experiment transforms
 MAX_GRID_VALUES = 2**26
 
 
@@ -193,6 +195,10 @@ def validate(cfg: RunConfig) -> None:
         raise ValidationError("refinements", f"must contain M = {cfg.M}, the recorded mesh")
     if exp not in ("eigen-sweep", "operator-limit") and cfg.M * cfg.M > MAX_GRID_VALUES:
         raise ValidationError("M", f"an M x M matrix would hold more than {MAX_GRID_VALUES} values")
+    for key, meshes in (("M", [cfg.M]), ("refinements", cfg.refinements or [])):
+        if any(2 * m - 1 > MAX_GRID_VALUES for m in meshes):
+            raise ValidationError(key, "the circulant embedding of a stiffness column "
+                                  f"would hold more than {MAX_GRID_VALUES} values")
     if exp == "operator-limit" and cfg.initial == "zero":
         raise ValidationError("initial", "operator-limit needs a nonzero field")
     if cfg.tau is not None and cfg.T is not None:

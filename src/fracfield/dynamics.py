@@ -35,17 +35,23 @@ formats no text: cli writes the trajectory and the trace as CSV tables.
 
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
-steps.  K is built once per run (the dual kernel by the O(M) mass stencil
-on the rows of A_s^(-1) M_c), and every Newton direction is preconditioned
-CG on the current Hessian with the explicit inverse of the last factored
-Hessian as preconditioner (a lagged preconditioner, Knoll & Keyes, J.
-Comput. Phys. 193, 2004).  The Hessian is factored again only when PCG
-misses KRYLOV_TOL within KRYLOV_MAX iterations.  In the shipped configs
-that is once per run at p = 4, and 6 to 10 times in 250 steps at p = 1.5
-and p = 3, where beta'(u) varies more with u.  StepStats counts PCG
-iterations and factorizations.  M_c products are the O(M) stencil; no dense M_c is
-built.  The stationary polish minimizes J with the same Newton and
-directions, its K being A_sigma - lam M_c.
+steps.  K is built once per run, in Fortran order (the dual kernel as the
+O(M) mass stencil on both sides of A_s^(-1), the inverse of the cached
+factor), and every Newton direction is preconditioned CG on the current
+Hessian with the explicit inverse of the last factored Hessian as
+preconditioner (a lagged preconditioner, Knoll & Keyes, J. Comput. Phys.
+193, 2004).  Every product with K or the inverse is a dsymv that reads one
+triangle, and PCG works in preallocated vectors.  The Hessian is factored
+again only when PCG misses KRYLOV_TOL within KRYLOV_MAX iterations.  In
+the shipped configs that is once per run at p = 4, and 6 to 10 times in 250
+steps at p = 1.5 and p = 3, where beta'(u) varies more with u.  StepStats
+counts PCG iterations and factorizations.  From the second step on, Newton
+starts at the linear extrapolation 2 u_(n-1) - u_(n-2); F_n is strictly
+convex, so only the path to its minimizer changes; the M = 128
+Cahn-Hilliard and Allen-Cahn configs need 34 to 39% fewer Newton
+iterations.  M_c products are the O(M) stencil; no dense M_c is built.
+The stationary polish minimizes J with the same Newton and directions,
+its K being A_sigma - lam M_c.
 """
 
 from __future__ import annotations
@@ -264,49 +270,60 @@ def _newton_minimize(
 def _pcg(
     K: np.ndarray, D: np.ndarray, inverse: np.ndarray, g: np.ndarray, counts: list
 ) -> np.ndarray | None:
-    """Preconditioned CG on (K + diag(D)) d = -g from d = 0, the
-    preconditioner being the symmetric matrix stored in the upper triangle
-    of inverse.  Returns d once ||H d + g|| <= KRYLOV_TOL ||g||, or None
-    after KRYLOV_MAX iterations (counted in counts[0]) or on a direction of
-    nonpositive (or NaN) curvature."""
+    """Preconditioned CG on (K + diag(D)) d = -g from d = 0, K being the
+    symmetric matrix stored in the upper triangle of the Fortran-ordered K
+    and the preconditioner the one stored in the upper triangle of inverse.
+    Returns d once ||H d + g|| <= KRYLOV_TOL ||g||, or None after
+    KRYLOV_MAX iterations (counted in counts[0]) or on a direction of
+    nonpositive (or NaN) curvature.  The iterations allocate nothing: the
+    products go into q and z in place, and the updates through work."""
     d = np.zeros_like(g)
     r = -g
+    q, z, work = np.zeros((3, g.size))  # zeros: a BLAS may scale NaN garbage by beta = 0
     stop = KRYLOV_TOL * math.sqrt(g @ g)
-    z = dsymv(1.0, inverse, r)
-    p = z
+    z = dsymv(1.0, inverse, r, y=z, overwrite_y=1)
+    p = z.copy()
     rz = r @ z
     for _ in range(KRYLOV_MAX):
-        q = K @ p + D * p
+        q = dsymv(1.0, K, p, y=q, overwrite_y=1)
+        q += np.multiply(D, p, out=work)
         pq = p @ q
         if not pq > 0.0:
             return None
         alpha = rz / pq
-        d += alpha * p
-        r -= alpha * q
+        d += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
         counts[0] += 1
         if math.sqrt(r @ r) <= stop:
             return d
-        z = dsymv(1.0, inverse, r)
+        z = dsymv(1.0, inverse, r, y=z, overwrite_y=1)
         rz, rz_prev = r @ z, rz
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev
+        p += z
     return None
 
 
 def _lagged_direction(
     K: np.ndarray, params: PotentialParams, h: float, counts: list
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Newton directions for the Hessian K + h diag(beta'(u)), K fixed:
-    G/tau + A_sigma for F_n, A_sigma - lam M_c for J.  Each direction is
-    PCG preconditioned by the explicit inverse of the last Hessian
-    factored.  Only when PCG fails (KRYLOV_MAX iterations, or nonpositive
-    curvature) is the current Hessian Cholesky-factored in a fresh buffer;
-    that factor gives the direction, and its inverse serves every later
-    call.  counts adds up [PCG iterations, factorizations].  On an
-    indefinite Hessian (J only) a returned d minimizes the Newton quadratic
-    over a Krylov space on which the Hessian is positive, so g @ d < 0, a
-    descent direction for J; otherwise the factorization raises
-    LinAlgError and _newton_minimize takes its gradient step.
+    """Newton directions for the Hessian K + h diag(beta'(u)), K fixed and
+    symmetric: G/tau + A_sigma for F_n, A_sigma - lam M_c for J.  Each
+    direction is PCG preconditioned by the explicit inverse of the last
+    Hessian factored.  Only when PCG fails (KRYLOV_MAX iterations, or
+    nonpositive curvature) is the current Hessian Cholesky-factored in a
+    fresh buffer; that factor gives the direction, and its inverse serves
+    every later call.  counts adds up [PCG iterations, factorizations].  On
+    an indefinite Hessian (J only) a returned d minimizes the Newton
+    quadratic over a Krylov space on which the Hessian is positive, so
+    g @ d < 0, a descent direction for J; otherwise the factorization
+    raises LinAlgError and _newton_minimize takes its gradient step.
+
+    K is read in Fortran order, which BLAS takes without a copy (f2py
+    copies a C-ordered matrix on every call); K is symmetric, so the
+    transpose of a C-ordered K is that view.  A direction allocates O(M)
+    unless it factors.
     """
+    K = K if K.flags.f_contiguous else K.T
     diag = np.diag_indices(K.shape[0])
     inverse = [None]  # upper triangle of the last factored Hessian's inverse
 
@@ -330,22 +347,24 @@ def _lagged_direction(
 
 def _stepper(
     flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
-) -> Callable[[np.ndarray], tuple[np.ndarray, int, float, int, int]]:
-    """The step u_prev -> (u_n, iterations, residual, krylov,
-    factorizations) on nodal vectors: Newton on F_n, nothing else.
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, float, int, int]]:
+    """The step (u_prev, start) -> (u_n, iterations, residual, krylov,
+    factorizations) on nodal vectors: Newton on F_n from start, nothing
+    else.
 
     The Hessian of F_n is K + h diag(beta'(u)), where K = G/tau + A_sigma
-    does not depend on u or on the step; K is built once, in one buffer,
-    and one _lagged_direction serves the whole run.  The gradient keeps the
-    difference form K (u - u_prev) + A_sigma u_prev + h beta(u) -
-    lam M_c u_prev, so nothing cancels near newton_tol.
+    does not depend on u or on the step; K is built once, in one
+    Fortran-ordered buffer, and one _lagged_direction serves the whole run.
+    The gradient keeps the difference form K (u - u_prev) + A_sigma u_prev
+    + h beta(u) - lam M_c u_prev, so nothing cancels near newton_tol; its
+    K product, like PCG's, reads one triangle of K (dsymv).
     """
     dom = flow.domain
     h = dom.h
     mass_vector = (flow.interface or flow.metric).mass_vector
     A = None if flow.interface is None else flow.interface.A
     if flow.metric is None:
-        K = _mass_rows(np.eye(dom.M), h)
+        K = _mass_rows(np.eye(dom.M, order="F"), h)
     else:
         K = flow.metric._dual_kernel_buffer()
     K /= tau
@@ -354,15 +373,15 @@ def _stepper(
     counts = [0, 0]  # PCG iterations, factorizations of the current step
     direction = _lagged_direction(K, params, h, counts)
 
-    def step(up: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
+    def step(up: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
         explicit = flow.lam * mass_vector(up)
         offset = -explicit if A is None else A @ up - explicit
         counts[:] = [0, 0]
 
         def grad(u):
-            return K @ (u - up) + h * pot.beta_reg(params, u) + offset
+            return dsymv(1.0, K, u - up) + h * pot.beta_reg(params, u) + offset
 
-        un, iters, res = _newton_minimize(grad, direction, up, settings.newton_tol, h)
+        un, iters, res = _newton_minimize(grad, direction, start, settings.newton_tol, h)
         return un, iters, res, counts[0], counts[1]
 
     return step
@@ -398,8 +417,11 @@ def march(
         raise ValueError("initial state contains non-finite values")
     step = _stepper(flow, params, settings.tau, settings)
     rows, newton = [u0.values], []
-    for _ in range(settings.n_steps):
-        un, *st = step(rows[-1])
+    for n in range(settings.n_steps):
+        # predictor: from the second step on, Newton starts at the linear
+        # extrapolation 2 u_(n-1) - u_(n-2) of the last two levels
+        start = rows[-1] if n == 0 else 2.0 * rows[-1] - rows[-2]
+        un, *st = step(rows[-1], start)
         rows.append(un)
         newton.append(st)
     # U is stacked after the march: preallocated, it would add to the

@@ -50,11 +50,13 @@ definiteness from Durbin's recursion.  Dense storage is built on first use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_banded, toeplitz
+from scipy.linalg.lapack import dpotri
 from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
@@ -152,8 +154,10 @@ class FracOperator:
     Outside this module the dense storage is read only by the two
     Newton-system builders: dynamics._stepper reads A and a fresh
     _dual_kernel_buffer (never M_c or the cached dual_kernel), and
-    stationary.minimize_energy reads A (never M_c).  The eigensolver reads
-    the column alone.
+    stationary.minimize_energy reads A (never M_c).  The buffer is built
+    from A^(-1), which dpotri forms from a copy of the cached factor, with
+    the mass stencil on both sides, in the one M x M array it returns.  The
+    eigensolver reads the column alone.
     """
 
     domain: Domain1D
@@ -244,14 +248,25 @@ class FracOperator:
         return float(rhs @ self.solve_vector(rhs))
 
     def _dual_kernel_buffer(self) -> np.ndarray:
-        """M_c A^(-1) M_c in a fresh, writable, Fortran-ordered buffer: the
-        mass stencil applied to the rows of Y = A^(-1) M_c, where Y is
-        solved in place over the banded M_c (symmetric, so its C-ordered
-        buffer is M_c in Fortran order).  Symmetric up to rounding."""
-        h = self.domain.h
-        B = _mass_rows(np.eye(self.domain.M), h)
-        Y = cho_solve((self._factor(), True), B.T, overwrite_b=True, check_finite=False)
-        return _mass_rows(Y, h)
+        """M_c A^(-1) M_c in a fresh, writable, Fortran-ordered buffer, the
+        only M x M array built: A^(-1) by dpotri on a copy of the cached
+        factor, then the mass stencil down its columns (M_c X) and along
+        its rows (X M_c), in place, on blocks of about sqrt(M) columns or
+        rows.  dpotri fills the lower triangle; each column block first
+        mirrors its upper part from the rows of that triangle, right to
+        left, so the columns it reads are not yet stenciled.  Symmetric up
+        to rounding."""
+        M, h = self.domain.M, self.domain.h
+        X, _ = dpotri(self._factor(), lower=1)
+        b = math.isqrt(M)
+        for j in reversed(range(0, M, b)):
+            X[:j, j : j + b] = X[j : j + b, :j].T
+            block = X[j : j + b, j : j + b]
+            block[...] = np.tril(block) + np.tril(block, -1).T
+            X[:, j : j + b] = _mass_rows(X[:, j : j + b], h)
+        for i in range(0, M, b):
+            X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
+        return X
 
     @property
     def dual_kernel(self) -> np.ndarray:

@@ -30,7 +30,11 @@ with dense M_c products and a freshly computed residual, its deflated
 second-eigenvalue variant, the Newton step that assembles the Hessian
 from full-matrix sums and solves it with scipy.linalg.solve, and the
 stationary solver's earlier path, which Cholesky-factors a fresh dense
-Hessian of the free energy at every Newton iteration.
+Hessian of the free energy at every Newton iteration.  The dual kernel by
+a Cholesky solve with M right-hand sides and the PCG with a full K @ p
+and fresh temporaries are the library's earlier kernels; the Newton step
+oracle builds its metric with the first.  That dual kernel and the
+library's are both checked against a 30-digit mpmath reference.
 
 The per-level trace is evolve's earlier recovery: w_n, the potential-equation
 residual and the energy trace computed one level at a time, against which the
@@ -54,6 +58,7 @@ import numpy as np
 from dataclasses import replace
 from math import cos, gamma, log, pi
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
+from scipy.linalg.blas import dsymv
 from scipy.special import roots_legendre
 
 from fracfield import potential as pot
@@ -422,15 +427,76 @@ def second_eigenvalue(op, e1: np.ndarray, eig_tol: float = 1e-10,
     raise RuntimeError("deflated iteration stalled")
 
 
-def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
+def dual_kernel_cho_solve(op) -> np.ndarray:
+    """M_c A^(-1) M_c the library's earlier way: A^(-1) M_c by a Cholesky
+    solve with M right-hand sides, then M_c on the left, symmetrized."""
+    K = op.M_c @ cho_solve(cho_factor(op.A, lower=True), op.M_c)
+    return 0.5 * (K + K.T)
+
+
+def dual_kernel_mpmath(op, dps: int = 30) -> np.ndarray:
+    """M_c A^(-1) M_c of the float64 column in dps digits, rounded to
+    float64.  x = A^(-1) e_1 comes from an mpmath LU solve; the inverse of
+    the symmetric Toeplitz A then follows row by row from the
+    Gohberg-Semencul recurrence B[i, j] = B[i-1, j-1] + (x_i x_j -
+    x_(M-i) x_(M-j)) / x_0, with x_M = 0, and the mass stencil is applied
+    on both sides in the same precision."""
+    M = op.domain.M
+    with mpmath.workdps(dps):
+        c = [mpmath.mpf(float(v)) for v in op.column]
+        A = mpmath.matrix([[c[abs(i - j)] for j in range(M)] for i in range(M)])
+        x = list(mpmath.lu_solve(A, mpmath.matrix([1] + [0] * (M - 1)))) + [0]
+        B = [x[:M]]
+        for i in range(1, M):
+            B.append([(B[i - 1][j - 1] if j else 0) + (x[i] * x[j] - x[M - i] * x[M - j]) / x[0]
+                      for j in range(M)])
+        h6 = mpmath.mpf(op.domain.h) / 6
+
+        def mass(X):  # M_c X, then transposed, so two calls give M_c X M_c
+            pad = [[0] * M] + X + [[0] * M]
+            return [list(col) for col in zip(*(
+                [h6 * (4 * pad[i + 1][j] + pad[i][j] + pad[i + 2][j]) for j in range(M)]
+                for i in range(M)))]
+
+        return np.array([[float(v) for v in row] for row in mass(mass(B))])
+
+
+def pcg_allocating(K, D, inverse, g, counts):
+    """The library's earlier PCG: the same iteration as dynamics._pcg with
+    the full product K @ p and fresh temporaries in every iteration."""
+    d = np.zeros_like(g)
+    r = -g
+    stop = 1e-10 * np.sqrt(g @ g)
+    z = dsymv(1.0, inverse, r)
+    p = z
+    rz = r @ z
+    for _ in range(6):
+        q = K @ p + D * p
+        pq = p @ q
+        if not pq > 0.0:
+            return None
+        alpha = rz / pq
+        d += alpha * p
+        r -= alpha * q
+        counts[0] += 1
+        if np.sqrt(r @ r) <= stop:
+            return d
+        z = dsymv(1.0, inverse, r)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    return None
+
+
+def newton_step_dense(flow, params, tau: float, settings, u_prev: Field, start=None):
     """One convex-splitting step u_prev -> (u_n, w_n, iterations, residual)
     with the Hessian summed from full matrices and solved by
     scipy.linalg.solve(assume_a="pos"); same damped Newton and residual
-    line search as the library."""
+    line search as the library, started from start (default u_prev), and
+    the dual kernel from dual_kernel_cho_solve."""
     h = u_prev.domain.h
     Mc = (flow.interface or flow.metric).M_c
     A = None if flow.interface is None else flow.interface.A
-    G = Mc if flow.metric is None else flow.metric.dual_kernel
+    G = Mc if flow.metric is None else dual_kernel_cho_solve(flow.metric)
     up = u_prev.values
     explicit = flow.lam * (Mc @ up)
 
@@ -447,7 +513,7 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field):
         return H + h * np.diag(pot.beta_prime_reg(params, u))
 
     scale = 1.0 / np.sqrt(h)
-    u = up.copy()
+    u = (up if start is None else start).copy()
     g = grad(u)
     res = float(np.linalg.norm(g)) * scale
     it = 0

@@ -513,6 +513,21 @@ def test_non_finite_values_exit_1_naming_the_key(tmp_path, capsys, line, key):
     _assert_fails_cleanly(tmp_path, capsys, text, 1, f"error: {key}: ")
 
 
+def test_column_only_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
+    # the column-only experiments transform an embedding of the power of two
+    # >= 2M - 1 values; M = 2**25 reaches MAX_GRID_VALUES, one node more is
+    # refused before any assembly, naming M or refinements
+    for exp in ("eigen-sweep", "operator-limit"):
+        head = f"a = 0\nb = 1\nexperiment = {exp}\nsequence = 0.2, 0.1\n"
+        assert parse_config(head + f"M = {2**25}\n").M == 2**25
+        for M in (2**25 + 1, 300000000):
+            _assert_fails_cleanly(tmp_path, capsys, head + f"M = {M}\n", 1, "error: M: ")
+    eigen = "a = 0\nb = 1\nM = 16\nexperiment = eigen-sweep\nsequence = 0.5\n"
+    assert parse_config(eigen + f"refinements = 16, {2**25}\n").refinements == [16, 2**25]
+    _assert_fails_cleanly(tmp_path, capsys, eigen + "refinements = 16, 300000000\n", 1,
+                          "error: refinements: ")
+
+
 _FUZZ_VALUE = st.one_of(
     st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999",
                      "1e308", "1.7976931348623157e308", "1e-320", "5e-324", "-5e-324"]),

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
     ch_step_functional_value,
     energy_trace_per_level,
     newton_step_dense,
+    pcg_allocating,
     stiffness_closed_form,
 )
 
@@ -399,7 +401,8 @@ def test_flow_needs_an_operator_on_one_domain(ops48):
 
 def _check_against_oracle(flow, params, settings, u):
     """Run n_steps steps from u; at every step compare with the oracle
-    started from the same u_prev, and return the steps' StepStats.  The
+    given the same u_prev and Newton start (the predictor from the second
+    step on), and return the steps' StepStats.  The
     stepper's directions come from PCG with a lagged inverse, the oracle's
     from scipy.linalg.solve on the full Hessian, so the two agree to
     rounding, not bit for bit."""
@@ -407,8 +410,9 @@ def _check_against_oracle(flow, params, settings, u):
     assert len(traj.stats) == settings.n_steps
     for k, stats in enumerate(traj.stats):
         un, wn = traj.U[k + 1], traj.W[k]
+        start = None if k == 0 else 2.0 * traj.U[k] - traj.U[k - 1]  # the predictor
         u_ref, w_ref, iters, res = newton_step_dense(
-            flow, params, settings.tau, settings, ff.Field(traj.domain, traj.U[k])
+            flow, params, settings.tau, settings, ff.Field(traj.domain, traj.U[k]), start
         )
         assert np.max(np.abs(un - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
         assert np.max(np.abs(wn - w_ref)) <= 1e-10 * np.max(np.abs(w_ref))
@@ -488,6 +492,98 @@ def test_ch_run_factors_its_hessian_once():
     assert traj.stats[0].factorizations == 1
     assert all(st.krylov <= dynamics.KRYLOV_MAX * st.iterations for st in traj.stats)
     assert sum(st.krylov for st in traj.stats) > 0
+
+
+def _recorded_march(M, s, sigma, T):
+    """march a p = 4 Cahn-Hilliard bump flow on (0, 1) with tau = 1e-3,
+    recording the arguments (K, D, inverse, g) of every _pcg call."""
+    dom = ff.make_domain(0, 1, M)
+    flow = ff.Flow(ff.assemble(dom, s), ff.assemble(dom, sigma), 1.0)
+    systems = []
+
+    def recording(K, D, inverse, g, counts):
+        systems.append((K, D, inverse, g))
+        return pcg(K, D, inverse, g, counts)
+
+    pcg = dynamics._pcg
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_pcg", recording)
+        _, newton = ff.march(flow, ff.PotentialParams(p=4), ff.bump_field(dom),
+                             ff.SolverSettings(tau=1e-3, T=T))
+    return newton, systems
+
+
+@pytest.fixture(scope="module")
+def fine_ch_march():
+    # benchmark/configs/fine_ch.cfg: M = 1023, s = 0.5, sigma = 0.75, 30 steps
+    return _recorded_march(1023, 0.5, 0.75, 0.03)
+
+
+def test_fine_ch_newton_pcg_and_factorization_counts(fine_ch_march):
+    newton, _ = fine_ch_march
+    assert len(newton) == 30
+    assert sum(it for it, *_ in newton) == 60
+    assert sum(kr for _, _, kr, _ in newton) <= 235
+    assert sum(fa for *_, fa in newton) == 1
+
+
+def test_pcg_matches_the_allocating_oracle_on_recorded_systems(fine_ch_march):
+    # every fifth fine_ch system (the M = 1023 oracle products are slow),
+    # and all of the first 100 steps of configs/ch_reference.cfg (M = 128,
+    # s = sigma = 0.5)
+    fine_ch = fine_ch_march[1][::5]
+    ch_reference = _recorded_march(128, 0.5, 0.5, 0.1)[1]
+    assert len(fine_ch) >= 10 and len(ch_reference) >= 100
+    for systems in (fine_ch, ch_reference):
+        for K, D, inverse, g in systems:
+            counts, counts_ref = [0], [0]
+            d = dynamics._pcg(K, D, inverse, g, counts)
+            d_ref = pcg_allocating(K, D, inverse, g, counts_ref)
+            assert counts == counts_ref
+            assert (d is None) == (d_ref is None)
+            if d is not None:
+                assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.max(np.abs(d_ref))
+
+
+def test_directions_on_a_c_ordered_k_allocate_o_of_m():
+    # f2py copies a C-ordered matrix on every BLAS call; _lagged_direction
+    # reads the symmetric K through its Fortran-ordered transpose instead
+    dom = ff.make_domain(0, 1, 512)
+    op = ff.assemble(dom, 0.5)
+    M, h = dom.M, dom.h
+    params = ff.PotentialParams(p=4)
+    K = op.A + op.M_c
+    assert K.flags.c_contiguous and not K.flags.f_contiguous
+    counts = [0, 0]
+    direction = _lagged_direction(K, params, h, counts)
+    u = ff.bump_field(dom).values
+    direction(u, np.ones(M))  # the one factorization, an M x M buffer
+    wiggle = np.sin(np.arange(M))
+    tracemalloc.start()
+    try:
+        for k in range(100):
+            direction(u + 1e-3 * k * wiggle, np.cos(k + np.arange(M)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts[1] == 1 and counts[0] >= 100
+    assert peak <= 16 * M * 8, peak
+
+
+def test_stepper_setup_holds_at_most_five_m_by_m_arrays():
+    # A_sigma, A_s, the factor of A_s and K stay; the dual kernel is built
+    # in K's buffer, so the set-up peaks at about four M x M arrays
+    dom = ff.make_domain(0, 1, 1023)
+    flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
+    settings = ff.SolverSettings(tau=1e-3, T=1e-3)
+    tracemalloc.start()
+    try:
+        step = dynamics._stepper(flow, ff.PotentialParams(p=4), settings.tau, settings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del step
+    assert peak <= 5 * dom.M**2 * 8, peak / (dom.M**2 * 8)
 
 
 def test_fast_diffusion_refactors_and_matches_the_oracle(get_op):

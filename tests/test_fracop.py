@@ -10,6 +10,8 @@ from fracfield.fracop import AssemblyError, NotSPDError, OutOfRangeError
 from fracfield.grid import DomainMismatchError
 
 from oracles import (
+    dual_kernel_cho_solve,
+    dual_kernel_mpmath,
     fft_seminorm_sq,
     gagliardo_sq_riemann,
     hat_form_coefficient_mpmath,
@@ -401,3 +403,13 @@ def test_poincare_lower_bound_below_discrete_eigenvalue(get_op):
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
         lam1 = ff.first_eigenpair(get_op(0.0, 1.0, 128, r)).lambda1
         assert poincare_lower_bound(dom, r) <= lam1
+
+
+def test_dual_kernels_match_an_mpmath_reference():
+    # the library's kernel (dpotri, then the stencil on both sides) and the
+    # earlier one (M right-hand-side Cholesky solve), against 30 digits
+    for r in (0.1, 0.5, 0.9):
+        op = ff.assemble(ff.make_domain(0, 1, 48), r)
+        ref = dual_kernel_mpmath(op)
+        for K in (op._dual_kernel_buffer(), dual_kernel_cho_solve(op)):
+            assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref)), r
