@@ -1,4 +1,5 @@
-"""Command-line front end: `fracfield <config> [--output DIR]`.
+"""Command-line front end: `fracfield <config> [--output DIR]`, DIR being
+the artifact directory (default: the working directory).
 
 The numerical modules return records, arrays and row dicts; every CSV
 table is formatted here, by table_to_csv.  Artifacts are assembled in
@@ -119,7 +120,7 @@ def _check_trace_monotone(trace, column: str, tol: float) -> None:
 
 def run(
     cfg: RunConfig,
-    output_dir: str | None = None,
+    output_dir: str = ".",
     config_text: str = "",
 ) -> dict[str, str]:
     """Execute one experiment; returns {filename: contents} after writing."""
@@ -223,11 +224,10 @@ def run(
         # J(u) + (1/2 - 1/p)||u||_p^p = (1/2) u . grad J(u) exactly, so by
         # Cauchy-Schwarz in the lumped norms the gap is at most
         # (1/2) residual ||u||_2.  The second term covers rounding in the
-        # M-term sums that form J and ||u||_p^p, a few log2(M) eps relative
-        # under pairwise summation: 64 covers log2(M) <= 32 twice over.  The
-        # rounding of the quadratic parts of J, which can cancel, is below
-        # the first term, as the computed gradient cannot resolve them finer.
-        bound = 0.5 * result.residual * norm_u + 64 * np.finfo(float).eps * (
+        # M-term sums that form J and ||u||_p^p.  The rounding of the
+        # quadratic parts of J, which can cancel, is below the first term,
+        # as the computed gradient cannot resolve them finer.
+        bound = 0.5 * result.residual * norm_u + stationary.SUM_ROUNDING * (
             abs(result.energy) + virial
         )
         if identity_gap > bound:
@@ -258,7 +258,7 @@ def run(
         raise ConfigError(f"unhandled experiment {exp!r}")
 
     artifacts["manifest.txt"] = _manifest(cfg, seed, config_text)
-    _write_atomic(Path(output_dir or cfg.output_dir), artifacts)
+    _write_atomic(Path(output_dir), artifacts)
     return artifacts
 
 
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Fractional Cahn-Hilliard experiments from a key=value config.",
     )
     parser.add_argument("config", help="path to a key=value config file")
-    parser.add_argument("--output", default=None, help="artifact directory")
+    parser.add_argument("--output", default=".", help="artifact directory (default: .)")
     try:
         args = parser.parse_args(argv)
         text = Path(args.config).read_text()

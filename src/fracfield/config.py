@@ -5,10 +5,12 @@ comma-separated."""
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 # keys every experiment reads
-_COMMON = ("a", "b", "M", "experiment", "output_dir")
+_COMMON = ("a", "b", "M", "experiment")
 # keys every time-stepping run reads besides its orders and time grid
 _STEPPING = ("delta", "newton_tol", "initial", "amplitude")
 
@@ -22,7 +24,8 @@ _KEYS = {
     "eigen-sweep": (("sequence",), ("eig_tol", "refinements")),
     "limit-sigma": (("s", "p", "tau", "T", "sequence"), ("lam", "eig_tol") + _STEPPING),
     "limit-s": (("sigma", "p", "tau", "T", "sequence"), ("lam",) + _STEPPING),
-    "stationary": (("sigma", "p"), ("lam", "delta", "eig_tol", "stat_tol", "sequence")),
+    # the stationary Newton uses the exact potential, so delta plays no part
+    "stationary": (("sigma", "p"), ("lam", "eig_tol", "stat_tol", "sequence")),
     # the relative gap is invariant under scaling, so amplitude plays no part
     "operator-limit": (("sequence",), ("initial",)),
 }
@@ -75,7 +78,6 @@ class RunConfig:
     refinements: list[int] | None = None
     initial: str = "bump"
     amplitude: float = 1.0
-    output_dir: str = "."
 
     def manifest_items(self) -> list[tuple[str, str]]:
         items = []
@@ -87,13 +89,10 @@ class RunConfig:
         return sorted(items)
 
 
-_FLOAT_KEYS = {
-    "a", "b", "s", "sigma", "p", "lam", "delta", "tau", "T",
-    "newton_tol", "eig_tol", "stat_tol", "amplitude",
-}
-_INT_KEYS = {"M"}
-_STR_KEYS = {"experiment", "initial", "output_dir"}
-_LIST_KEYS = {"sequence", "refinements"}
+# key -> the value type RunConfig declares: float, int, str or list[...]
+# (X for X | None, where None only marks a key unset)
+_TYPES = {key: get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+          for key, hint in get_type_hints(RunConfig).items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -108,21 +107,18 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not value:
             raise ParseError(lineno, f"empty value for {key!r}")
+        kind = _TYPES.get(key)
+        if kind is None:
+            raise ParseError(lineno, f"unknown key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            elif key in _LIST_KEYS:
-                kind = float if key == "sequence" else int
-                items = [kind(x) for x in value.split(",") if x.strip()]
+            if get_origin(kind) is list:
+                (item,) = get_args(kind)
+                items = [item(x) for x in value.split(",") if x.strip()]
                 if not items:
                     raise ParseError(lineno, f"empty list for {key!r}")
                 setattr(cfg, key, items)
             else:
-                raise ParseError(lineno, f"unknown key {key!r}")
+                setattr(cfg, key, kind(value))
         except ParseError:
             raise
         except ValueError as exc:
@@ -135,7 +131,7 @@ def validate(cfg: RunConfig) -> None:
     # non-finite sequence entries fail the (0,1) range check below
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if f.name in _FLOAT_KEYS and val is not None and not math.isfinite(val):
+        if _TYPES[f.name] is float and val is not None and not math.isfinite(val):
             raise ValidationError(f.name, f"must be finite, got {val}")
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(

@@ -36,7 +36,7 @@ computed in two cancellation-free forms:
     -C(r) h^2 |x_i - x_j|^(-1-2r).
 
 The stiffness therefore carries the exact Fourier-symbol normalization.
-kernel_constant computes C(r, N) from its defining integral; for N = 1 it
+kernel_constant computes C(r) = C(r, 1) from its defining integral; it
 agrees with the closed form above to about 1e-11.
 
 Storage.  An operator holds the column and two O(M) real spectra: the DFT of
@@ -80,10 +80,9 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelConstant:
-    """Normalizing constant C(r, N) of the singular kernel."""
+    """Normalizing constant C(r) = C(r, 1) of the one-dimensional kernel."""
 
     r: float
-    N: int
     value: float
 
 
@@ -99,31 +98,24 @@ def _head_series(r: float) -> float:
     return s
 
 
-def kernel_constant(r: float, N: int = 1) -> KernelConstant:
-    """C(r, N) = (int (1 - cos z1)/|z|^(N+2r) dz)^(-1).
+def kernel_constant(r: float) -> KernelConstant:
+    """C(r) = (int_R (1 - cos z)/|z|^(1+2r) dz)^(-1), the N = 1 case of C(r, N).
 
-    For N = 1 the defining integral is split at |z| = 1: the head is summed
-    as a Taylor series (exact to machine precision), the tail is the exact
+    The defining integral is split at |z| = 1: the head is summed as a
+    Taylor series (exact to machine precision), the tail is the exact
     power-law integral 1/(2r) minus an oscillatory Fourier-cosine integral
-    evaluated by adaptive quadrature.  For N >= 2 the standard closed form
-    in terms of Gamma functions is used instead.
+    evaluated by adaptive quadrature.
     """
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
-    if N == 1:
-        from scipy.integrate import quad  # imported here: nothing else needs it
+    from scipy.integrate import quad  # imported here: nothing else needs it
 
-        head = _head_series(r)
-        osc, _err = quad(
-            lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
-        )
-        total = 2.0 * (head + 1.0 / (2.0 * r) - osc)
-        return KernelConstant(r, 1, 1.0 / total)
-    value = (
-        r * (1.0 - r) * 4.0**r * gamma(N / 2.0 + r)
-        / (np.pi ** (N / 2.0) * gamma(2.0 - r))
+    head = _head_series(r)
+    osc, _err = quad(
+        lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
     )
-    return KernelConstant(r, N, float(value))
+    total = 2.0 * (head + 1.0 / (2.0 * r) - osc)
+    return KernelConstant(r, 1.0 / total)
 
 
 def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:

@@ -17,7 +17,7 @@ coercivity radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,9 @@ from .potential import PotentialParams
 from .spectral import EIG_TOL, first_eigenpair
 
 STAT_TOL = 1e-9
+# relative rounding of an M-term float sum, such as J or ||u||_p^p: a few
+# log2(M) eps under pairwise summation, and 64 covers log2(M) <= 32 twice over
+SUM_ROUNDING = 64 * np.finfo(float).eps
 _TRIVIAL_NORM = 1e-7
 _MAX_ITER = 5000
 
@@ -49,7 +52,9 @@ class StationaryResult:
     energy: float
     residual: float
     lambda1_sigma: float
-    classification: str  # trivial | nontrivial-positive | nontrivial-negative
+    # trivial | nontrivial-positive | nontrivial-negative; of a mirror pair
+    # +-u*, the default starts report the positive state
+    classification: str
 
 
 def nontriviality_predicate(lambda1_sigma: float) -> str:
@@ -173,12 +178,18 @@ def minimize_energy(
 ) -> StationaryResult:
     """Multi-start descent on the discrete free energy (coercive case p > 2).
 
-    Default starts: 0, +eps e1, -eps e1, and a seeded random field, where
-    eps is the amplitude that makes the energy of the eigen-direction
-    negative whenever lambda1(sigma) < 1.
+    Default starts, in order: 0, +eps e1 and a random field from rng
+    (default seed 0), eps making the energy of the eigen-direction negative
+    whenever lambda1(sigma) < lam.  J is even, so -eps e1 would only reach
+    the mirror of the +eps e1 state; the random start can find a lower or
+    mixed state where no discrete maximum principle holds (sigma below
+    about 0.235).  The winner is the first start whose energy lies within
+    SUM_ROUNDING |J_min| of the lowest, J_min, so a rounding-level tie goes
+    to the earlier start, whatever the random field.
 
-    One dynamics._lagged_direction on K = A_sigma - lam M_c, built once,
-    serves every start, so a run factors about once per operator.
+    Newton directions use the exact potential (delta = 0) whatever
+    params.delta; one dynamics._lagged_direction on K = A_sigma - lam M_c,
+    built once, serves every start, so a run factors about once per operator.
     """
     if params.p <= 2:
         raise OutOfRangeError("stationary minimization requires p > 2")
@@ -200,31 +211,24 @@ def minimize_energy(
         starts = [
             Field(dom, np.zeros(dom.M)),
             eps * pair.e1,
-            -eps * pair.e1,
             Field(dom, 0.1 * rng.standard_normal(dom.M)),
         ]
 
     K = _mass_rows(np.eye(dom.M), h)  # M_c, not cached on the operator
     K *= -params.lam
     K += op_sigma.A
-    direction = _lagged_direction(K, params, h, [0, 0])
-    candidates = []
+    direction = _lagged_direction(K, replace(params, delta=0.0), h, [0, 0])
+    candidates = []  # (energy, u, residual) in start order
     for s in starts:
         out = _descend(op_sigma, params, s.values, stat_tol, direction)
         if out is not None:
             u, res = out
-            candidates.append(
-                (
-                    _objective(op_sigma, params, u),
-                    _classify(u, h),
-                    u,
-                    res,
-                )
-            )
+            candidates.append((_objective(op_sigma, params, u), u, res))
     if not candidates:
         raise NoConvergenceError("no start converged to a stationary point")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    en, cls, u, res = candidates[0]
+    lowest = min(c[0] for c in candidates)
+    en, u, res = next(c for c in candidates if c[0] <= lowest + SUM_ROUNDING * abs(lowest))
+    cls = _classify(u, h)
     if cls == "nontrivial-mixed":
         raise NotOneSignedError("lowest-energy stationary point is not one-signed")
     return StationaryResult(

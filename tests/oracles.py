@@ -155,7 +155,7 @@ def stiffness_panel_quadrature(domain: Domain1D, r: float) -> np.ndarray:
     tail, with the kernel constant from its defining integral (module
     docstring)."""
     M, h = domain.M, domain.h
-    C = kernel_constant(r, 1).value
+    C = kernel_constant(r).value
     A = np.zeros((M, M))
 
     inv_h = 1.0 / h
@@ -344,7 +344,7 @@ def poincare_lower_bound(domain: Domain1D, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
-    C = kernel_constant(r, 1).value
+    C = kernel_constant(r).value
     R = 0.5 * domain.length
     excess = 2.0 * (R + 1.0) - domain.length  # |B_{R+1} \ Omega| in 1D
     return 0.5 * C * excess / (2.0 * R + 2.0) ** (1.0 + 2.0 * r)

@@ -195,7 +195,7 @@ def test_tables_equal_the_f_string_oracles_bitwise(tmp_path, monkeypatch):
     result, rows = minimized[0], swept[0]
     u = result.u_star.values
     norm_u = np.sqrt(result.u_star.domain.h * np.sum(u**2))
-    assert result.classification == "nontrivial-negative"
+    assert result.classification == "nontrivial-positive"
     assert arts["stationary.csv"] == stationary_to_csv(cfg, result, norm_u)
     assert np.isnan(rows[0]["bound"]) and np.isfinite(rows[1]["bound"])
     assert arts["sweep.csv"] == stationary_sweep_to_csv(rows)
@@ -222,7 +222,7 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.dynamics, "evolve", boom)
     assert cli.main([str(good), "--output", str(tmp_path / "o2")]) == 2
     # inequality violation surfaces as exit 3
-    def fake_run(cfg, output_dir=None, config_text=""):
+    def fake_run(cfg, output_dir=".", config_text=""):
         raise cli.CheckViolationError("energy rose")
     monkeypatch.setattr(cli, "run", fake_run)
     assert cli.main([str(good)]) == 3
@@ -299,7 +299,7 @@ _PERTURB = {
     "T": lambda v: 0.01 if v is None else 2 * v,
     "newton_tol": lambda v: 1e-3,
     "eig_tol": lambda v: 1e-3,
-    "stat_tol": lambda v: 1e-5,
+    "stat_tol": lambda v: 1e-3,
     "experiment": lambda v: "eigen-sweep" if v == "operator-limit" else "operator-limit",
     "sequence": lambda v: [0.5, 0.3] if v is None else [0.9 * x for x in v],
     "refinements": lambda v: [16] if v is None else [m + 8 for m in v],
@@ -324,8 +324,6 @@ def test_every_config_key_reaches_the_run_or_is_rejected(tmp_path):
         base = cli.run(base_cfg, output_dir=str(tmp_path / name), config_text=text)
         base.pop("manifest.txt")
         for f in fields(RunConfig):
-            if f.name == "output_dir":
-                continue
             value = _PERTURB[f.name](getattr(base_cfg, f.name))
             if f.name == "refinements":  # the meshes must include the recorded M
                 value = [base_cfg.M] + value
@@ -369,6 +367,25 @@ def test_main_rejects_configs_the_solvers_cannot_run(tmp_path, capsys):
          "refinements = 1\n", "refinements"),
     ):
         _assert_fails_cleanly(tmp_path, capsys, text, 1, f"error: {key}: ")
+
+
+def test_output_dir_and_stationary_delta_exit_1_naming_them(tmp_path, capsys):
+    # --output is the one way to place artifacts, and the stationary Newton
+    # uses the exact potential, so neither key could reach the computation
+    stationary_text = "a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+    _assert_fails_cleanly(tmp_path, capsys, stationary_text + "delta = 0.1\n", 1,
+                          "error: delta: not used by experiment 'stationary'")
+    for text in (MINIMAL_CH, stationary_text):
+        _assert_fails_cleanly(tmp_path, capsys, text + "output_dir = elsewhere\n", 1,
+                              "unknown key 'output_dir'")
+
+
+def test_output_defaults_to_the_working_directory(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CH)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([str(cfg)]) == 0
+    assert (tmp_path / "energy.csv").exists() and (tmp_path / "manifest.txt").exists()
 
 
 def test_main_rejects_empty_lists(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_kernel_constant_against_trapezoid_oracle():
 
 def test_kernel_constant_deterministic():
     assert ff.kernel_constant(0.5).value == ff.kernel_constant(0.5).value
-    assert ff.kernel_constant(0.37, 1) == ff.kernel_constant(0.37, 1)
+    assert ff.kernel_constant(0.37) == ff.kernel_constant(0.37)
 
 
 def test_kernel_constant_out_of_range():

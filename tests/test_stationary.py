@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,40 @@ def test_sign_reflected_starts_reach_equal_energy(get_op):
     assert {plus.classification, minus.classification} == {
         "nontrivial-positive", "nontrivial-negative",
     }
+
+
+def test_stationary_artifacts_do_not_depend_on_the_seed(tmp_path, monkeypatch):
+    # the seed moves only the random start; +eps e1 reaches the state of
+    # the mirror pair first, and a rounding-level tie goes to the earlier start
+    path = Path(__file__).resolve().parent.parent / "benchmark/configs/stationary_wide.cfg"
+    cfg = parse_config(path.read_text())
+    outputs = []
+    for seed in range(4):
+        monkeypatch.setenv("FRACFIELD_SEED", str(seed))
+        arts = cli.run(cfg, output_dir=str(tmp_path / str(seed)))
+        outputs.append((arts["stationary.csv"], arts["sweep.csv"]))
+    assert all(out == outputs[0] for out in outputs[1:])
+    assert outputs[0][0].splitlines()[1].endswith(",nontrivial-positive")
+
+
+def test_winner_is_the_first_start_within_rounding_of_the_lowest_energy(get_op):
+    op = get_op(0.0, 10.0, 63, 0.5)
+    params = ff.PotentialParams(p=4)
+    e1 = ff.first_eigenpair(op).e1
+    zero = ff.Field(op.domain, np.zeros(63))
+    for first, cls in ((e1, "nontrivial-positive"), (-1.0 * e1, "nontrivial-negative")):
+        result = ff.minimize_energy(op, params, starts=[zero, 0.1 * first, -0.1 * first])
+        assert result.classification == cls
+
+
+def test_delta_plays_no_part_in_the_stationary_state(get_op):
+    # the Newton directions use the exact potential, so delta cannot move
+    # the Newton path either
+    op = get_op(0.0, 10.0, 63, 0.5)
+    exact = ff.minimize_energy(op, ff.PotentialParams(p=4))
+    smoothed = ff.minimize_energy(op, ff.PotentialParams(p=4, delta=0.5))
+    assert np.array_equal(exact.u_star.values, smoothed.u_star.values)
+    assert (exact.energy, exact.residual) == (smoothed.energy, smoothed.residual)
 
 
 def test_sigma_sweep_norms_decrease(get_op, tmp_path, monkeypatch):
