@@ -12,8 +12,10 @@ Core layers:
 - dynamics: one energy-stable convex-splitting step for all four flows
   (Cahn-Hilliard, modified, Allen-Cahn, porous medium): march, then
   recover w and the energy trace with its per-step inequality monitors;
-- stationary: free-energy minimization and existence criteria;
-- limits: quantitative singular-limit experiments;
+- stationary: free-energy minimization, the smallness bound and the
+  sigma sweep of stationary states;
+- limits: quantitative singular-limit experiments, one sigma -> 0 driver
+  whose regime (porous medium or fast diffusion) p picks;
 - cli: the `fracfield` command and the one CSV table writer.
 """
 
@@ -44,15 +46,13 @@ from .dynamics import (
 from .stationary import (
     StationaryResult,
     minimize_energy,
-    nontriviality_predicate,
     smallness_bound,
     stationary_sigma_sweep,
 )
 from .limits import (
     LimitReport,
     limit_s_to_ac,
-    limit_sigma_to_fd,
-    limit_sigma_to_pm,
+    limit_sigma,
     operator_identity_limit,
 )
 
@@ -65,9 +65,9 @@ __all__ = [
     "lambda1_lower_bound", "lambda1_sweep",
     "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "march", "recover",
     "evolve", "energy", "check_energy_identity_gap", "beta_bound_check",
-    "StationaryResult", "minimize_energy", "nontriviality_predicate",
-    "smallness_bound", "stationary_sigma_sweep",
-    "LimitReport", "limit_sigma_to_pm", "limit_sigma_to_fd", "limit_s_to_ac",
+    "StationaryResult", "minimize_energy", "smallness_bound",
+    "stationary_sigma_sweep",
+    "LimitReport", "limit_sigma", "limit_s_to_ac",
     "operator_identity_limit",
     "__version__",
 ]

@@ -12,9 +12,10 @@ for random starts and random initial data.
 Exit codes: 0 success; 1 usage or configuration error (bad command line,
 unreadable file, unknown key, value out of range, empty list, a key the
 experiment does not use, or a FRACFIELD_SEED that is not a nonnegative
-integer) or unwritable output directory; 2 solver failure
-(Newton, eigen or stationary iteration stalled, stiffness failed its sign or
-positivity gate, lowest stationary state not one-signed); 3 violation of one
+integer) or unwritable output directory; 2 solver failure, any
+fracop.SolverError (Newton, eigen or stationary iteration stalled, stiffness
+failed its sign or positivity gate, lowest stationary state not
+one-signed); 3 violation of one
 of the built-in inequality checks.  Each failure prints one line to stderr.
 """
 
@@ -33,8 +34,8 @@ import numpy as np
 from . import __version__
 from . import dynamics, limits, spectral, stationary
 from .config import ConfigError, RunConfig, parse_config
-from .dynamics import NewtonDivergenceError, SolverSettings
-from .fracop import AssemblyError, NotSPDError, assemble
+from .dynamics import SolverSettings
+from .fracop import SolverError, assemble
 from .grid import Domain1D, Field, bump_field, sample
 from .potential import PotentialParams
 
@@ -55,8 +56,6 @@ def _initial_field(cfg: RunConfig, domain: Domain1D, rng: np.random.Generator) -
         return cfg.amplitude * sample(
             domain, lambda x: np.sin(np.pi * (x - domain.a) / L)
         )
-    if cfg.initial == "zero":
-        return Field(domain, np.zeros(domain.M))
     return Field(domain, cfg.amplitude * rng.standard_normal(domain.M))
 
 
@@ -185,15 +184,8 @@ def run(
         settings = _settings(cfg)
         u0 = _initial_field(cfg, domain, rng)
         if exp == "limit-sigma":
-            if cfg.p > 2:
-                report = limits.limit_sigma_to_pm(
-                    domain, cfg.s, params, u0, cfg.sequence, settings
-                )
-            else:
-                report = limits.limit_sigma_to_fd(
-                    domain, cfg.s, params, u0, cfg.sequence, settings,
-                    eig_tol=cfg.eig_tol,
-                )
+            report = limits.limit_sigma(domain, cfg.s, params, u0, cfg.sequence, settings,
+                                        eig_tol=cfg.eig_tol)
         else:
             report = limits.limit_s_to_ac(
                 domain, cfg.sigma, params, u0, cfg.sequence, settings
@@ -318,9 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NewtonDivergenceError, AssemblyError, NotSPDError,
-            stationary.NoConvergenceError, stationary.NotOneSignedError,
-            spectral.NoConvergenceError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except CheckViolationError as exc:

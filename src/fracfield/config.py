@@ -32,7 +32,7 @@ _KEYS = {
 
 EXPERIMENTS = tuple(_KEYS)
 
-INITIAL_PROFILES = ("bump", "sine", "zero", "random")
+INITIAL_PROFILES = ("bump", "sine", "random")
 
 # the largest float64 array a run may hold, 512 MiB: the time grid
 # (T/tau + 1) * M of U, of which recover holds several at once (the largest
@@ -173,8 +173,6 @@ def validate(cfg: RunConfig) -> None:
         # p picks the scheme: the fast-diffusion one replaces lam by
         # lambda1(sigma), the porous-medium one solves no eigenproblem
         unused.add("lam" if cfg.p < 2 else "eig_tol")
-    if cfg.initial == "zero":
-        unused.add("amplitude")
     for f in fields(cfg):
         if f.name in unused and getattr(cfg, f.name) != f.default:
             raise ValidationError(f.name, f"not used by experiment {exp!r}")
@@ -195,8 +193,6 @@ def validate(cfg: RunConfig) -> None:
         if any(2 * m - 1 > MAX_GRID_VALUES for m in meshes):
             raise ValidationError(key, "the circulant embedding of a stiffness column "
                                   f"would hold more than {MAX_GRID_VALUES} values")
-    if exp == "operator-limit" and cfg.initial == "zero":
-        raise ValidationError("initial", "operator-limit needs a nonzero field")
     if cfg.tau is not None and cfg.T is not None:
         if not 0 < cfg.tau <= cfg.T:
             raise ValidationError("tau", "need 0 < tau <= T")

@@ -66,7 +66,7 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
-from .fracop import FracOperator, _mass_rows
+from .fracop import FracOperator, SolverError, _mass_rows
 from .grid import Domain1D, DomainMismatchError, Field
 from .potential import PotentialParams
 
@@ -78,7 +78,7 @@ KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g||
 KRYLOV_MAX = 6  # PCG iterations before the step refactors its Hessian
 
 
-class NewtonDivergenceError(RuntimeError):
+class NewtonDivergenceError(SolverError):
     """Line search exhausted; carries the last scaled residual."""
 
     def __init__(self, message: str, residual: float):
@@ -208,6 +208,12 @@ def energy(op_sigma: FracOperator | None, params: PotentialParams, u: Field) -> 
     return float(e)
 
 
+def _scaled_res(g: np.ndarray, h: float) -> float:
+    """The residual both minimizations stop on: the lumped-scaled gradient
+    norm ||g||_2 / sqrt(h)."""
+    return math.sqrt(g @ g) * (1.0 / math.sqrt(h))
+
+
 def _newton_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -217,8 +223,8 @@ def _newton_minimize(
 ) -> tuple[np.ndarray, int, float]:
     """Damped Newton for the minimizers of the package: the convex-splitting
     functionals F_n of the time steps and the free energy J of stationary
-    states.  Returns (u, iterations, residual), the residual being the
-    lumped-scaled gradient norm ||g||_2 / sqrt(h); NewtonDivergenceError
+    states.  Returns (u, iterations, residual), the residual being
+    _scaled_res of the gradient; NewtonDivergenceError
     when the line search or the NEWTON_MAX cap runs out.
 
     direction(u, g) returns the Newton direction, an approximate solution
@@ -234,9 +240,8 @@ def _newton_minimize(
     differences drown in roundoff.
     """
     u = u0.copy()
-    scale = 1.0 / np.sqrt(h)
     g = grad(u)
-    res = math.sqrt(g @ g) * scale
+    res = _scaled_res(g, h)
     for it in range(NEWTON_MAX):
         if res <= tol:
             return u, it, res
@@ -245,13 +250,13 @@ def _newton_minimize(
         except np.linalg.LinAlgError:
             u = u - min(1e-2, res) * g
             g = grad(u)
-            res = math.sqrt(g @ g) * scale
+            res = _scaled_res(g, h)
             continue
         t = 1.0
         while t >= 1e-14:
             un = u + t * d
             gn = grad(un)
-            resn = math.sqrt(gn @ gn) * scale
+            resn = _scaled_res(gn, h)
             if resn <= (1.0 - LS_SUFFICIENT * t) * res or resn <= tol:
                 break
             t *= LS_SHRINK

@@ -70,11 +70,16 @@ class OutOfRangeError(ValueError):
     """Fractional order outside (0, 1)."""
 
 
-class NotSPDError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver stalled or a computed object failed its gate; the base of
+    every failure the CLI reports with exit code 2."""
+
+
+class NotSPDError(SolverError):
     """Stiffness matrix failed the Cholesky positivity check."""
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(SolverError):
     """Assembled matrix violates its sign structure beyond QUAD_TOL."""
 
 

@@ -1,12 +1,16 @@
-"""Singular-limit experiments: sigma -> 0 (Cahn-Hilliard to porous medium /
-fast diffusion) and s -> 0 (Cahn-Hilliard to Allen-Cahn).
+"""Singular-limit experiments: sigma -> 0, Cahn-Hilliard to porous medium
+(p > 2) or to fast diffusion (2N/(N+2s) < p < 2), one theorem and one
+driver, limit_sigma, that reads the regime off p; and s -> 0, Cahn-Hilliard
+to Allen-Cahn.
 
 Each experiment marches the Cahn-Hilliard flow along a decreasing sequence
 of fractional orders against a fixed reference flow and reports distances
 between the levels u_n: space-time L2 for the sigma-limits, max-in-time L2
 for the s-limit.  They need u alone, so no run recovers w or an energy
 trace.  All runs in a report share grid, time step, horizon and initial
-datum so that only the operator order varies.
+datum so that only the operator order varies.  A LimitReport stores the
+sequence and its distances; its verdicts, monotone and reduction_factor,
+are computed from them.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ class LimitReport:
     parameter_sequence: list[float]
     distances: list[float]
     reference: str  # porous-medium | fast-diffusion | allen-cahn
-    monotone: bool
-    reduction_factor: float
     lambda1s: list[float] | None = None
 
     def __post_init__(self) -> None:
@@ -43,18 +45,17 @@ class LimitReport:
         if any(d < 0 for d in self.distances):
             raise ValueError("distances must be nonnegative")
 
+    @property
+    def monotone(self) -> bool:
+        """Each distance strictly below the one before."""
+        d = self.distances
+        return all(b < a for a, b in zip(d, d[1:]))
 
-def _report(seq, dists, reference, lambda1s=None) -> LimitReport:
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
-    reduction = dists[-1] / dists[0] if dists and dists[0] > 0 else 0.0
-    return LimitReport(
-        parameter_sequence=list(seq),
-        distances=[float(d) for d in dists],
-        reference=reference,
-        monotone=monotone,
-        reduction_factor=float(reduction),
-        lambda1s=lambda1s,
-    )
+    @property
+    def reduction_factor(self) -> float:
+        """The last distance over the first; 0 when the first is 0."""
+        d = self.distances
+        return float(d[-1] / d[0]) if d and d[0] > 0 else 0.0
 
 
 def spacetime_l2_distance(a: np.ndarray, b: np.ndarray, tau: float, h: float) -> float:
@@ -69,39 +70,7 @@ def max_l2_distance(a: np.ndarray, b: np.ndarray, h: float) -> float:
     return float((h * np.max(np.sum((a - b) ** 2, axis=1))) ** 0.5)
 
 
-def _sigma_limit(domain, s, params, u0, sigmas, settings, concave):
-    """Space-time L2 distances of the Cahn-Hilliard marches along sigmas to
-    the porous-medium march, and their concave weights concave(A_sigma)."""
-    op_s = assemble(domain, s)
-    ref, _ = march(Flow(op_s, None, 0.0), params, u0, settings)
-    lams = []
-
-    def one(sigma: float) -> float:  # frees its operator and march before the next
-        op_sigma = assemble(domain, sigma)
-        lams.append(concave(op_sigma))
-        U, _ = march(Flow(op_s, op_sigma, lams[-1]), params, u0, settings)
-        return spacetime_l2_distance(U, ref, settings.tau, domain.h)
-
-    return [one(sigma) for sigma in sigmas], lams
-
-
-def limit_sigma_to_pm(
-    domain: Domain1D,
-    s: float,
-    params: PotentialParams,
-    u0: Field,
-    sigmas: Sequence[float],
-    settings: SolverSettings,
-) -> LimitReport:
-    """Coercive case p > 2: Cahn-Hilliard trajectories approach the
-    porous-medium flow as sigma decreases to 0."""
-    if params.p <= 2:
-        raise ValueError(f"porous-medium limit needs p > 2, got {params.p}")
-    dists, _ = _sigma_limit(domain, s, params, u0, sigmas, settings, lambda op: params.lam)
-    return _report(sigmas, dists, "porous-medium")
-
-
-def limit_sigma_to_fd(
+def limit_sigma(
     domain: Domain1D,
     s: float,
     params: PotentialParams,
@@ -110,19 +79,35 @@ def limit_sigma_to_fd(
     settings: SolverSettings,
     eig_tol: float = EIG_TOL,
 ) -> LimitReport:
-    """Fast-diffusion case p in (2_*, 2) with 2_* = 2N/(N+2s): the modified
-    scheme (concave weight lambda1(sigma_k)) approaches the same limit.
+    """sigma -> 0: space-time L2 distances of the Cahn-Hilliard marches
+    along sigmas to the porous-medium march of order s; p picks the regime.
 
-    params.lam plays no part: the modified scheme uses lambda1(sigma_k) and
-    the porous-medium reference has no concave term."""
+    p > 2 (coercive): the concave weight is params.lam, and the reference
+    is porous-medium.  2_* < p < 2 with 2_* = 2N/(N+2s): the modified
+    scheme takes the weight lambda1(sigma_k), recorded in lambda1s, so
+    params.lam plays no part, and the reference is fast-diffusion.
+    CompatibilityError for p <= 2_*, before any operator is assembled."""
+    fast = params.p < 2.0
     two_star = 2.0 / (1.0 + 2.0 * s)  # N = 1
-    if not two_star < params.p < 2.0:
+    if fast and params.p <= two_star:
         raise CompatibilityError(
             f"need 2N/(N+2s) = {two_star:.6g} < p < 2, got p={params.p}"
         )
-    dists, lambda1s = _sigma_limit(domain, s, params, u0, sigmas, settings,
-                                   lambda op: float(first_eigenpair(op, eig_tol).lambda1))
-    return _report(sigmas, dists, "fast-diffusion", lambda1s)
+    op_s = assemble(domain, s)
+    ref, _ = march(Flow(op_s, None, 0.0), params, u0, settings)
+    lambda1s = [] if fast else None
+
+    def one(sigma: float) -> float:  # frees its operator and march before the next
+        op_sigma = assemble(domain, sigma)
+        if fast:
+            lambda1s.append(float(first_eigenpair(op_sigma, eig_tol).lambda1))
+        lam = lambda1s[-1] if fast else params.lam
+        U, _ = march(Flow(op_s, op_sigma, lam), params, u0, settings)
+        return spacetime_l2_distance(U, ref, settings.tau, domain.h)
+
+    dists = [one(sigma) for sigma in sigmas]
+    return LimitReport(list(sigmas), dists,
+                       "fast-diffusion" if fast else "porous-medium", lambda1s)
 
 
 def limit_s_to_ac(
@@ -143,7 +128,7 @@ def limit_s_to_ac(
         U, _ = march(Flow(op_s, op_sigma, params.lam), params, u0, settings)
         return max_l2_distance(U, ref, domain.h)
 
-    return _report(ss, [one(s) for s in ss], "allen-cahn")
+    return LimitReport(list(ss), [one(s) for s in ss], "allen-cahn")
 
 
 def operator_identity_limit(

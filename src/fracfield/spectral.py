@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracop import FracOperator, OutOfRangeError, assemble
+from .fracop import FracOperator, OutOfRangeError, SolverError, assemble
 from .grid import Domain1D, Field
 
 EIG_TOL = 1e-10
@@ -28,7 +28,7 @@ EIG_MAXIT = 10000
 _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(SolverError):
     """Eigeniteration hit the iteration cap before reaching tolerance."""
 
 

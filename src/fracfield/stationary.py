@@ -1,5 +1,5 @@
-"""Stationary states: global minimization of the free energy and the
-eigenvalue criteria for existence of nontrivial states.
+"""Stationary states: global minimization of the free energy, the smallness
+bound on nontrivial states and their sweep over sigma.
 
 A stationary state solves A_sigma u + M_L beta(u) - lam M_c u = 0 (the
 discrete weak form with the chemical potential identically zero).  That is
@@ -12,7 +12,9 @@ J(u*) = -(1/2 - 1/p) sum_i h |u*_i|^p to machine precision, and stationary
 states are exact fixed points of the Allen-Cahn stepper.  Nontrivial
 minimizers exist iff lambda1(sigma) < lam (lam = 1 in the original system);
 each is one-signed and obeys the smallness bound derived from the
-coercivity radius.
+coercivity radius.  The criterion is read off the results: a
+StationaryResult classifies its state, and the sweep's bound column is
+defined only where lambda1(sigma) < lam.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import potential as pot
-from .dynamics import NewtonDivergenceError, _lagged_direction, _newton_minimize
-from .fracop import FracOperator, OutOfRangeError, _mass_rows, assemble
+from .dynamics import NewtonDivergenceError, _lagged_direction, _newton_minimize, _scaled_res
+from .fracop import FracOperator, OutOfRangeError, SolverError, _mass_rows, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
 from .spectral import EIG_TOL, first_eigenpair
@@ -37,11 +39,11 @@ _TRIVIAL_NORM = 1e-7
 _MAX_ITER = 5000
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(SolverError):
     """No descent start reached the stationary residual tolerance."""
 
 
-class NotOneSignedError(RuntimeError):
+class NotOneSignedError(SolverError):
     """The lowest-energy stationary point found changes sign."""
 
 
@@ -55,11 +57,6 @@ class StationaryResult:
     # trivial | nontrivial-positive | nontrivial-negative; of a mirror pair
     # +-u*, the default starts report the positive state
     classification: str
-
-
-def nontriviality_predicate(lambda1_sigma: float) -> str:
-    """'exists-nontrivial' iff lambda1(sigma) < 1, else 'only-trivial'."""
-    return "exists-nontrivial" if lambda1_sigma < 1.0 else "only-trivial"
 
 
 def smallness_bound(
@@ -104,10 +101,6 @@ def _gradient(op: FracOperator, params: PotentialParams, u: np.ndarray) -> np.nd
     return op.stiffness_vector(u) + h * pot.beta(params, u) - params.lam * op.mass_vector(u)
 
 
-def _scaled_res(g: np.ndarray, h: float) -> float:
-    return float(np.linalg.norm(g) / np.sqrt(h))
-
-
 def _descend(
     op: FracOperator,
     params: PotentialParams,
@@ -120,8 +113,9 @@ def _descend(
     h = op.domain.h
     u = u0.copy()
     g = _gradient(op, params, u)
-    if _scaled_res(g, h) <= stat_tol:
-        return u, _scaled_res(g, h)
+    res = _scaled_res(g, h)
+    if res <= stat_tol:
+        return u, res
     step = 1.0 / max(1.0, op.stiffness_norm_inf())
     f = _objective(op, params, u)
     u_old, g_old = None, None

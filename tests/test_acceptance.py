@@ -146,8 +146,8 @@ def test_criterion_08_sigma_limit_to_porous_medium():
     """sigma -> 0 trajectories approach the porous-medium flow."""
     dom = ff.make_domain(0, 1, 128)
     u0 = ff.bump_field(dom, 4.0)
-    rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0,
-                               [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=1e-3, T=0.25))
+    rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0,
+                         [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=1e-3, T=0.25))
     ok = rep.monotone and rep.reduction_factor <= 0.1
     _report(8, ok, f"distances {[f'{d:.4f}' for d in rep.distances]}, "
                    f"reduction {rep.reduction_factor:.4f} (<= 0.1)")
@@ -159,8 +159,8 @@ def test_criterion_09_sigma_limit_to_fast_diffusion():
     """Modified scheme with lambda1(sigma_k): fast-diffusion limit."""
     dom = ff.make_domain(0, 4, 128)
     u0 = ff.bump_field(dom, 1.0)
-    rep = ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=1.5), u0,
-                               [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=2e-4, T=0.03))
+    rep = ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0,
+                         [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=2e-4, T=0.03))
     lam_increasing = all(b > a for a, b in zip(rep.lambda1s, rep.lambda1s[1:]))
     lam_below_one = all(lam < 1.0 for lam in rep.lambda1s)
     ok = rep.monotone and rep.reduction_factor <= 0.2 and lam_increasing and lam_below_one

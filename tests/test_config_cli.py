@@ -229,6 +229,17 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("error", [
+    fracop.NotSPDError, fracop.AssemblyError, NewtonDivergenceError,
+    spectral.NoConvergenceError, stationary.NoConvergenceError, stationary.NotOneSignedError,
+], ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def failing_run(cfg, output_dir=".", config_text=""):
+        raise error("stalled", 1.0) if error is NewtonDivergenceError else error("stalled")
+    monkeypatch.setattr(cli, "run", failing_run)
+    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH, 2, "solver failure: stalled")
+
+
 def test_main_happy_path(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL_CH)
@@ -361,6 +372,7 @@ def test_main_rejects_configs_the_solvers_cannot_run(tmp_path, capsys):
         ("a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 1.5\nexperiment = stationary\n", "p"),
         (MINIMAL_CH.replace("p = 4", "p = 1.5") + "delta = 0\n", "delta"),
         (MINIMAL_CH + "lam = -1\n", "lam"),
+        # a zero field has no relative gap, and no profile gives one
         ("a = 0\nb = 1\nM = 24\nexperiment = operator-limit\nsequence = 0.2, 0.1\n"
          "initial = zero\n", "initial"),
         ("a = 0\nb = 1\nM = 24\nexperiment = eigen-sweep\nsequence = 0.5\n"

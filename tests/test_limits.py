@@ -21,8 +21,8 @@ def settings_fast():
 def test_zero_data_gives_zero_distances():
     dom = ff.make_domain(0, 1, 32)
     u0 = ff.zero_field(dom)
-    rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2],
-                               settings_fast())
+    rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2],
+                         settings_fast())
     assert rep.distances == [0.0, 0.0]
     rep = ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2], settings_fast())
     assert rep.distances == [0.0, 0.0]
@@ -73,30 +73,39 @@ def test_limit_drivers_only_march(monkeypatch):
     with pytest.raises(AssertionError, match="recovered"):  # the patch is live
         ff.evolve(ff.Flow(None, ff.assemble(dom, 0.5), 1.0), ff.PotentialParams(p=4), u0,
                   settings_fast())
-    ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2], settings_fast())
-    ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2],
-                         settings_fast())
+    ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2], settings_fast())
+    ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2], settings_fast())
     ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2], settings_fast())
 
 
-def test_fast_diffusion_compatibility_precondition():
+def test_fast_diffusion_compatibility_precondition(monkeypatch):
     dom = ff.make_domain(0, 1, 32)
     u0 = ff.bump_field(dom)
-    # 2_* = 2/(1+2s) = 0.8 at s = 0.75, so every p in (1, 2) is admissible
-    # there and only p > 2 leaves the window
-    with pytest.raises(CompatibilityError):
-        ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=3), u0, [0.4, 0.2],
-                             settings_fast())
-    with pytest.raises(CompatibilityError):  # 2_* = 5/3
-        ff.limit_sigma_to_fd(dom, 0.1, ff.PotentialParams(p=1.5), u0, [0.4, 0.2],
-                             settings_fast())
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the compatibility check")
+
+    monkeypatch.setattr(limits, "assemble", no_assembly)
+    with pytest.raises(CompatibilityError):  # 2_* = 2/(1+2s) = 5/3 at s = 0.1
+        ff.limit_sigma(dom, 0.1, ff.PotentialParams(p=1.5), u0, [0.4, 0.2],
+                       settings_fast())
+
+
+def test_limit_sigma_picks_the_regime_from_p():
+    dom = ff.make_domain(0, 1, 16)
+    u0 = ff.bump_field(dom)
+    rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2], settings_fast())
+    assert rep.reference == "porous-medium" and rep.lambda1s is None
+    rep = ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2, 0.1],
+                         settings_fast())
+    assert rep.reference == "fast-diffusion" and len(rep.lambda1s) == 3
 
 
 def test_pm_limit_distances_shrink():
     dom = ff.make_domain(0, 1, 48)
     u0 = ff.bump_field(dom, 2.0)
-    rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2, 0.1],
-                               ff.SolverSettings(tau=1e-3, T=0.05))
+    rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2, 0.1],
+                         ff.SolverSettings(tau=1e-3, T=0.05))
     assert rep.reference == "porous-medium"
     assert rep.monotone
     for d_prev, d_next in zip(rep.distances, rep.distances[1:]):
@@ -116,8 +125,8 @@ def test_ac_limit_distances_shrink():
 def test_fd_limit_records_eigenvalues():
     dom = ff.make_domain(0, 4, 48)
     u0 = ff.bump_field(dom)
-    rep = ff.limit_sigma_to_fd(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2, 0.1],
-                               ff.SolverSettings(tau=5e-4, T=0.01))
+    rep = ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2, 0.1],
+                         ff.SolverSettings(tau=5e-4, T=0.01))
     assert rep.reference == "fast-diffusion"
     assert rep.lambda1s is not None
     assert all(b > a for a, b in zip(rep.lambda1s, rep.lambda1s[1:]))
@@ -126,16 +135,15 @@ def test_fd_limit_records_eigenvalues():
 
 def test_report_validates_sequences():
     with pytest.raises(ValueError):
-        LimitReport([0.4, 0.4], [1.0, 0.5], "porous-medium", True, 0.5)
+        LimitReport([0.4, 0.4], [1.0, 0.5], "porous-medium")
     with pytest.raises(ValueError):
-        LimitReport([0.4, 0.2], [1.0, -0.5], "porous-medium", True, 0.5)
+        LimitReport([0.4, 0.2], [1.0, -0.5], "porous-medium")
 
 
 def test_report_csv_includes_lambda_column_when_present(tmp_path, monkeypatch):
-    rep = LimitReport([0.4, 0.2], [1.0, 0.5], "fast-diffusion", True, 0.5,
-                      lambda1s=[0.3, 0.5])
+    rep = LimitReport([0.4, 0.2], [1.0, 0.5], "fast-diffusion", lambda1s=[0.3, 0.5])
     # the CLI writes this report for a fast-diffusion limit run
-    monkeypatch.setattr(limits, "limit_sigma_to_fd", lambda *args, **kwargs: rep)
+    monkeypatch.setattr(limits, "limit_sigma", lambda *args, **kwargs: rep)
     text = ("experiment = limit-sigma\nM = 16\ns = 0.5\np = 1.5\ntau = 1e-3\n"
             "T = 0.01\nsequence = 0.4, 0.2\n")
     artifacts = cli.run(parse_config(text), output_dir=str(tmp_path))
@@ -189,7 +197,7 @@ def test_pm_limit_verdict_stable_under_mesh_doubling():
     verdicts = []
     for M in (48, 96):
         dom = ff.make_domain(0, 1, M)
-        rep = ff.limit_sigma_to_pm(dom, 0.5, ff.PotentialParams(p=3), ff.bump_field(dom, 2.0),
-                                   sigmas, st)
+        rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), ff.bump_field(dom, 2.0),
+                             sigmas, st)
         verdicts.append(rep.monotone)
     assert verdicts[0] == verdicts[1] is True

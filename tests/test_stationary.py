@@ -17,12 +17,6 @@ def _sweep_csv(rows) -> str:
     return cli.table_to_csv(list(rows[0]), [tuple(row.values()) for row in rows])
 
 
-def test_nontriviality_predicate_thresholds():
-    assert ff.nontriviality_predicate(0.9) == "exists-nontrivial"
-    assert ff.nontriviality_predicate(1.0) == "only-trivial"
-    assert ff.nontriviality_predicate(1.3) == "only-trivial"
-
-
 def test_smallness_bound_closed_form():
     params = ff.PotentialParams(p=4)
     assert ff.smallness_bound(params, 0.5, 10.0) == pytest.approx(np.sqrt(10.0), rel=1e-14)
@@ -85,7 +79,6 @@ def test_unit_interval_only_trivial_state(get_op):
     assert result.lambda1_sigma >= 1.0
     assert result.classification == "trivial"
     assert ff.lp_norm(result.u_star, 2) <= 1e-6
-    assert ff.nontriviality_predicate(result.lambda1_sigma) == "only-trivial"
 
 
 @pytest.fixture(scope="module")
