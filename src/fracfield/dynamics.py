@@ -36,8 +36,8 @@ formats no text: cli writes the trajectory and the trace as CSV tables.
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
 steps.  K is built once per run, in Fortran order (the dual kernel as the
-O(M) mass stencil on both sides of A_s^(-1), the inverse of the cached
-factor), and every Newton direction is preconditioned CG on the current
+O(M) mass stencil on both sides of A_s^(-1), from the generator of A_s, not
+A_s itself), and every Newton direction is preconditioned CG on the current
 Hessian with the explicit inverse of the last factored Hessian as
 preconditioner (a lagged preconditioner, Knoll & Keyes, J. Comput. Phys.
 193, 2004).  Every product with K or the inverse is a dsymv that reads one

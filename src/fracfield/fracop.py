@@ -39,13 +39,16 @@ The stiffness therefore carries the exact Fourier-symbol normalization.
 kernel_constant computes C(r) = C(r, 1) from its defining integral; it
 agrees with the closed form above to about 1e-11.
 
-Storage.  An operator holds the column and two O(M) real spectra: the DFT of
-the column's circulant embedding, which gives A x by one real FFT pair, and
-the DFT of T. Chan's optimal circulant (T. Chan, SIAM J. Sci. Stat. Comput. 9,
-1988), whose inverse preconditions the eigensolver.  assemble gates the
-column without forming A: row sums from cumulative sums, positive
-definiteness from Durbin's recursion.  Dense storage is built on first use
-(FracOperator).
+Storage.  An operator holds the column and O(M) spectra: of the column's
+circulant embedding (A x by one real FFT pair), of T. Chan's optimal
+circulant (SIAM J. Sci. Stat. Comput. 9, 1988; its inverse preconditions
+the eigensolver), and of the generator x = A^(-1) e_1 and Z J x (J
+reverses, Z shifts down).  assemble gates the column without forming A:
+row sums from cumulative sums, positive definiteness from Durbin's
+recursion, which also yields x (Trench, J. SIAM 12, 1964).  Solves use
+Gohberg-Semencul (1972), A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0
+with L(v) lower triangular Toeplitz, first column v; no factor of A is
+formed.  Dense storage is built on first use (FracOperator).
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_banded, toeplitz
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import solve_banded, toeplitz
 from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
@@ -64,6 +66,7 @@ from .grid import Domain1D, DomainMismatchError, Field
 QUAD_TOL = 1e-8  # sign-gate tolerance of the assembled stiffness
 
 _STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
+SOLVE_BLOCK = 32  # columns per Gohberg-Semencul product, which bounds its FFT temporaries
 
 
 class OutOfRangeError(ValueError):
@@ -76,7 +79,7 @@ class SolverError(RuntimeError):
 
 
 class NotSPDError(SolverError):
-    """Stiffness matrix failed the Cholesky positivity check."""
+    """Stiffness matrix failed Durbin's positive definiteness gate."""
 
 
 class AssemblyError(SolverError):
@@ -140,21 +143,15 @@ class FracOperator:
     symmetric positive definite Toeplitz stiffness A, plus the consistent
     P1 mass M_c (tridiagonal) and the lumped mass M_L = h I.
 
-    Only the column and its two spectra are stored at assembly; the vector
-    methods below work from them in O(M) or O(M log M).  The dense A and
-    M_c, the Cholesky factor of A (_chol) and the dual kernel
-    (_dual_kernel_cache) are built on first read and then cached read-only;
-    _chol and _dual_kernel_cache are one-slot lists that read None until
-    then.  A filled cache is never written again, so flows and runs can
-    share one operator.
-
-    Outside this module the dense storage is read only by the two
-    Newton-system builders: dynamics._stepper reads A and a fresh
-    _dual_kernel_buffer (never M_c or the cached dual_kernel), and
-    stationary.minimize_energy reads A (never M_c).  The buffer is built
-    from A^(-1), which dpotri forms from a copy of the cached factor, with
-    the mass stencil on both sides, in the one M x M array it returns.  The
-    eigensolver reads the column alone.
+    Assembly stores the column, the generator x and their spectra, which
+    the vector methods use in O(M) or O(M log M).  The dense A and M_c and
+    the dual kernel (in the one-slot list _dual_kernel_cache) are built on
+    first read and cached read-only, so flows and runs can share one
+    operator.  _chol always reads [None]; benchmark/child.py reads it until
+    benchmark v2 (ROADMAP item 1) removes it.  Outside this module dense
+    storage is read by dynamics._stepper (A_sigma and a fresh
+    _dual_kernel_buffer, never A_s), dynamics.recover and
+    stationary.minimize_energy (A); none reads M_c.
     """
 
     domain: Domain1D
@@ -162,7 +159,9 @@ class FracOperator:
     column: np.ndarray = field(repr=False)
     _embedding: np.ndarray = field(repr=False)  # DFT of the circulant embedding
     _chan: np.ndarray = field(repr=False)  # DFT of T. Chan's circulant
-    _chol: list = field(repr=False, default_factory=lambda: [None])
+    _generator: np.ndarray = field(repr=False)  # x = A^(-1) e_1
+    _generator_dft: np.ndarray = field(repr=False)  # DFTs of x and ZJx, shape (2, 1, n/2+1)
+    _chol: list = field(repr=False, default_factory=lambda: [None])  # see above
     _dual_kernel_cache: list = field(repr=False, default_factory=lambda: [None])
 
     @cached_property
@@ -216,26 +215,23 @@ class FracOperator:
         c = np.abs(self.column)
         return float(c[0] + _symmetric_row_sums(c[1:]).max())
 
-    def _factor(self) -> np.ndarray:
-        """Lower Cholesky factor of A, computed on the first solve."""
-        if self._chol[0] is None:
-            try:
-                L, _ = cho_factor(self.A, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NotSPDError(
-                    f"stiffness not SPD for r={self.r}, M={self.domain.M}"
-                ) from exc
-            self._chol[0] = L
-        return self._chol[0]
-
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a raw coefficient vector, or for every column
-        of a matrix rhs; ValueError on a non-finite rhs.  The factor is
-        checked finite when it is computed and immutable afterwards, so only
-        the rhs is scanned."""
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side contains infs or NaNs")
-        return cho_solve((self._factor(), True), rhs, check_finite=False)
+        """Solve A x = rhs for a vector, or for a matrix rhs SOLVE_BLOCK
+        columns at a time, by Gohberg-Semencul: six real FFTs of length
+        n >= 2M - 1, where L(v)^T b and L(v) t are the heads of a circular
+        correlation and convolution.  ValueError on a bad rhs."""
+        M, n = self.column.size, 2 * (self._embedding.size - 1)
+        if rhs.shape[:1] != (M,) or not np.isfinite(rhs).all():
+            raise ValueError(f"need a finite right-hand side with {M} rows, "
+                             f"got shape {rhs.shape}")
+        S, B = self._generator_dft, rhs.reshape(M, -1).T  # right-hand sides as rows
+        X = np.empty(B.shape)
+        for j in range(0, len(B), SOLVE_BLOCK):
+            t = np.fft.irfft(S.conj() * np.fft.rfft(B[j : j + SOLVE_BLOCK], n), n)[..., :M]
+            T = S * np.fft.rfft(t, n)
+            X[j : j + SOLVE_BLOCK] = np.fft.irfft(T[0] - T[1], n)[:, :M]
+        X /= self._generator[0]
+        return X.T.reshape(rhs.shape)
 
     def dual_norm_sq(self, v: Field) -> float:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
@@ -246,20 +242,19 @@ class FracOperator:
 
     def _dual_kernel_buffer(self) -> np.ndarray:
         """M_c A^(-1) M_c in a fresh, writable, Fortran-ordered buffer, the
-        only M x M array built: A^(-1) by dpotri on a copy of the cached
-        factor, then the mass stencil down its columns (M_c X) and along
-        its rows (X M_c), in place, on blocks of about sqrt(M) columns or
-        rows.  dpotri fills the lower triangle; each column block first
-        mirrors its upper part from the rows of that triangle, right to
-        left, so the columns it reads are not yet stenciled.  Symmetric up
-        to rounding."""
-        M, h = self.domain.M, self.domain.h
-        X, _ = dpotri(self._factor(), lower=1)
+        only M x M array built: A^(-1) column by column from B[:, 0] = x by
+        B[i:, i] = B[i-1:-1, i-1] + (x_i x[i:] - x_(M-i) x[M-i:0:-1]) / x_0,
+        each column mirrored into its row, then the mass stencil down the
+        columns and along the rows, in place, on blocks of about sqrt(M)
+        columns or rows.  Symmetric up to rounding."""
+        M, h, x = self.domain.M, self.domain.h, self._generator
+        X = np.empty((M, M), order="F")
+        X[:, 0] = X[0] = x
+        for i in range(1, M):
+            X[i:, i] = X[i - 1 : -1, i - 1] + (x[i] * x[i:] - x[M - i] * x[M - i : 0 : -1]) / x[0]
+            X[i, i + 1 :] = X[i + 1 :, i]
         b = math.isqrt(M)
-        for j in reversed(range(0, M, b)):
-            X[:j, j : j + b] = X[j : j + b, :j].T
-            block = X[j : j + b, j : j + b]
-            block[...] = np.tril(block) + np.tril(block, -1).T
+        for j in range(0, M, b):
             X[:, j : j + b] = _mass_rows(X[:, j : j + b], h)
         for i in range(0, M, b):
             X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
@@ -292,24 +287,24 @@ def _symmetric_row_sums(tail: np.ndarray) -> np.ndarray:
     return s + s[::-1]
 
 
-def _is_positive_definite(c: np.ndarray) -> bool:
-    """Whether toeplitz(c) is positive definite, by Durbin's recursion on
-    the normalized column (Golub & Van Loan, Alg. 4.7.1): iff c(0) > 0 and
-    every reflection coefficient lies in (-1, 1).  O(M^2) time, O(M)
-    memory."""
+def _levinson_generator(c: np.ndarray) -> np.ndarray | None:
+    """x = A^(-1) e_1 for A = toeplitz(c), None unless A is positive definite:
+    c(0) > 0 and Durbin's reflection coefficients (Golub & Van Loan, Alg.
+    4.7.1) in (-1, 1).  Then x = [1, y] / (c(0) beta), y the Yule-Walker
+    solution, beta the final prediction error (Trench).  O(M^2) time."""
     if not c[0] > 0.0:
-        return False
+        return None
     rho = c[1:] / c[0]
     y = np.empty(rho.size)
     beta = 1.0
     for k in range(rho.size):
         alpha = -(rho[k] + rho[:k][::-1] @ y[:k]) / beta
         if not abs(alpha) < 1.0:  # also catches NaN
-            return False
+            return None
         y[:k] += alpha * y[:k][::-1]
         y[k] = alpha
         beta *= 1.0 - alpha * alpha
-    return True
+    return np.concatenate(([1.0], y)) / (c[0] * beta)
 
 
 def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
@@ -367,10 +362,11 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
             raise AssemblyError(
                 f"r={r}, M={M}: off-diagonal max {off_max:.3e} above {QUAD_TOL:g}"
             )
-    if not _is_positive_definite(c):
+    x = _levinson_generator(c)
+    if x is None:
         raise NotSPDError(f"stiffness not SPD for r={r}, M={M}")
 
-    c.flags.writeable = False
+    c.flags.writeable = x.flags.writeable = False
     n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
     embedding = np.zeros(n)
     embedding[:M] = c
@@ -381,10 +377,13 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     symbol = np.fft.rfft(embedding.astype(np.longdouble)).real.astype(float)
     k = np.arange(M)
     chan = ((M - k) * c + k * c[-k]) / M  # T. Chan: ((M-k) c(k) + k c(M-k)) / M
+    zjx = np.concatenate(([0.0], x[:0:-1]))  # Z J x = (0, x(M-1), ..., x(1))
     return FracOperator(
         domain=domain,
         r=r,
         column=c,
         _embedding=symbol,
         _chan=np.fft.rfft(chan).real,
+        _generator=x,
+        _generator_dft=np.fft.rfft([x, zjx], n)[:, None],
     )

@@ -30,11 +30,12 @@ with dense M_c products and a freshly computed residual, its deflated
 second-eigenvalue variant, the Newton step that assembles the Hessian
 from full-matrix sums and solves it with scipy.linalg.solve, and the
 stationary solver's earlier path, which Cholesky-factors a fresh dense
-Hessian of the free energy at every Newton iteration.  The dual kernel by
-a Cholesky solve with M right-hand sides and the PCG with a full K @ p
-and fresh temporaries are the library's earlier kernels; the Newton step
-oracle builds its metric with the first.  That dual kernel and the
-library's are both checked against a 30-digit mpmath reference.
+Hessian of the free energy at every Newton iteration.  The Cholesky solve
+with A, the dual kernels by a Cholesky solve with M right-hand sides and by
+dpotri on the Cholesky factor, and the PCG with a full K @ p and fresh
+temporaries are the library's earlier kernels; the Newton step oracle
+builds its metric with the first dual kernel.  Both earlier dual kernels
+and the library's are checked against a 30-digit mpmath reference.
 
 The per-level trace is evolve's earlier recovery: w_n, the potential-equation
 residual and the energy trace computed one level at a time, against which the
@@ -56,14 +57,15 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 from dataclasses import replace
-from math import cos, gamma, log, pi
+from math import cos, gamma, isqrt, log, pi
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotri
 from scipy.special import roots_legendre
 
 from fracfield import potential as pot
 from fracfield.dynamics import energy
-from fracfield.fracop import OutOfRangeError, kernel_constant
+from fracfield.fracop import OutOfRangeError, _mass_rows, kernel_constant
 from fracfield.grid import Domain1D, Field, lp_norm
 
 
@@ -427,6 +429,31 @@ def second_eigenvalue(op, e1: np.ndarray, eig_tol: float = 1e-10,
     raise RuntimeError("deflated iteration stalled")
 
 
+def solve_cholesky(op, rhs: np.ndarray) -> np.ndarray:
+    """A^(-1) rhs the library's earlier way: a Cholesky factor of the dense
+    A, then two triangular solves (one or many right-hand sides)."""
+    return cho_solve(cho_factor(op.A, lower=True), rhs)
+
+
+def dual_kernel_dpotri(op) -> np.ndarray:
+    """M_c A^(-1) M_c the library's earlier way: dpotri forms the lower
+    triangle of A^(-1) from the Cholesky factor; each block of about
+    sqrt(M) columns, right to left, mirrors its upper part from the rows of
+    that triangle and takes the mass stencil down its columns, then blocks
+    of rows take it along their rows.  Symmetric up to rounding."""
+    M, h = op.domain.M, op.domain.h
+    X, _ = dpotri(cho_factor(op.A, lower=True)[0], lower=1)
+    b = isqrt(M)
+    for j in reversed(range(0, M, b)):
+        X[:j, j : j + b] = X[j : j + b, :j].T
+        block = X[j : j + b, j : j + b]
+        block[...] = np.tril(block) + np.tril(block, -1).T
+        X[:, j : j + b] = _mass_rows(X[:, j : j + b], h)
+    for i in range(0, M, b):
+        X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
+    return X
+
+
 def dual_kernel_cho_solve(op) -> np.ndarray:
     """M_c A^(-1) M_c the library's earlier way: A^(-1) M_c by a Cholesky
     solve with M right-hand sides, then M_c on the left, symmetrized."""
@@ -436,16 +463,26 @@ def dual_kernel_cho_solve(op) -> np.ndarray:
 
 def dual_kernel_mpmath(op, dps: int = 30) -> np.ndarray:
     """M_c A^(-1) M_c of the float64 column in dps digits, rounded to
-    float64.  x = A^(-1) e_1 comes from an mpmath LU solve; the inverse of
-    the symmetric Toeplitz A then follows row by row from the
+    float64.  x = A^(-1) e_1 comes from Gaussian elimination on the dense
+    A, without pivoting since A is symmetric positive definite, and on its
+    upper triangle only since every trailing block stays symmetric; the
+    inverse of the symmetric Toeplitz A then follows row by row from the
     Gohberg-Semencul recurrence B[i, j] = B[i-1, j-1] + (x_i x_j -
     x_(M-i) x_(M-j)) / x_0, with x_M = 0, and the mass stencil is applied
     on both sides in the same precision."""
     M = op.domain.M
     with mpmath.workdps(dps):
         c = [mpmath.mpf(float(v)) for v in op.column]
-        A = mpmath.matrix([[c[abs(i - j)] for j in range(M)] for i in range(M)])
-        x = list(mpmath.lu_solve(A, mpmath.matrix([1] + [0] * (M - 1)))) + [0]
+        A = [[c[abs(i - j)] for j in range(M)] + [int(i == 0)] for i in range(M)]
+        for k, pivot_row in enumerate(A):  # elimination on the rows [A | e_1]
+            for i in range(k + 1, M):
+                f = pivot_row[i] / pivot_row[k]  # A[i][k] / A[k][k] by symmetry
+                row = A[i]
+                for j in range(i, M + 1):
+                    row[j] -= f * pivot_row[j]
+        x = [0] * (M + 1)
+        for i in reversed(range(M)):
+            x[i] = (A[i][M] - sum(A[i][j] * x[j] for j in range(i + 1, M))) / A[i][i]
         B = [x[:M]]
         for i in range(1, M):
             B.append([(B[i - 1][j - 1] if j else 0) + (x[i] * x[j] - x[M - i] * x[M - j]) / x[0]

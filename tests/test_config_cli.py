@@ -353,6 +353,24 @@ def test_every_config_key_reaches_the_run_or_is_rejected(tmp_path):
     assert not silent, f"keys recorded but not used: {silent}"
 
 
+def test_no_experiment_leaves_a_cholesky_factor_of_a(tmp_path, monkeypatch):
+    # solves with A use its Levinson generator; _chol stays [None] until the
+    # traced benchmark child stops reading it
+    ops = []
+
+    def recording(domain, r):
+        ops.append(fracop.assemble(domain, r))
+        return ops[-1]
+
+    for module in (cli, limits, spectral):
+        monkeypatch.setattr(module, "assemble", recording)
+    for name, text in _DETERMINISM_CONFIGS.items():
+        count = len(ops)
+        cli.run(parse_config(text), output_dir=str(tmp_path / name), config_text=text)
+        assert len(ops) > count, name
+        assert all(op._chol == [None] for op in ops), name
+
+
 def _assert_fails_cleanly(tmp_path, capsys, text: str, code: int, message: str) -> None:
     path = tmp_path / "run.cfg"
     path.write_text(text)
