@@ -25,7 +25,8 @@ consequence of convexity.
 evolve is march, the Newton solves alone with u_0..u_n as rows of one
 array (all the singular-limit drivers need), then recover: w_n, the
 residual of the potential equation and the energy trace for all levels at
-once.  w_n comes from the flow equation: by the dual solve
+once, with one stacked stiffness_vector for A_sigma U and one for A_s W.
+w_n comes from the flow equation: by the dual solve
 w_n = -A_s^(-1) M_c (u_n - u_prev)/tau in the H^(-s) metric, and as
 w_n = -(u_n - u_prev)/tau in L2.  The flow equation then holds exactly,
 and the residual of the potential equation
@@ -36,8 +37,10 @@ formats no text: cli writes the trajectory and the trace as CSV tables.
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
 steps.  K is built once per run, in Fortran order (the dual kernel as the
-O(M) mass stencil on both sides of A_s^(-1), from the generator of A_s, not
-A_s itself), and every Newton direction is preconditioned CG on the current
+O(M) mass stencil on both sides of A_s^(-1), from the generator of A_s,
+plus A_sigma from its O(M) Toeplitz view); it is the one M x M array the
+set-up holds, and the step's offset A_sigma u_prev is an FFT product.
+Every Newton direction is preconditioned CG on the current
 Hessian with the explicit inverse of the last factored Hessian as
 preconditioner (a lagged preconditioner, Knoll & Keyes, J. Comput. Phys.
 193, 2004).  Every product with K or the inverse is a dsymv that reads one
@@ -362,25 +365,26 @@ def _stepper(
     Fortran-ordered buffer, and one _lagged_direction serves the whole run.
     The gradient keeps the difference form K (u - u_prev) + A_sigma u_prev
     + h beta(u) - lam M_c u_prev, so nothing cancels near newton_tol; its
-    K product, like PCG's, reads one triangle of K (dsymv).
+    K product, like PCG's, reads one triangle of K (dsymv), and the offset
+    A_sigma u_prev - lam M_c u_prev is one stiffness_vector per step.
     """
     dom = flow.domain
     h = dom.h
     mass_vector = (flow.interface or flow.metric).mass_vector
-    A = None if flow.interface is None else flow.interface.A
     if flow.metric is None:
         K = _mass_rows(np.eye(dom.M, order="F"), h)
     else:
         K = flow.metric._dual_kernel_buffer()
     K /= tau
-    if A is not None:
-        K += A
+    if flow.interface is not None:
+        K += flow.interface.A
     counts = [0, 0]  # PCG iterations, factorizations of the current step
     direction = _lagged_direction(K, params, h, counts)
 
     def step(up: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
-        explicit = flow.lam * mass_vector(up)
-        offset = -explicit if A is None else A @ up - explicit
+        offset = -flow.lam * mass_vector(up)
+        if flow.interface is not None:
+            offset += flow.interface.stiffness_vector(up)
         counts[:] = [0, 0]
 
         def grad(u):
@@ -398,11 +402,6 @@ def _rows_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     differently and move step_slack and the td2 residual, small differences
     of O(1) terms, by up to 1e-10 of their scale."""
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-def _rows_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A x_k for every row k, one BLAS gemv per row as in _rows_dot."""
-    return (A @ X[:, :, None])[:, :, 0]
 
 
 def march(
@@ -455,7 +454,7 @@ def recover(
     half_gag = 0.0  # (1/2) u^T A_sigma u of every level, if there is an interface
     td2 = h * pot.beta_reg(params, U[1:])
     if flow.interface is not None:
-        AU = _rows_matvec(flow.interface.A, U)
+        AU = flow.interface.stiffness_vector(U.T).T
         half_gag = 0.5 * _rows_dot(U, AU)
         td2 += AU[1:]
         del AU
@@ -470,7 +469,7 @@ def recover(
         du = _rows_dot(MU, flow.metric.solve_vector(MU.T).T)
         del MU
         W = flow.metric.solve_vector(mass(U[:-1] - U[1:]).T).T / tau
-        gw = _rows_dot(W, _rows_matvec(flow.metric.A, W))
+        gw = _rows_dot(W, flow.metric.stiffness_vector(W.T).T)
     np.subtract(mass(W), td2, out=td2)
     td2 = np.sqrt(_rows_dot(td2, td2)) / np.sqrt(h)
 

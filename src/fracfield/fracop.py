@@ -48,7 +48,9 @@ row sums from cumulative sums, positive definiteness from Durbin's
 recursion, which also yields x (Trench, J. SIAM 12, 1964).  Solves use
 Gohberg-Semencul (1972), A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0
 with L(v) lower triangular Toeplitz, first column v; no factor of A is
-formed.  Dense storage is built on first use (FracOperator).
+formed.  Products and solves take a vector or the columns of a matrix,
+SOLVE_BLOCK at a time.  No M x M stiffness is held: FracOperator.A is a
+read-only Toeplitz view of 2M - 1 values (FracOperator).
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_banded
 from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
@@ -66,7 +70,7 @@ from .grid import Domain1D, DomainMismatchError, Field
 QUAD_TOL = 1e-8  # sign-gate tolerance of the assembled stiffness
 
 _STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
-SOLVE_BLOCK = 32  # columns per Gohberg-Semencul product, which bounds its FFT temporaries
+SOLVE_BLOCK = 32  # columns per FFT product or solve, which bounds its FFT temporaries
 
 
 class OutOfRangeError(ValueError):
@@ -143,15 +147,15 @@ class FracOperator:
     symmetric positive definite Toeplitz stiffness A, plus the consistent
     P1 mass M_c (tridiagonal) and the lumped mass M_L = h I.
 
-    Assembly stores the column, the generator x and their spectra, which
-    the vector methods use in O(M) or O(M log M).  The dense A and M_c and
-    the dual kernel (in the one-slot list _dual_kernel_cache) are built on
-    first read and cached read-only, so flows and runs can share one
-    operator.  _chol always reads [None]; benchmark/child.py reads it until
-    benchmark v2 (ROADMAP item 1) removes it.  Outside this module dense
-    storage is read by dynamics._stepper (A_sigma and a fresh
-    _dual_kernel_buffer, never A_s), dynamics.recover and
-    stationary.minimize_energy (A); none reads M_c.
+    Assembly stores the column, the generator x and their spectra, all
+    read-only, which the vector methods use in O(M) or O(M log M), so flows
+    and runs can share one operator.  A is a read-only Toeplitz view of
+    2M - 1 values, never cached; the dense M_c is built on first read and
+    cached read-only.  _chol and _dual_kernel_cache always read [None];
+    benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
+    removes them.  Outside this module only the two dense Hessian builds
+    read A, dynamics._stepper (A_sigma, next to a fresh _dual_kernel_buffer)
+    and stationary.minimize_energy; none reads M_c.
     """
 
     domain: Domain1D
@@ -164,12 +168,13 @@ class FracOperator:
     _chol: list = field(repr=False, default_factory=lambda: [None])  # see above
     _dual_kernel_cache: list = field(repr=False, default_factory=lambda: [None])
 
-    @cached_property
+    @property
     def A(self) -> np.ndarray:
-        """Dense stiffness toeplitz(column), built on first read (read-only)."""
-        A = toeplitz(self.column)
-        A.flags.writeable = False
-        return A
+        """The stiffness toeplitz(column) as a read-only strided view of
+        (c(M-1), ..., c(1), c(0), ..., c(M-1)): O(M) memory, row i the
+        window starting at M-1-i."""
+        c = self.column
+        return sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)[::-1]
 
     @cached_property
     def M_c(self) -> np.ndarray:
@@ -196,13 +201,26 @@ class FracOperator:
         band[1] = 4.0 * h / 6.0
         return solve_banded((1, 1), band, b)
 
+    def _by_columns(self, X: np.ndarray, apply: Callable) -> np.ndarray:
+        """apply, which maps a stack of coefficient vectors (rows) to one of
+        equal shape, on X, a vector or the columns of a matrix with M rows,
+        SOLVE_BLOCK columns at a time.  ValueError on another row count."""
+        M = self.column.size
+        if X.shape[:1] != (M,):
+            raise ValueError(f"need a vector or matrix with {M} rows, got shape {X.shape}")
+        B = X.reshape(M, -1).T  # columns as rows
+        out = np.empty(B.shape)
+        for j in range(0, len(B), SOLVE_BLOCK):
+            out[j : j + SOLVE_BLOCK] = apply(B[j : j + SOLVE_BLOCK])
+        return out.T.reshape(X.shape)
+
     def stiffness_vector(self, x: np.ndarray) -> np.ndarray:
-        """A x for a raw coefficient vector, (A x)_i = a_r(x, phi_i), by
-        circulant embedding: one real FFT pair of length 2^k >= 2M - 1."""
-        if x.shape != self.column.shape:
-            raise ValueError(f"need a vector of shape {self.column.shape}, got {x.shape}")
-        n = 2 * (self._embedding.size - 1)
-        return np.fft.irfft(self._embedding * np.fft.rfft(x, n), n)[: x.size]
+        """A x, (A x)_i = a_r(x, phi_i), for a raw coefficient vector or the
+        columns of a matrix, by circulant embedding: one real FFT pair of
+        length 2^k >= 2M - 1 per column.  ValueError on a bad shape."""
+        n, M = 2 * (self._embedding.size - 1), self.column.size
+        return self._by_columns(
+            x, lambda B: np.fft.irfft(self._embedding * np.fft.rfft(B, n), n)[:, :M])
 
     def circulant_solve_vector(self, b: np.ndarray) -> np.ndarray:
         """Solve C x = b in O(M log M), C the T. Chan circulant: the circulant
@@ -216,22 +234,20 @@ class FracOperator:
         return float(c[0] + _symmetric_row_sums(c[1:]).max())
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a vector, or for a matrix rhs SOLVE_BLOCK
-        columns at a time, by Gohberg-Semencul: six real FFTs of length
-        n >= 2M - 1, where L(v)^T b and L(v) t are the heads of a circular
-        correlation and convolution.  ValueError on a bad rhs."""
-        M, n = self.column.size, 2 * (self._embedding.size - 1)
-        if rhs.shape[:1] != (M,) or not np.isfinite(rhs).all():
-            raise ValueError(f"need a finite right-hand side with {M} rows, "
-                             f"got shape {rhs.shape}")
-        S, B = self._generator_dft, rhs.reshape(M, -1).T  # right-hand sides as rows
-        X = np.empty(B.shape)
-        for j in range(0, len(B), SOLVE_BLOCK):
-            t = np.fft.irfft(S.conj() * np.fft.rfft(B[j : j + SOLVE_BLOCK], n), n)[..., :M]
+        """Solve A x = rhs for a vector, or for the columns of a matrix rhs,
+        by Gohberg-Semencul: six real FFTs of length n >= 2M - 1 per column,
+        where L(v)^T b and L(v) t are the heads of a circular correlation
+        and convolution.  ValueError on a bad or non-finite rhs."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("need a finite right-hand side")
+        M, n, S = self.column.size, 2 * (self._embedding.size - 1), self._generator_dft
+
+        def solve(B):
+            t = np.fft.irfft(S.conj() * np.fft.rfft(B, n), n)[..., :M]
             T = S * np.fft.rfft(t, n)
-            X[j : j + SOLVE_BLOCK] = np.fft.irfft(T[0] - T[1], n)[:, :M]
-        X /= self._generator[0]
-        return X.T.reshape(rhs.shape)
+            return np.fft.irfft(T[0] - T[1], n)[:, :M] / self._generator[0]
+
+        return self._by_columns(rhs, solve)
 
     def dual_norm_sq(self, v: Field) -> float:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
@@ -260,23 +276,12 @@ class FracOperator:
             X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
         return X
 
-    @property
-    def dual_kernel(self) -> np.ndarray:
-        """M_c A^(-1) M_c, the Gram matrix of the dual norm (cached,
-        read-only, exactly symmetric)."""
-        if self._dual_kernel_cache[0] is None:
-            K = self._dual_kernel_buffer()
-            K = 0.5 * (K + K.T)
-            K.flags.writeable = False
-            self._dual_kernel_cache[0] = K
-        return self._dual_kernel_cache[0]
-
     def gagliardo_sq(self, v: Field) -> float:
-        """v^T A v, the squared X_{r,0} norm of the interpolant, from the
-        dense A."""
+        """v^T A v, the squared X_{r,0} norm of the interpolant, by
+        stiffness_vector."""
         if v.domain != self.domain:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
-        return float(v.values @ (self.A @ v.values))
+        return float(v.values @ self.stiffness_vector(v.values))
 
 
 def _symmetric_row_sums(tail: np.ndarray) -> np.ndarray:
@@ -366,7 +371,6 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     if x is None:
         raise NotSPDError(f"stiffness not SPD for r={r}, M={M}")
 
-    c.flags.writeable = x.flags.writeable = False
     n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
     embedding = np.zeros(n)
     embedding[:M] = c
@@ -378,12 +382,7 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     k = np.arange(M)
     chan = ((M - k) * c + k * c[-k]) / M  # T. Chan: ((M-k) c(k) + k c(M-k)) / M
     zjx = np.concatenate(([0.0], x[:0:-1]))  # Z J x = (0, x(M-1), ..., x(1))
-    return FracOperator(
-        domain=domain,
-        r=r,
-        column=c,
-        _embedding=symbol,
-        _chan=np.fft.rfft(chan).real,
-        _generator=x,
-        _generator_dft=np.fft.rfft([x, zjx], n)[:, None],
-    )
+    stored = (c, symbol, np.fft.rfft(chan).real, x, np.fft.rfft([x, zjx], n)[:, None])
+    for arr in stored:  # an operator may serve several flows
+        arr.flags.writeable = False
+    return FracOperator(domain, r, *stored)

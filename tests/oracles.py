@@ -642,9 +642,10 @@ def stationary_state_cholesky(op, params, u0: np.ndarray, stat_tol: float):
 def energy_trace_per_level(flow, params, traj, tau: float):
     """The recovery evolve made one level at a time before it stacked the
     levels: w_n and the potential-equation residual of every step from
-    (u_{n-1}, u_n), then the energy trace through the single-state library
-    functions (energy, gagliardo_sq, dual_norm_sq, lp_norm; the modified
-    energy is energy with lam replaced).  Returns (W, td2_residual,
+    (u_{n-1}, u_n), A_sigma u_n by stiffness_vector of that one vector,
+    then the energy trace through the single-state library functions
+    (energy, gagliardo_sq, dual_norm_sq, lp_norm; the modified energy is
+    energy with lam replaced).  Returns (W, td2_residual,
     columns): W with one row per step and columns the EnergyTrace arrays
     E_sigma, E_tilde, gagliardo_s_of_w, dual_norm_u, l2_u, lp_u and
     step_slack."""
@@ -652,7 +653,6 @@ def energy_trace_per_level(flow, params, traj, tau: float):
         params = replace(params, lam=0.0)
     h = traj.domain.h
     mass_vector = (flow.interface or flow.metric).mass_vector
-    A = None if flow.interface is None else flow.interface.A
     us = [Field(traj.domain, v) for v in traj.U]
     ws, td2s = [], []
     for u_prev, u_n in zip(us, us[1:]):
@@ -663,8 +663,8 @@ def energy_trace_per_level(flow, params, traj, tau: float):
         else:
             wn = -flow.metric.solve_vector(mass_vector(un - up)) / tau
         potential = h * pot.beta_reg(params, un)
-        if A is not None:
-            potential = A @ un + potential
+        if flow.interface is not None:
+            potential = flow.interface.stiffness_vector(un) + potential
         td2 = mass_vector(wn) - (potential - explicit)
         ws.append(Field(traj.domain, wn))
         td2s.append(float(np.linalg.norm(td2) / np.sqrt(h)))

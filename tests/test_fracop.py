@@ -234,6 +234,23 @@ def test_stiffness_vector_matches_the_dense_product(unit64, rng):
         assert err <= 1e-14 * np.linalg.norm(op.A, ord=np.inf) * np.abs(x).max()
 
 
+def test_stiffness_vector_is_normwise_accurate(rng):
+    # the FFT product against a long-double one, for a vector and for the
+    # 40 columns of a matrix (two blocks), within 5e-16 ||A||_inf |x|_inf;
+    # the reference convolves each column with (c(M-1), ..., c(0), ..., c(M-1))
+    cases = [(M, r, k) for M in (64, 1023) for r in (0.1, 0.5, 0.75, 0.9)
+             for k in (None, 40)] + [(4095, 0.9, None)]
+    for M, r, k in cases:
+        op = ff.assemble(ff.make_domain(0, 1, M), r)
+        x = rng.standard_normal(M if k is None else (M, k))
+        v = np.concatenate((op.column[:0:-1], op.column)).astype(np.longdouble)
+        cols = x.reshape(M, -1).T.astype(np.longdouble)
+        exact = np.array([np.convolve(v, col)[M - 1 : 2 * M - 1] for col in cols]).T
+        err = np.abs(op.stiffness_vector(x).reshape(M, -1) - exact).max(axis=0)
+        bound = 5e-16 * op.stiffness_norm_inf() * np.abs(x.reshape(M, -1)).max(axis=0)
+        assert np.all(err <= bound), (M, r, k, float(np.max(err / bound)))
+
+
 @pytest.mark.parametrize("M", [2, 3, 64, 257])
 def test_stiffness_norm_inf_from_the_column(M):
     op = ff.assemble(ff.make_domain(0, 1, M), 0.7)
@@ -253,14 +270,21 @@ def test_circulant_solve_inverts_the_chan_circulant(unit64, rng):
 
 
 def test_dense_storage_is_built_on_first_use():
-    op = ff.assemble(ff.make_domain(0, 1, 32), 0.5)
+    # A is a view of 2M - 1 values, never cached; M_c is built on first read
+    M = 32
+    op = ff.assemble(ff.make_domain(0, 1, M), 0.5)
     assert "A" not in vars(op) and "M_c" not in vars(op)
     assert op._chol == [None] and op._dual_kernel_cache == [None]
-    op.solve_vector(np.ones(32))
+    op.solve_vector(np.ones(M))
     assert "A" not in vars(op) and op._chol == [None]
-    assert np.array_equal(op.A, toeplitz(op.column))
-    assert "A" in vars(op)
-    assert not op.A.flags.writeable and not op.M_c.flags.writeable
+    A = op.A
+    assert np.array_equal(A, toeplitz(op.column))
+    assert "A" not in vars(op)
+    lo, hi = np.lib.array_utils.byte_bounds(A)
+    assert hi - lo <= (2 * M - 1) * A.itemsize
+    assert not A.flags.writeable and not op.M_c.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -365,12 +389,9 @@ def test_mass_rows_is_the_dense_mass_product(unit64):
 def test_dual_kernel_matches_the_dense_form(unit64):
     for op in unit64.values():
         dense = op.M_c @ np.linalg.solve(op.A, op.M_c)
-        K = op.dual_kernel
-        assert np.array_equal(K, K.T)
+        K = op._dual_kernel_buffer()
+        assert K.flags.writeable and K.flags.f_contiguous
         assert np.max(np.abs(K - dense)) <= 1e-13 * np.max(np.abs(dense))
-        fresh = op._dual_kernel_buffer()
-        assert fresh.flags.writeable
-        assert np.max(np.abs(fresh - K)) <= 1e-14 * np.max(np.abs(K))
 
 
 def test_dual_norm_zero_and_eigen_identity(unit64):
