@@ -40,8 +40,8 @@ kernel_constant computes C(r) = C(r, 1) from its defining integral; it
 agrees with the closed form above to about 1e-11.
 
 Storage.  An operator holds the column and O(M) spectra: of the column's
-circulant embedding (A x by one real FFT pair), of T. Chan's optimal
-circulant (SIAM J. Sci. Stat. Comput. 9, 1988; its inverse preconditions
+circulant embedding (A x by one real FFT pair), of tau(A) (Bini &
+Capovani, 1983; the DST-I diagonalizes it and M_c; its inverse preconditions
 the eigensolver), and of the generator x = A^(-1) e_1 and Z J x (J
 reverses, Z shifts down).  assemble gates the column without forming A:
 row sums from cumulative sums, positive definiteness from Durbin's
@@ -62,7 +62,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
@@ -87,7 +86,7 @@ class NotSPDError(SolverError):
 
 
 class AssemblyError(SolverError):
-    """Assembled matrix violates its sign structure beyond QUAD_TOL."""
+    """Assembled matrix violates its sign structure beyond QUAD_TOL, or tau(A) is not SPD."""
 
 
 @dataclass(frozen=True)
@@ -141,28 +140,33 @@ def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _dst(x: np.ndarray) -> np.ndarray:
+    """DST-I, -2 S x with S_jk = sin(pi j k/(M+1)), by one rfft of (0, x, 0, -Jx)."""
+    return np.fft.rfft(np.concatenate(([0.0], x, [0.0], -x[::-1]))).imag[1:-1]
+
+
 @dataclass(frozen=True)
 class FracOperator:
     """Weak fractional Laplacian of order r: the first column of its
     symmetric positive definite Toeplitz stiffness A, plus the consistent
     P1 mass M_c (tridiagonal) and the lumped mass M_L = h I.
 
-    Assembly stores the column, the generator x and their spectra, all
-    read-only, which the vector methods use in O(M) or O(M log M), so flows
-    and runs can share one operator.  A is a read-only Toeplitz view of
-    2M - 1 values, never cached; the dense M_c is built on first read and
-    cached read-only.  _chol and _dual_kernel_cache always read [None];
-    benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
-    removes them.  Outside this module only the two dense Hessian builds
-    read A, dynamics._stepper (A_sigma, next to a fresh _dual_kernel_buffer)
-    and stationary.minimize_energy; none reads M_c.
+    Assembly stores the column, the generator x, their spectra and those of
+    tau(A), all read-only, which the vector methods use in O(M) or
+    O(M log M), so flows and runs can share one operator.  A is a read-only
+    Toeplitz view of 2M - 1 values, never cached; the dense M_c is built on
+    first read and cached read-only.  _chol and _dual_kernel_cache always
+    read [None]; benchmark/child.py reads them until benchmark v2 (ROADMAP
+    item 1) removes them.  Outside this module only the two dense Hessian
+    builds read A, dynamics._stepper (A_sigma, next to a fresh
+    _dual_kernel_buffer) and stationary.minimize_energy; none reads M_c.
     """
 
     domain: Domain1D
     r: float
     column: np.ndarray = field(repr=False)
     _embedding: np.ndarray = field(repr=False)  # DFT of the circulant embedding
-    _chan: np.ndarray = field(repr=False)  # DFT of T. Chan's circulant
+    _tau: np.ndarray = field(repr=False)  # eigenvalues of tau(A), in DST-I order
     _generator: np.ndarray = field(repr=False)  # x = A^(-1) e_1
     _generator_dft: np.ndarray = field(repr=False)  # DFTs of x and ZJx, shape (2, 1, n/2+1)
     _chol: list = field(repr=False, default_factory=lambda: [None])  # see above
@@ -193,13 +197,11 @@ class FracOperator:
         return _mass_rows(x, self.domain.h)
 
     def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
-        """Solve M_c x = b for a raw coefficient vector in O(M), as the
-        tridiagonal band of _mass_rows."""
+        """Solve M_c x = b for a raw coefficient vector in O(M log M) by two
+        sine transforms: M_c has eigenvalues (h/6)(4 + 2 cos(pi j/(M+1)))."""
         M, h = self.domain.M, self.domain.h
-        band = np.empty((3, M))
-        band[0] = band[2] = h / 6.0
-        band[1] = 4.0 * h / 6.0
-        return solve_banded((1, 1), band, b)
+        mass = h / 6.0 * (4.0 + 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1)))
+        return _dst(_dst(b) / mass) / (2 * (M + 1))
 
     def _by_columns(self, X: np.ndarray, apply: Callable) -> np.ndarray:
         """apply, which maps a stack of coefficient vectors (rows) to one of
@@ -222,10 +224,9 @@ class FracOperator:
         return self._by_columns(
             x, lambda B: np.fft.irfft(self._embedding * np.fft.rfft(B, n), n)[:, :M])
 
-    def circulant_solve_vector(self, b: np.ndarray) -> np.ndarray:
-        """Solve C x = b in O(M log M), C the T. Chan circulant: the circulant
-        nearest A in the Frobenius norm, positive definite with A."""
-        return np.fft.irfft(np.fft.rfft(b) / self._chan, b.size)
+    def tau_solve_vector(self, b: np.ndarray) -> np.ndarray:
+        """Solve tau(A) x = b for a raw coefficient vector by two DST-Is; S^2 = (M+1)/2 I."""
+        return _dst(_dst(b) / self._tau) / (2 * (b.size + 1))
 
     def stiffness_norm_inf(self) -> float:
         """||A||_inf in O(M): row i sums to |c(0)| + S(i) + S(M-1-i), S the
@@ -370,6 +371,13 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     x = _levinson_generator(c)
     if x is None:
         raise NotSPDError(f"stiffness not SPD for r={r}, M={M}")
+    # tau(A) = A - hankel((c(2), ..., c(M-1), 0, 0), reversed) has eigenvalues
+    # c(0) + 2 sum_{0<k<M} c(k) cos(k pi j/(M+1)).  For r >= 1/4 all c(k>0) <= 0
+    # and c(0) + 2 sum_{k>0} c(k) = 0, so each is >= -2 sum_{k>=M} c(k) > 0
+    t = c - np.concatenate((c[2:], [0.0, 0.0]))  # first column of tau(A)
+    tau = _dst(t) / (-2.0 * np.sin(np.pi * np.arange(1, M + 1) / (M + 1)))
+    if not tau.min() > 0.0:
+        raise AssemblyError(f"r={r}, M={M}: tau preconditioner min eigenvalue {tau.min():.3e}")
 
     n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
     embedding = np.zeros(n)
@@ -379,10 +387,8 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     # entries (down to 1e-6 of the largest at r = 0.9, M = 511), where smooth
     # vectors live; an extended-precision transform keeps it accurate
     symbol = np.fft.rfft(embedding.astype(np.longdouble)).real.astype(float)
-    k = np.arange(M)
-    chan = ((M - k) * c + k * c[-k]) / M  # T. Chan: ((M-k) c(k) + k c(M-k)) / M
     zjx = np.concatenate(([0.0], x[:0:-1]))  # Z J x = (0, x(M-1), ..., x(1))
-    stored = (c, symbol, np.fft.rfft(chan).real, x, np.fft.rfft([x, zjx], n)[:, None])
+    stored = (c, symbol, tau, x, np.fft.rfft([x, zjx], n)[:, None])
     for arr in stored:  # an operator may serve several flows
         arr.flags.writeable = False
     return FracOperator(domain, r, *stored)

@@ -2,14 +2,13 @@
 
 The generalized problem A x = lambda M_c x is solved by LOBPCG with block
 size one (Knyazev, SIAM J. Sci. Comput. 23, 2001), preconditioned by the
-inverse of T. Chan's circulant approximation of A.  It reads the operator
-through its vector methods only: FFT products with A, O(M) products with
-the tridiagonal M_c, FFT solves with the circulant; no dense matrix is
-formed.  Unlike inverse iteration, whose rate (lambda1/lambda2)^k tends to 1
-as r -> 0, it converges in a few dozen iterations over the whole range of
-orders.  The analytic bounds are the interpolation-based lower bound and the
-classical upper bound lambda1^r with lambda1 = pi^2/L^2 for an interval of
-length L.
+inverse of the natural tau approximation of A (Bini & Di Benedetto, SPAA
+1990), which fits a symbol with a zero at the origin better than a circulant
+(Serra-Capizzano, Math. Comp. 68, 1999).  It starts from sin(pi j/(M+1)),
+an eigenvector of tau(A) and of M_c, and reads the operator through its
+vector methods only; no dense matrix is formed.  The analytic bounds are the
+interpolation-based lower bound and the classical upper bound lambda1^r
+with lambda1 = pi^2/L^2 for an interval of length L.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ def first_eigenpair(
     """Smallest eigenpair of A x = lambda M_c x by preconditioned LOBPCG.
 
     Each iteration projects the pencil onto span{x, w, p} (the M_c-normalized
-    iterate, its preconditioned residual w = C^(-1) (A x - lambda M_c x) and
-    the previous step p, made M_c-orthonormal) and keeps the lowest Ritz
+    iterate, its preconditioned residual w = tau(A)^(-1) (A x - lambda M_c x)
+    and the previous step p, made M_c-orthonormal) and keeps the lowest Ritz
     pair.  The residual is the normwise backward error
 
         ||A x - lambda M_c x||_inf / ((||A||_inf + lambda ||M_c||_inf) ||x||_inf),
@@ -112,7 +111,7 @@ def first_eigenpair(
     """
     h = op.domain.h
     norm_A = op.stiffness_norm_inf()
-    x = np.ones(op.domain.M)
+    x = np.sin(np.pi * np.arange(1, op.domain.M + 1) / (op.domain.M + 1))
     x /= np.sqrt(x @ op.mass_vector(x))
     p = None
     for _ in range(maxit):
@@ -123,7 +122,7 @@ def first_eigenpair(
         if res <= eig_tol:
             break
         S, BS = [x], [Bx]
-        _append_orthonormal(op, S, BS, op.circulant_solve_vector(R))
+        _append_orthonormal(op, S, BS, op.tau_solve_vector(R))
         if p is not None:
             _append_orthonormal(op, S, BS, p)
         AS = np.column_stack([Ax] + [op.stiffness_vector(v) for v in S[1:]])

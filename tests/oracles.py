@@ -36,6 +36,10 @@ dpotri on the Cholesky factor, and the PCG with a full K @ p and fresh
 temporaries are the library's earlier kernels; the Newton step oracle
 builds its metric with the first dual kernel.  Both earlier dual kernels
 and the library's are checked against a 30-digit mpmath reference.
+T. Chan's circulant solve (the eigensolver's earlier preconditioner) and
+the banded LAPACK mass solve are the library's earlier structured solvers,
+against which the tau preconditioner's iteration counts and the sine
+transform's mass solve are checked.
 
 The per-level trace is evolve's earlier recovery: w_n, the potential-equation
 residual and the energy trace computed one level at a time, against which the
@@ -58,7 +62,7 @@ import mpmath
 import numpy as np
 from dataclasses import replace
 from math import cos, gamma, isqrt, log, pi
-from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
+from scipy.linalg import cho_factor, cho_solve, solve as lin_solve, solve_banded
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 from scipy.special import roots_legendre
@@ -433,6 +437,27 @@ def solve_cholesky(op, rhs: np.ndarray) -> np.ndarray:
     """A^(-1) rhs the library's earlier way: a Cholesky factor of the dense
     A, then two triangular solves (one or many right-hand sides)."""
     return cho_solve(cho_factor(op.A, lower=True), rhs)
+
+
+def chan_circulant_solve(op, b: np.ndarray) -> np.ndarray:
+    """C^(-1) b, the library's earlier eigen preconditioner: C is T. Chan's
+    optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988), the circulant
+    nearest A in the Frobenius norm, with first column ((M-k) c(k) +
+    k c(M-k)) / M, solved by one real FFT pair of length M."""
+    M, c = op.column.size, op.column
+    k = np.arange(M)
+    chan = ((M - k) * c + k * c[-k]) / M
+    return np.fft.irfft(np.fft.rfft(b) / np.fft.rfft(chan).real, M)
+
+
+def mass_solve_banded(op, b: np.ndarray) -> np.ndarray:
+    """M_c^(-1) b the library's earlier way: LAPACK's banded solve on the
+    tridiagonal band (h/6)(1, 4, 1)."""
+    M, h = op.domain.M, op.domain.h
+    band = np.empty((3, M))
+    band[0] = band[2] = h / 6.0
+    band[1] = 4.0 * h / 6.0
+    return solve_banded((1, 1), band, b)
 
 
 def dual_kernel_dpotri(op) -> np.ndarray:

@@ -481,6 +481,32 @@ def test_march_returns_the_levels_of_evolve_bitwise(get_op, kind):
     assert [st.iterations for st in traj.stats] == [it for it, *_ in newton]
 
 
+@pytest.mark.parametrize("kind", FLOWS)
+def test_evolve_is_odd_in_the_initial_datum(get_op, kind):
+    # beta is odd and every operator linear, and rounding is symmetric, so
+    # negating u0 negates every level exactly
+    flow, params = _flow(get_op, 64, kind)
+    settings = ff.SolverSettings(tau=1e-3, T=1e-2)
+    u0 = ff.bump_field(flow.domain)
+    traj, _ = ff.evolve(flow, params, u0, settings)
+    neg, _ = ff.evolve(flow, params, -u0, settings)
+    assert np.array_equal(neg.U, -traj.U) and np.array_equal(neg.W, -traj.W)
+
+
+@pytest.mark.parametrize("kind", FLOWS)
+def test_evolve_commutes_with_the_mirror(get_op, kind):
+    # the reflection x -> a + b - x commutes with A, M_c and beta, so the
+    # mirrored start gives the mirrored levels up to rounding (W, a small
+    # difference of levels over tau, mirrors only to about 1e-14)
+    flow, params = _flow(get_op, 64, kind)
+    settings = ff.SolverSettings(tau=1e-3, T=1e-2)
+    dom = flow.domain
+    u0 = ff.Field(dom, ff.bump_field(dom).values * (0.5 + dom.nodes))
+    traj, _ = ff.evolve(flow, params, u0, settings)
+    mirrored, _ = ff.evolve(flow, params, ff.Field(dom, u0.values[::-1]), settings)
+    assert np.abs(mirrored.U - traj.U[:, ::-1]).max() <= 1e-14 * np.abs(traj.U).max()
+
+
 def test_ch_run_factors_its_hessian_once():
     dom = ff.make_domain(0, 1, 255)
     op_s, op_sigma = ff.assemble(dom, 0.5), ff.assemble(dom, 0.75)
@@ -664,7 +690,7 @@ def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
         assert counts[0] == counts[1], (s, sigma, counts)
 
 
-STORED = ("column", "_embedding", "_chan", "_generator", "_generator_dft")
+STORED = ("column", "_embedding", "_tau", "_generator", "_generator_dft")
 
 
 def test_evolve_leaves_operator_arrays_untouched():

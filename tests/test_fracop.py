@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, circulant, solve_toeplitz, toeplitz
+from scipy.linalg import cho_factor, hankel, solve_toeplitz, toeplitz
 from scipy import special
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +17,7 @@ from oracles import (
     gagliardo_sq_riemann,
     hat_form_coefficient_mpmath,
     kernel_integral_trapezoid,
+    mass_solve_banded,
     poincare_lower_bound,
     solve_cholesky,
     stiffness_closed_form,
@@ -127,6 +128,21 @@ def test_assembly_gates_fire(monkeypatch):
     perturbed(1, 10.0)  # positive rows, indefinite; no sign gate below r = 1/4
     with pytest.raises(NotSPDError):
         ff.assemble(dom, 0.1)
+    # SPD (eigenvalues 0.4, 1, 1.6), passes Durbin, rows sum to 1.6, 1, 1.6,
+    # but tau(A) = [[0.4, 0, 0.6], [0, 1, 0], [0.6, 0, 0.4]] has eigenvalue -0.2
+    bad = np.array([1.0, 0.0, 0.6])
+    assert fracop._levinson_generator(bad) is not None
+    monkeypatch.setattr(fracop, "_stiffness_column", lambda M, h, r: bad.copy())
+    with pytest.raises(AssemblyError, match="tau"):
+        ff.assemble(ff.make_domain(0, 1, 3), 0.1)
+
+
+@pytest.mark.parametrize("M", [2, 3, 64, 1023])
+def test_tau_gate_passes_every_order(M):
+    # the tau eigenvalues are provably positive for r >= 1/4 only; below,
+    # the gate must still never fire on the library's own column
+    for r in (1e-4, 0.01, 0.1, 0.2, 0.235, 0.3, 0.5, 0.9, 0.999):
+        assert ff.assemble(ff.make_domain(0, 1, M), r)._tau.min() > 0.0
 
 
 def test_quadratic_form_matches_fourier_oracle(unit64, rng):
@@ -258,15 +274,24 @@ def test_stiffness_norm_inf_from_the_column(M):
     assert op.stiffness_norm_inf() == pytest.approx(ref, rel=1e-14)
 
 
-def test_circulant_solve_inverts_the_chan_circulant(unit64, rng):
-    # T. Chan's circulant has first column ((M-k) c(k) + k c(M-k)) / M
-    op = unit64[0.5]
-    M, c = op.domain.M, op.column
-    k = np.arange(M)
-    C = circulant(((M - k) * c + k * c[-k]) / M)
-    b = rng.standard_normal(M)
-    x = op.circulant_solve_vector(b)
-    assert np.linalg.norm(C @ x - b) <= 1e-13 * np.linalg.norm(b)
+def _tau_matrix(c: np.ndarray) -> np.ndarray:
+    """The natural tau matrix toeplitz(c) - hankel(h, reversed h), h =
+    (c(2), ..., c(M-1), 0, 0) (Bini & Capovani), densely."""
+    h = np.concatenate((c[2:], [0.0, 0.0]))
+    return toeplitz(c) - hankel(h, h[::-1])
+
+
+def test_tau_solve_inverts_the_toeplitz_minus_hankel_matrix(rng):
+    # the stored eigenvalues are those of the dense tau matrix, and two sine
+    # transforms solve with it
+    for r, M in [(0.5, 64), (0.9, 65), (0.1, 3), (0.7, 2)]:
+        op = ff.assemble(ff.make_domain(0, 1, M), r)
+        T = _tau_matrix(op.column)
+        ev = np.linalg.eigvalsh(T)
+        assert np.abs(np.sort(op._tau) - ev).max() <= 1e-13 * ev.max(), (r, M)
+        b = rng.standard_normal(M)
+        x = op.tau_solve_vector(b)
+        assert np.linalg.norm(T @ x - b) <= 1e-13 * np.linalg.norm(b), (r, M)
 
 
 def test_dense_storage_is_built_on_first_use():
@@ -329,6 +354,19 @@ def test_solve_vector_is_backward_stable(rng):
         if M == 255:
             ref = solve_cholesky(op, B)
             assert np.abs(X - ref).max() <= 1e-14 * np.linalg.cond(op.A) * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("M", [2, 3, 64, 2047, 16383])
+def test_mass_solve_vector_is_backward_stable(rng, M):
+    # two sine transforms against the earlier banded LAPACK solve; M_c has
+    # ||M_c||_inf = h and condition number at most 3
+    op = ff.assemble(ff.make_domain(0, 1, M), 0.5)
+    h, b = op.domain.h, rng.standard_normal(M)
+    x = op.mass_solve_vector(b)
+    backward = np.abs(op.mass_vector(x) - b).max() / (h * np.abs(x).max() + np.abs(b).max())
+    assert backward <= 1e-15
+    ref = mass_solve_banded(op, b)
+    assert np.abs(x - ref).max() <= 2e-15 * np.abs(ref).max()
 
 
 def test_mass_solve_vector_matches_dense_solve(unit64, rng):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import circulant, eigh
 
 import fracfield as ff
-from fracfield import cli
+from fracfield import cli, fracop
 from fracfield.config import parse_config
 from fracfield.fracop import OutOfRangeError
 from fracfield.spectral import (
@@ -14,6 +14,7 @@ from fracfield.spectral import (
 )
 
 from oracles import (
+    chan_circulant_solve,
     first_eigenpair_dense,
     poincare_lower_bound,
     rayleigh_quotient_extended,
@@ -111,6 +112,64 @@ def test_first_eigenpair_converges_to_the_continuum_value():
     assert 0.95 <= order <= 1.05
     assert abs(2.0 * lams[2] - lams[1] - ref) <= 2e-6
     assert all(lam > ref for lam in lams)
+
+
+def _preconditioner_calls(monkeypatch, op, solve=None) -> tuple[int, float]:
+    """LOBPCG iterations that needed a preconditioner solve, and lambda1;
+    solve(op, b) replaces tau_solve_vector when given."""
+    calls = [0]
+    tau_solve = fracop.FracOperator.tau_solve_vector
+
+    def counted(self, b):
+        calls[0] += 1
+        return (solve or tau_solve)(self, b)
+
+    monkeypatch.setattr(fracop.FracOperator, "tau_solve_vector", counted)
+    pair = ff.first_eigenpair(op)
+    monkeypatch.undo()
+    return calls[0], pair.lambda1
+
+
+def test_chan_oracle_inverts_the_chan_circulant(unit64, rng):
+    # T. Chan's circulant has first column ((M-k) c(k) + k c(M-k)) / M
+    op = unit64[0.5]
+    M, c = op.domain.M, op.column
+    k = np.arange(M)
+    C = circulant(((M - k) * c + k * c[-k]) / M)
+    b = rng.standard_normal(M)
+    x = chan_circulant_solve(op, b)
+    assert np.linalg.norm(C @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_tau_preconditioned_iterations_do_not_grow_with_m(monkeypatch):
+    # r = 0.9, whose symbol's zero at the origin a circulant fits poorly:
+    # T. Chan's circulant took 15, 21 and 35 iterations here
+    for M in (511, 2047, 8191):
+        op = ff.assemble(ff.make_domain(0, 1, M), 0.9)
+        calls, _ = _preconditioner_calls(monkeypatch, op)
+        assert calls <= 8, (M, calls)
+
+
+@pytest.mark.parametrize("b, M, r", [(1, 511, 0.2), (1, 511, 0.1), (1, 2047, 0.2),
+                                     (1, 2047, 0.1), (10, 511, 0.5), (10, 511, 0.3),
+                                     (10, 511, 0.15), (10, 511, 0.05)])
+def test_tau_needs_no_more_iterations_than_chan(monkeypatch, get_op, b, M, r):
+    # the eigen problems of benchmark/configs/eigen_refine.cfg and
+    # stationary_wide.cfg, from the same sine start, against the earlier
+    # circulant preconditioner
+    op = get_op(0.0, float(b), M, r)
+    tau_calls, lam_tau = _preconditioner_calls(monkeypatch, op)
+    chan_calls, lam_chan = _preconditioner_calls(monkeypatch, op, chan_circulant_solve)
+    assert 0 < tau_calls <= chan_calls, (tau_calls, chan_calls)
+    assert abs(lam_tau - lam_chan) <= 1e-13 * lam_chan
+
+
+def test_first_eigenfunction_is_mirror_symmetric(unit64, get_op):
+    # the interval's reflection commutes with A, M_c and tau(A), and the sine
+    # start is symmetric, so e1 equals its mirror up to rounding
+    for op in list(unit64.values()) + [get_op(0.0, 10.0, 511, 0.5)]:
+        e1 = ff.first_eigenpair(op).e1.values
+        assert np.abs(e1 - e1[::-1]).max() <= 1e-14 * np.abs(e1).max(), op.r
 
 
 def test_first_eigenpair_stalls_with_no_convergence_error(unit64):
