@@ -7,7 +7,8 @@ Core layers:
   power-law double well and its monotone derivative;
 - fracop: Toeplitz Galerkin stiffness of the weak fractional Laplacian
   (full Gagliardo form including the exterior tail) from a closed-form
-  column, elliptic solves, dual norms;
+  column, the kernel constant C(r), mass products, elliptic solves, dual
+  norms, and the solver-failure types the CLI maps to exit code 2;
 - spectral: first eigenpair, interpolation constant, eigenvalue bounds;
 - dynamics: one energy-stable convex-splitting step for all four flows
   (Cahn-Hilliard, modified, Allen-Cahn, porous medium): march, then
@@ -21,9 +22,9 @@ Core layers:
 
 __version__ = "0.1.0"
 
-from .grid import Domain1D, Field, bump_field, lp_norm, make_domain, sample, zero_field
+from .grid import Domain1D, Field, bump_field, lp_norm, sample
 from .potential import PotentialParams, W, beta, beta_hat
-from .fracop import FracOperator, KernelConstant, assemble, kernel_constant
+from .fracop import FracOperator, assemble, kernel_constant
 from .spectral import (
     EigenPair,
     first_eigenpair,
@@ -57,10 +58,9 @@ from .limits import (
 )
 
 __all__ = [
-    "Domain1D", "Field", "make_domain", "sample", "zero_field", "bump_field",
-    "lp_norm",
+    "Domain1D", "Field", "sample", "bump_field", "lp_norm",
     "PotentialParams", "beta", "beta_hat", "W",
-    "KernelConstant", "FracOperator", "kernel_constant", "assemble",
+    "FracOperator", "kernel_constant", "assemble",
     "EigenPair", "first_eigenpair", "kappa",
     "lambda1_lower_bound", "lambda1_sweep",
     "SolverSettings", "Trajectory", "EnergyTrace", "Flow", "march", "recover",

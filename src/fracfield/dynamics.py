@@ -52,7 +52,8 @@ counts PCG iterations and factorizations.  From the second step on, Newton
 starts at the linear extrapolation 2 u_(n-1) - u_(n-2); F_n is strictly
 convex, so only the path to its minimizer changes; the M = 128
 Cahn-Hilliard and Allen-Cahn configs need 34 to 39% fewer Newton
-iterations.  M_c products are the O(M) stencil; no dense M_c is built.
+iterations.  M_c products are the O(M) stencil of mass_vector; only the
+Allen-Cahn K starts from a dense M_c.
 The stationary polish minimizes J with the same Newton and directions,
 its K being A_sigma - lam M_c.
 """
@@ -69,7 +70,7 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
-from .fracop import FracOperator, SolverError, _mass_rows
+from .fracop import FracOperator, SolverError
 from .grid import Domain1D, DomainMismatchError, Field
 from .potential import PotentialParams
 
@@ -354,7 +355,7 @@ def _lagged_direction(
 
 
 def _stepper(
-    flow: Flow, params: PotentialParams, tau: float, settings: SolverSettings
+    flow: Flow, params: PotentialParams, settings: SolverSettings
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, float, int, int]]:
     """The step (u_prev, start) -> (u_n, iterations, residual, krylov,
     factorizations) on nodal vectors: Newton on F_n from start, nothing
@@ -368,14 +369,13 @@ def _stepper(
     K product, like PCG's, reads one triangle of K (dsymv), and the offset
     A_sigma u_prev - lam M_c u_prev is one stiffness_vector per step.
     """
-    dom = flow.domain
-    h = dom.h
+    h = flow.domain.h
     mass_vector = (flow.interface or flow.metric).mass_vector
     if flow.metric is None:
-        K = _mass_rows(np.eye(dom.M, order="F"), h)
+        K = mass_vector(np.eye(flow.domain.M, order="F"))
     else:
         K = flow.metric._dual_kernel_buffer()
-    K /= tau
+    K /= settings.tau
     if flow.interface is not None:
         K += flow.interface.A
     counts = [0, 0]  # PCG iterations, factorizations of the current step
@@ -419,7 +419,7 @@ def march(
         raise DomainMismatchError("operators and state must share one domain")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial state contains non-finite values")
-    step = _stepper(flow, params, settings.tau, settings)
+    step = _stepper(flow, params, settings)
     rows, newton = [u0.values], []
     for n in range(settings.n_steps):
         # predictor: from the second step on, Newton starts at the linear
@@ -447,7 +447,7 @@ def recover(
     h, n = flow.domain.h, len(U) - 1
 
     def mass(X):  # M_c on every row
-        return _mass_rows(X.T, h).T
+        return (flow.interface or flow.metric).mass_vector(X.T).T
 
     # td2 = M_c w_n - (A_sigma u_n + h beta(u_n) - lam M_c u_prev), built in
     # place, in an order that keeps few (n+1, M) arrays alive at once

@@ -89,12 +89,9 @@ class AssemblyError(SolverError):
     """Assembled matrix violates its sign structure beyond QUAD_TOL, or tau(A) is not SPD."""
 
 
-@dataclass(frozen=True)
-class KernelConstant:
-    """Normalizing constant C(r) = C(r, 1) of the one-dimensional kernel."""
-
-    r: float
-    value: float
+class NoConvergenceError(SolverError):
+    """An iteration (LOBPCG, or every start of the stationary descent) ended
+    before reaching its tolerance."""
 
 
 def _head_series(r: float) -> float:
@@ -109,8 +106,9 @@ def _head_series(r: float) -> float:
     return s
 
 
-def kernel_constant(r: float) -> KernelConstant:
-    """C(r) = (int_R (1 - cos z)/|z|^(1+2r) dz)^(-1), the N = 1 case of C(r, N).
+def kernel_constant(r: float) -> float:
+    """The normalizing constant C(r) = (int_R (1 - cos z)/|z|^(1+2r) dz)^(-1)
+    of the one-dimensional kernel, the N = 1 case of C(r, N).
 
     The defining integral is split at |z| = 1: the head is summed as a
     Taylor series (exact to machine precision), the tail is the exact
@@ -126,7 +124,7 @@ def kernel_constant(r: float) -> KernelConstant:
         lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
     )
     total = 2.0 * (head + 1.0 / (2.0 * r) - osc)
-    return KernelConstant(r, 1.0 / total)
+    return 1.0 / total
 
 
 def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
@@ -145,6 +143,12 @@ def _dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.concatenate(([0.0], x, [0.0], -x[::-1]))).imag[1:-1]
 
 
+def _sine_solve(b: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Solve B x = b for B = (2/(M+1)) S diag(eigenvalues) S, a matrix the
+    DST-I diagonalizes, by two DST-Is; S^2 = (M+1)/2 I."""
+    return _dst(_dst(b) / eigenvalues) / (2 * (b.size + 1))
+
+
 @dataclass(frozen=True)
 class FracOperator:
     """Weak fractional Laplacian of order r: the first column of its
@@ -159,7 +163,8 @@ class FracOperator:
     read [None]; benchmark/child.py reads them until benchmark v2 (ROADMAP
     item 1) removes them.  Outside this module only the two dense Hessian
     builds read A, dynamics._stepper (A_sigma, next to a fresh
-    _dual_kernel_buffer) and stationary.minimize_energy; none reads M_c.
+    _dual_kernel_buffer) and stationary.minimize_energy; none reads M_c,
+    and every M_c product, a dense one included, is mass_vector.
     """
 
     domain: Domain1D
@@ -193,7 +198,8 @@ class FracOperator:
         return self.domain.h * np.eye(self.domain.M)
 
     def mass_vector(self, x: np.ndarray) -> np.ndarray:
-        """M_c x for a raw coefficient vector in O(M)."""
+        """M_c x in a fresh buffer, O(M) per column, for a raw coefficient
+        vector or the columns of a matrix (M_c itself from the identity)."""
         return _mass_rows(x, self.domain.h)
 
     def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
@@ -201,7 +207,7 @@ class FracOperator:
         sine transforms: M_c has eigenvalues (h/6)(4 + 2 cos(pi j/(M+1)))."""
         M, h = self.domain.M, self.domain.h
         mass = h / 6.0 * (4.0 + 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1)))
-        return _dst(_dst(b) / mass) / (2 * (M + 1))
+        return _sine_solve(b, mass)
 
     def _by_columns(self, X: np.ndarray, apply: Callable) -> np.ndarray:
         """apply, which maps a stack of coefficient vectors (rows) to one of
@@ -225,8 +231,8 @@ class FracOperator:
             x, lambda B: np.fft.irfft(self._embedding * np.fft.rfft(B, n), n)[:, :M])
 
     def tau_solve_vector(self, b: np.ndarray) -> np.ndarray:
-        """Solve tau(A) x = b for a raw coefficient vector by two DST-Is; S^2 = (M+1)/2 I."""
-        return _dst(_dst(b) / self._tau) / (2 * (b.size + 1))
+        """Solve tau(A) x = b for a raw coefficient vector by two DST-Is."""
+        return _sine_solve(b, self._tau)
 
     def stiffness_norm_inf(self) -> float:
         """||A||_inf in O(M): row i sums to |c(0)| + S(i) + S(M-1-i), S the

@@ -57,10 +57,6 @@ class Domain1D:
         return self.a + self.h * np.arange(1, self.M + 1)
 
 
-def make_domain(a: float, b: float, M: int) -> Domain1D:
-    return Domain1D(float(a), float(b), int(M))
-
-
 @dataclass(frozen=True)
 class Field:
     """Nodal values at the interior nodes of a domain; immutable.
@@ -113,10 +109,6 @@ class DomainMismatchError(ValueError):
 def _check_same_domain(u: Field, v: Field) -> None:
     if u.domain != v.domain:
         raise DomainMismatchError(f"{u.domain} != {v.domain}")
-
-
-def zero_field(domain: Domain1D) -> Field:
-    return Field(domain, np.zeros(domain.M))
 
 
 def sample(domain: Domain1D, f: Callable[[float], float]) -> Field:

@@ -41,22 +41,19 @@ class PotentialParams:
 def beta(params: PotentialParams, v):
     """Exact monotone nonlinearity |v|^(p-1) sign v."""
     v = np.asarray(v, dtype=float)
-    out = np.abs(v) ** (params.p - 1.0) * np.sign(v)
-    return out if out.ndim else float(out)
+    return np.abs(v) ** (params.p - 1.0) * np.sign(v)
 
 
 def beta_hat(params: PotentialParams, v):
     """Primitive of beta with beta_hat(0) = 0, i.e. |v|^p / p."""
     v = np.asarray(v, dtype=float)
-    out = np.abs(v) ** params.p / params.p
-    return out if out.ndim else float(out)
+    return np.abs(v) ** params.p / params.p
 
 
 def W(params: PotentialParams, v):
     """Double-well potential beta_hat(v) - (lam/2) v^2."""
     v = np.asarray(v, dtype=float)
-    out = beta_hat(params, v) - 0.5 * params.lam * v**2
-    return out if np.ndim(out) else float(out)
+    return beta_hat(params, v) - 0.5 * params.lam * v**2
 
 
 def beta_reg(params: PotentialParams, v):
@@ -64,8 +61,7 @@ def beta_reg(params: PotentialParams, v):
     v = np.asarray(v, dtype=float)
     if params.delta == 0.0:
         return beta(params, v)
-    out = (v**2 + params.delta**2) ** ((params.p - 2.0) / 2.0) * v
-    return out if out.ndim else float(out)
+    return (v**2 + params.delta**2) ** ((params.p - 2.0) / 2.0) * v
 
 
 def beta_hat_reg(params: PotentialParams, v):
@@ -74,8 +70,7 @@ def beta_hat_reg(params: PotentialParams, v):
     d = params.delta
     if d == 0.0:
         return beta_hat(params, v)
-    out = ((v**2 + d**2) ** (params.p / 2.0) - d**params.p) / params.p
-    return out if out.ndim else float(out)
+    return ((v**2 + d**2) ** (params.p / 2.0) - d**params.p) / params.p
 
 
 def beta_prime_reg(params: PotentialParams, v):
@@ -84,7 +79,5 @@ def beta_prime_reg(params: PotentialParams, v):
     p, d = params.p, params.delta
     if d == 0.0:
         # p > 2 here by the delta invariant, so |v|^(p-2) -> 0 at v = 0
-        out = (p - 1.0) * np.abs(v) ** (p - 2.0)
-        return out if out.ndim else float(out)
-    out = (v**2 + d**2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * v**2 + d**2)
-    return out if out.ndim else float(out)
+        return (p - 1.0) * np.abs(v) ** (p - 2.0)
+    return (v**2 + d**2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * v**2 + d**2)

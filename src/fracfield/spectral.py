@@ -18,17 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracop import FracOperator, OutOfRangeError, SolverError, assemble
+from .fracop import FracOperator, NoConvergenceError, OutOfRangeError, assemble
 from .grid import Domain1D, Field
 
 EIG_TOL = 1e-10
 EIG_MAXIT = 10000
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
-
-
-class NoConvergenceError(SolverError):
-    """Eigeniteration hit the iteration cap before reaching tolerance."""
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ minimizers exist iff lambda1(sigma) < lam (lam = 1 in the original system);
 each is one-signed and obeys the smallness bound derived from the
 coercivity radius.  The criterion is read off the results: a
 StationaryResult classifies its state, and the sweep's bound column is
-defined only where lambda1(sigma) < lam.
+defined only where lambda1(sigma) < lam.  J and its gradient come from one
+call, _energy_and_gradient, which takes one stiffness and one mass product.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import potential as pot
 from .dynamics import NewtonDivergenceError, _lagged_direction, _newton_minimize, _scaled_res
-from .fracop import FracOperator, OutOfRangeError, SolverError, _mass_rows, assemble
+from .fracop import FracOperator, NoConvergenceError, OutOfRangeError, SolverError, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
 from .spectral import EIG_TOL, first_eigenpair
@@ -37,10 +38,6 @@ STAT_TOL = 1e-9
 SUM_ROUNDING = 64 * np.finfo(float).eps
 _TRIVIAL_NORM = 1e-7
 _MAX_ITER = 5000
-
-
-class NoConvergenceError(SolverError):
-    """No descent start reached the stationary residual tolerance."""
 
 
 class NotOneSignedError(SolverError):
@@ -87,18 +84,15 @@ def smallness_bound(
     )
 
 
-def _objective(op: FracOperator, params: PotentialParams, u: np.ndarray) -> float:
+def _energy_and_gradient(
+    op: FracOperator, params: PotentialParams, u: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """J(u) and its gradient A_sigma u + h beta(u) - lam M_c u, from one
+    stiffness_vector and one mass_vector."""
     h = op.domain.h
-    return float(
-        0.5 * (u @ op.stiffness_vector(u))
-        + h * np.sum(pot.beta_hat(params, u))
-        - 0.5 * params.lam * (u @ op.mass_vector(u))
-    )
-
-
-def _gradient(op: FracOperator, params: PotentialParams, u: np.ndarray) -> np.ndarray:
-    h = op.domain.h
-    return op.stiffness_vector(u) + h * pot.beta(params, u) - params.lam * op.mass_vector(u)
+    Au, Mu = op.stiffness_vector(u), op.mass_vector(u)
+    J = 0.5 * (u @ Au) + h * np.sum(pot.beta_hat(params, u)) - 0.5 * params.lam * (u @ Mu)
+    return float(J), Au + h * pot.beta(params, u) - params.lam * Mu
 
 
 def _descend(
@@ -112,12 +106,11 @@ def _descend(
     Newton on J with the given direction; None where that diverges."""
     h = op.domain.h
     u = u0.copy()
-    g = _gradient(op, params, u)
+    f, g = _energy_and_gradient(op, params, u)
     res = _scaled_res(g, h)
     if res <= stat_tol:
         return u, res
     step = 1.0 / max(1.0, op.stiffness_norm_inf())
-    f = _objective(op, params, u)
     u_old, g_old = None, None
     for _ in range(_MAX_ITER):
         if u_old is not None:
@@ -129,22 +122,21 @@ def _descend(
         t = step
         for _ls in range(60):
             un = u - t * g
-            fn = _objective(op, params, un)
+            fn, gn = _energy_and_gradient(op, params, un)
             if fn <= f - 1e-4 * t * float(g @ g):
                 break
             t *= 0.5
         else:
             break
         u_old, g_old = u, g
-        u, f = un, fn
-        g = _gradient(op, params, u)
+        u, f, g = un, fn, gn
         res = _scaled_res(g, h)
         if res <= 1e-4 or res <= stat_tol:
             break
 
     try:
         u, _, res = _newton_minimize(
-            lambda v: _gradient(op, params, v), direction, u, stat_tol, h
+            lambda v: _energy_and_gradient(op, params, v)[1], direction, u, stat_tol, h
         )
     except NewtonDivergenceError:
         return None
@@ -208,7 +200,7 @@ def minimize_energy(
             Field(dom, 0.1 * rng.standard_normal(dom.M)),
         ]
 
-    K = _mass_rows(np.eye(dom.M), h)  # M_c, not cached on the operator
+    K = op_sigma.mass_vector(np.eye(dom.M))  # M_c, not cached on the operator
     K *= -params.lam
     K += op_sigma.A
     direction = _lagged_direction(K, replace(params, delta=0.0), h, [0, 0])
@@ -217,7 +209,7 @@ def minimize_energy(
         out = _descend(op_sigma, params, s.values, stat_tol, direction)
         if out is not None:
             u, res = out
-            candidates.append((_objective(op_sigma, params, u), u, res))
+            candidates.append((_energy_and_gradient(op_sigma, params, u)[0], u, res))
     if not candidates:
         raise NoConvergenceError("no start converged to a stationary point")
     lowest = min(c[0] for c in candidates)

@@ -15,7 +15,7 @@ def get_op():
 
     @lru_cache(maxsize=None)
     def _get(a: float, b: float, M: int, r: float) -> ff.FracOperator:
-        return ff.assemble(ff.make_domain(a, b, M), r)
+        return ff.assemble(ff.Domain1D(a, b, M), r)
 
     return _get
 

@@ -36,8 +36,8 @@ def test_criterion_01_fourier_oracle(unit64, rng):
 
 def test_criterion_02_kernel_constant():
     """Small-r asymptotics within 1% and trapezoid self-consistency 1e-8."""
-    ratio = ff.kernel_constant(1e-3).value / (1e-3 * (1 - 1e-3))
-    lib = ff.kernel_constant(0.5).value
+    ratio = ff.kernel_constant(1e-3) / (1e-3 * (1 - 1e-3))
+    lib = ff.kernel_constant(0.5)
     oracle = 1.0 / kernel_integral_trapezoid(0.5)
     dev = abs(lib - oracle) / oracle
     ok = abs(ratio - 1.0) <= 0.01 and dev <= 1e-8
@@ -144,7 +144,7 @@ def test_criterion_07_pointwise_nonlinearity_bound(ch_reference_run):
 
 def test_criterion_08_sigma_limit_to_porous_medium():
     """sigma -> 0 trajectories approach the porous-medium flow."""
-    dom = ff.make_domain(0, 1, 128)
+    dom = ff.Domain1D(0, 1, 128)
     u0 = ff.bump_field(dom, 4.0)
     rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0,
                          [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=1e-3, T=0.25))
@@ -157,7 +157,7 @@ def test_criterion_08_sigma_limit_to_porous_medium():
 
 def test_criterion_09_sigma_limit_to_fast_diffusion():
     """Modified scheme with lambda1(sigma_k): fast-diffusion limit."""
-    dom = ff.make_domain(0, 4, 128)
+    dom = ff.Domain1D(0, 4, 128)
     u0 = ff.bump_field(dom, 1.0)
     rep = ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0,
                          [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=2e-4, T=0.03))
@@ -173,7 +173,7 @@ def test_criterion_09_sigma_limit_to_fast_diffusion():
 
 def test_criterion_10_s_limit_to_allen_cahn():
     """s -> 0 trajectories approach the Allen-Cahn flow (max-in-time L2)."""
-    dom = ff.make_domain(0, 1, 128)
+    dom = ff.Domain1D(0, 1, 128)
     u0 = ff.bump_field(dom, 2.0)
     rep = ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0,
                            [0.4, 0.2, 0.1, 0.05], ff.SolverSettings(tau=2e-4, T=0.016))
@@ -211,7 +211,7 @@ def test_criterion_11_stationary_states(get_op):
     assert res_small.classification == "trivial"
     assert ff.lp_norm(res_small.u_star, 2) <= 1e-6
 
-    rows = ff.stationary_sigma_sweep(ff.make_domain(0, 10, 511), params,
+    rows = ff.stationary_sigma_sweep(ff.Domain1D(0, 10, 511), params,
                                      [0.5, 0.3, 0.15, 0.05])
     norms = [row["norm_u"] for row in rows]
     decreasing = all(b < a for a, b in zip(norms, norms[1:]))

@@ -229,10 +229,17 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("error", [
-    fracop.NotSPDError, fracop.AssemblyError, NewtonDivergenceError,
-    spectral.NoConvergenceError, stationary.NoConvergenceError, stationary.NotOneSignedError,
-], ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+_SOLVER_FAILURES = {  # each failure type by a name the library exports it under
+    "fracfield.fracop.NotSPDError": fracop.NotSPDError,
+    "fracfield.fracop.AssemblyError": fracop.AssemblyError,
+    "fracfield.dynamics.NewtonDivergenceError": NewtonDivergenceError,
+    "fracfield.spectral.NoConvergenceError": spectral.NoConvergenceError,
+    "fracfield.stationary.NoConvergenceError": stationary.NoConvergenceError,
+    "fracfield.stationary.NotOneSignedError": stationary.NotOneSignedError,
+}
+
+
+@pytest.mark.parametrize("error", list(_SOLVER_FAILURES.values()), ids=list(_SOLVER_FAILURES))
 def test_every_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error):
     def failing_run(cfg, output_dir=".", config_text=""):
         raise error("stalled", 1.0) if error is NewtonDivergenceError else error("stalled")

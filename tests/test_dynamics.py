@@ -28,7 +28,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def ops48():
-    dom = ff.make_domain(0, 1, 48)
+    dom = ff.Domain1D(0, 1, 48)
     return ff.assemble(dom, 0.5), ff.assemble(dom, 0.6)
 
 
@@ -36,7 +36,7 @@ def ops48():
 def test_energy_zero_field(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    assert ff.energy(op_sig, params, ff.zero_field(op_sig.domain)) == 0.0
+    assert ff.energy(op_sig, params, ff.Field(op_sig.domain, np.zeros(op_sig.domain.M))) == 0.0
 
 
 def test_energy_against_independent_form_evaluation(ops48):
@@ -63,7 +63,7 @@ def test_energy_modified_interpolates_to_energy(ops48):
 
     assert modified(params.lam, u) == ff.energy(op_sig, params, u)
     assert modified(0.7, u) > ff.energy(op_sig, params, u)
-    assert modified(0.7, ff.zero_field(op_sig.domain)) == 0.0
+    assert modified(0.7, ff.Field(op_sig.domain, np.zeros(op_sig.domain.M))) == 0.0
 
 
 def test_modified_energy_coercivity_on_random_fields(ops48, rng):
@@ -97,7 +97,7 @@ def _ch_step(op_s, op_sig, params, u_prev, tau):
 def test_ch_step_zero_fixed_point(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
-    u, w, stats = _ch_step(op_s, op_sig, params, ff.zero_field(op_s.domain), 1e-3)
+    u, w, stats = _ch_step(op_s, op_sig, params, ff.Field(op_s.domain, np.zeros(op_s.domain.M)), 1e-3)
     assert np.all(u == 0.0) and np.all(w == 0.0)
     assert stats.iterations == 0
 
@@ -186,7 +186,7 @@ def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
     # indefinite near 0 on (0, 10), where lambda1(1/2) < 1; with the inverse
     # from u = 1 lagged, a direction at small u either descends on J or
     # raises LinAlgError, on which Newton takes its gradient step
-    op = ff.assemble(ff.make_domain(0, 10, 63), 0.5)
+    op = ff.assemble(ff.Domain1D(0, 10, 63), 0.5)
     params = ff.PotentialParams(p=4)
     h, M = op.domain.h, op.domain.M
     K = op.A - op.M_c
@@ -195,9 +195,9 @@ def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
         assert np.linalg.eigvalsh(K + h * np.diag(3.0 * u**2)).min() < 0
         counts = [0, 0]
         direction = _lagged_direction(K, params, h, counts)
-        direction(np.ones(M), stationary._gradient(op, params, np.ones(M)))
+        direction(np.ones(M), stationary._energy_and_gradient(op, params, np.ones(M))[1])
         assert counts == [0, 1]
-        g = stationary._gradient(op, params, u)
+        g = stationary._energy_and_gradient(op, params, u)[1]
         try:
             d = direction(u, g)
         except np.linalg.LinAlgError:
@@ -220,7 +220,7 @@ def test_ch_evolve_zero_initial_datum(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     traj, trace = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
-                            ff.zero_field(op_s.domain),
+                            ff.Field(op_s.domain, np.zeros(op_s.domain.M)),
                             ff.SolverSettings(tau=1e-3, T=0.01))
     assert np.all(traj.U == 0.0)
     assert np.all(trace.E_sigma == 0.0)
@@ -319,7 +319,7 @@ def test_ac_evolve_zero_and_dissipation(ops48):
     _, op_sig = ops48
     params = ff.PotentialParams(p=4)
     traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
-                            ff.zero_field(op_sig.domain),
+                            ff.Field(op_sig.domain, np.zeros(op_sig.domain.M)),
                             ff.SolverSettings(tau=1e-3, T=0.01))
     assert np.all(traj.U == 0.0)
     traj, trace = ff.evolve(ff.Flow(None, op_sig, params.lam), params,
@@ -345,7 +345,7 @@ def test_pm_evolve_zero_and_monotone_dissipation(ops48):
     op_s, _ = ops48
     params = ff.PotentialParams(p=3)
     traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
-                            ff.zero_field(op_s.domain),
+                            ff.Field(op_s.domain, np.zeros(op_s.domain.M)),
                             ff.SolverSettings(tau=1e-3, T=0.01))
     assert np.all(traj.U == 0.0)
     traj, trace = ff.evolve(ff.Flow(op_s, None, 0.0), params,
@@ -388,7 +388,7 @@ def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
 
 def test_flow_needs_an_operator_on_one_domain(ops48):
     op_s, _ = ops48
-    other = ff.assemble(ff.make_domain(0, 2, 48), 0.5)
+    other = ff.assemble(ff.Domain1D(0, 2, 48), 0.5)
     with pytest.raises(ValueError):
         ff.Flow(None, None, 1.0)
     with pytest.raises(DomainMismatchError):
@@ -508,7 +508,7 @@ def test_evolve_commutes_with_the_mirror(get_op, kind):
 
 
 def test_ch_run_factors_its_hessian_once():
-    dom = ff.make_domain(0, 1, 255)
+    dom = ff.Domain1D(0, 1, 255)
     op_s, op_sigma = ff.assemble(dom, 0.5), ff.assemble(dom, 0.75)
     settings = ff.SolverSettings(tau=1e-3, T=2e-2)
     traj, _ = ff.evolve(ff.Flow(op_s, op_sigma, 1.0), ff.PotentialParams(p=4),
@@ -523,7 +523,7 @@ def test_ch_run_factors_its_hessian_once():
 def _recorded_march(M, s, sigma, T):
     """march a p = 4 Cahn-Hilliard bump flow on (0, 1) with tau = 1e-3,
     recording the arguments (K, D, inverse, g) of every _pcg call."""
-    dom = ff.make_domain(0, 1, M)
+    dom = ff.Domain1D(0, 1, M)
     flow = ff.Flow(ff.assemble(dom, s), ff.assemble(dom, sigma), 1.0)
     systems = []
 
@@ -574,7 +574,7 @@ def test_pcg_matches_the_allocating_oracle_on_recorded_systems(fine_ch_march):
 def test_directions_on_a_c_ordered_k_allocate_o_of_m():
     # f2py copies a C-ordered matrix on every BLAS call; _lagged_direction
     # reads the symmetric K through its Fortran-ordered transpose instead
-    dom = ff.make_domain(0, 1, 512)
+    dom = ff.Domain1D(0, 1, 512)
     op = ff.assemble(dom, 0.5)
     M, h = dom.M, dom.h
     params = ff.PotentialParams(p=4)
@@ -599,12 +599,12 @@ def test_directions_on_a_c_ordered_k_allocate_o_of_m():
 def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays():
     # K is the one M x M array: the dual kernel is built in its buffer from
     # the generator of A_s, and A_sigma is added from its O(M) view
-    dom = ff.make_domain(0, 1, 1023)
+    dom = ff.Domain1D(0, 1, 1023)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
     settings = ff.SolverSettings(tau=1e-3, T=1e-3)
     tracemalloc.start()
     try:
-        step = dynamics._stepper(flow, ff.PotentialParams(p=4), settings.tau, settings)
+        step = dynamics._stepper(flow, ff.PotentialParams(p=4), settings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -615,7 +615,7 @@ def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays():
 def test_evolve_holds_at_most_two_and_a_half_m_by_m_arrays():
     # K and the buffer of the first Hessian factorization (then its
     # inverse); the recovery adds only (n+1, M) arrays
-    dom = ff.make_domain(0, 1, 1023)
+    dom = ff.Domain1D(0, 1, 1023)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
     u0 = ff.bump_field(dom)
     tracemalloc.start()
@@ -638,7 +638,7 @@ def test_fast_diffusion_refactors_and_matches_the_oracle(get_op):
 
 
 def test_evolve_builds_no_dense_mass_or_dual_kernel():
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     settings = ff.SolverSettings(tau=1e-3, T=3e-3)
     for s, sigma, lam, params in [
         (0.5, 0.75, 1.0, ff.PotentialParams(p=4)),
@@ -670,7 +670,7 @@ def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
     monkeypatch.setattr(fracop.FracOperator, "solve_vector",
                         counted(fracop.FracOperator.solve_vector))
     monkeypatch.setattr(dynamics, "cho_solve", counted(dynamics.cho_solve))
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     tau = 1e-3
     for s, sigma, lam, params in [
         (0.5, 0.75, 1.0, ff.PotentialParams(p=4)),
@@ -696,7 +696,7 @@ STORED = ("column", "_embedding", "_tau", "_generator", "_generator_dft")
 def test_evolve_leaves_operator_arrays_untouched():
     # one operator may serve several flows (cli shares it when s = sigma),
     # so every array it stores is read-only and a run leaves it as it was
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     op_s, op_sigma = ff.assemble(dom, 0.5), ff.assemble(dom, 0.75)
     arrays = lambda: [getattr(op, name) for op in (op_s, op_sigma) for name in STORED]
     before = [a.tobytes() for a in arrays()]
@@ -776,7 +776,7 @@ def test_beta_bound_zero_trajectory(ops48):
     op_s, op_sig = ops48
     params = ff.PotentialParams(p=4)
     traj, _ = ff.evolve(ff.Flow(op_s, op_sig, params.lam), params,
-                        ff.zero_field(op_s.domain), ff.SolverSettings(tau=1e-3, T=0.01))
+                        ff.Field(op_s.domain, np.zeros(op_s.domain.M)), ff.SolverSettings(tau=1e-3, T=0.01))
     assert ff.beta_bound_check(traj, params) == 0.0
 
 

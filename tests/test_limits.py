@@ -19,8 +19,8 @@ def settings_fast():
 
 
 def test_zero_data_gives_zero_distances():
-    dom = ff.make_domain(0, 1, 32)
-    u0 = ff.zero_field(dom)
+    dom = ff.Domain1D(0, 1, 32)
+    u0 = ff.Field(dom, np.zeros(dom.M))
     rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2],
                          settings_fast())
     assert rep.distances == [0.0, 0.0]
@@ -29,7 +29,7 @@ def test_zero_data_gives_zero_distances():
 
 
 def test_reference_solver_reproduces_itself():
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     u0 = ff.bump_field(dom)
     op_s = ff.assemble(dom, 0.5)
     params = ff.PotentialParams(p=3)
@@ -44,7 +44,7 @@ def test_distances_equal_the_per_level_oracle_bitwise():
     # marches) and the s-limit pairs (Allen-Cahn reference against
     # Cahn-Hilliard marches), as the drivers run them at M = 32; pairwise
     # summation over the levels would round differently at sigma = 0.4
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     st = ff.SolverSettings(tau=1e-3, T=0.05)
     u0 = ff.bump_field(dom, 2.0)
     op_s = ff.assemble(dom, 0.5)
@@ -68,7 +68,7 @@ def test_limit_drivers_only_march(monkeypatch):
         raise AssertionError("a limit driver recovered w and the energy trace")
 
     monkeypatch.setattr(dynamics, "recover", no_recovery)
-    dom = ff.make_domain(0, 1, 16)
+    dom = ff.Domain1D(0, 1, 16)
     u0 = ff.bump_field(dom)
     with pytest.raises(AssertionError, match="recovered"):  # the patch is live
         ff.evolve(ff.Flow(None, ff.assemble(dom, 0.5), 1.0), ff.PotentialParams(p=4), u0,
@@ -79,7 +79,7 @@ def test_limit_drivers_only_march(monkeypatch):
 
 
 def test_fast_diffusion_compatibility_precondition(monkeypatch):
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     u0 = ff.bump_field(dom)
 
     def no_assembly(*args, **kwargs):
@@ -92,7 +92,7 @@ def test_fast_diffusion_compatibility_precondition(monkeypatch):
 
 
 def test_limit_sigma_picks_the_regime_from_p():
-    dom = ff.make_domain(0, 1, 16)
+    dom = ff.Domain1D(0, 1, 16)
     u0 = ff.bump_field(dom)
     rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2], settings_fast())
     assert rep.reference == "porous-medium" and rep.lambda1s is None
@@ -102,7 +102,7 @@ def test_limit_sigma_picks_the_regime_from_p():
 
 
 def test_pm_limit_distances_shrink():
-    dom = ff.make_domain(0, 1, 48)
+    dom = ff.Domain1D(0, 1, 48)
     u0 = ff.bump_field(dom, 2.0)
     rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), u0, [0.4, 0.2, 0.1],
                          ff.SolverSettings(tau=1e-3, T=0.05))
@@ -114,7 +114,7 @@ def test_pm_limit_distances_shrink():
 
 
 def test_ac_limit_distances_shrink():
-    dom = ff.make_domain(0, 1, 48)
+    dom = ff.Domain1D(0, 1, 48)
     u0 = ff.bump_field(dom, 2.0)
     rep = ff.limit_s_to_ac(dom, 0.5, ff.PotentialParams(p=4), u0, [0.4, 0.2, 0.1],
                            ff.SolverSettings(tau=5e-4, T=0.01))
@@ -123,7 +123,7 @@ def test_ac_limit_distances_shrink():
 
 
 def test_fd_limit_records_eigenvalues():
-    dom = ff.make_domain(0, 4, 48)
+    dom = ff.Domain1D(0, 4, 48)
     u0 = ff.bump_field(dom)
     rep = ff.limit_sigma(dom, 0.75, ff.PotentialParams(p=1.5), u0, [0.4, 0.2, 0.1],
                          ff.SolverSettings(tau=5e-4, T=0.01))
@@ -153,7 +153,7 @@ def test_report_csv_includes_lambda_column_when_present(tmp_path, monkeypatch):
 
 
 def test_operator_identity_limit_rows(get_op):
-    dom = ff.make_domain(0, 1, 256)
+    dom = ff.Domain1D(0, 1, 256)
     get_op(0.0, 1.0, 256, 0.05)  # warm the cache used elsewhere
     v = ff.bump_field(dom)
     rows = ff.operator_identity_limit(dom, v, [0.4, 0.2, 0.1, 0.05])
@@ -165,7 +165,7 @@ def test_operator_identity_limit_rows(get_op):
 def test_operator_identity_limit_on_eigenfunctions(get_op):
     # with v = e1(r), the identity gap equals |lambda1(r) - 1| exactly up to
     # the eigensolver residual, re-observing the eigenvalue limit
-    dom = ff.make_domain(0, 1, 128)
+    dom = ff.Domain1D(0, 1, 128)
     for r in (0.2, 0.1, 0.05):
         op = get_op(0.0, 1.0, 128, r)
         pair = ff.first_eigenpair(op)
@@ -175,7 +175,7 @@ def test_operator_identity_limit_on_eigenfunctions(get_op):
 
 
 def test_operator_identity_limit_requires_decreasing_orders():
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     with pytest.raises(ValueError):
         ff.operator_identity_limit(dom, ff.bump_field(dom), [0.1, 0.2])
 
@@ -196,7 +196,7 @@ def test_pm_limit_verdict_stable_under_mesh_doubling():
     st = ff.SolverSettings(tau=1e-3, T=0.05)
     verdicts = []
     for M in (48, 96):
-        dom = ff.make_domain(0, 1, M)
+        dom = ff.Domain1D(0, 1, M)
         rep = ff.limit_sigma(dom, 0.5, ff.PotentialParams(p=3), ff.bump_field(dom, 2.0),
                              sigmas, st)
         verdicts.append(rep.monotone)

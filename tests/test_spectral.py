@@ -40,7 +40,7 @@ def test_first_eigenpair_rayleigh_consistency(unit64):
 def test_half_order_eigenvalue_between_bounds(unit64):
     # the classical interval eigenvalue is pi^2, so the upper bound at
     # r = 1/2 is pi; the analytic lower bound sits well below
-    dom = ff.make_domain(0, 1, 64)
+    dom = ff.Domain1D(0, 1, 64)
     pair = ff.first_eigenpair(unit64[0.5])
     assert poincare_lower_bound(dom, 0.5) <= pair.lambda1 <= np.pi
 
@@ -86,7 +86,7 @@ def test_first_eigenpair_matches_dense_oracle(get_op, M, r):
 
 
 def test_first_eigenpair_reads_only_the_column(get_op):
-    op = ff.assemble(ff.make_domain(0, 1, 255), 0.3)
+    op = ff.assemble(ff.Domain1D(0, 1, 255), 0.3)
     ff.first_eigenpair(op)
     assert "A" not in vars(op) and "M_c" not in vars(op)
     assert op._chol == [None] and op._dual_kernel_cache == [None]
@@ -95,7 +95,7 @@ def test_first_eigenpair_reads_only_the_column(get_op):
 def test_first_eigenpair_reaches_tolerance_on_fine_mesh():
     # the residual relative to lambda ||M_c x|| has a roundoff floor of
     # 1.6e-10 here, so the old stop never fired; the backward error does
-    op = ff.assemble(ff.make_domain(0, 1, 2047), 0.9)
+    op = ff.assemble(ff.Domain1D(0, 1, 2047), 0.9)
     pair = ff.first_eigenpair(op, 1e-10)
     assert pair.residual <= 1e-10
     assert pair.e1.values.min() > 0.0
@@ -106,7 +106,7 @@ def test_first_eigenpair_converges_to_the_continuum_value():
     # s = 1/2 on (-1, 1): lambda1 = 1.1577738836977 (Kwasnicki, J. Funct.
     # Anal. 262, 2012); P1 Galerkin converges at first order in h here
     ref = 1.1577738836977
-    lams = [ff.first_eigenpair(ff.assemble(ff.make_domain(-1, 1, n - 1), 0.5)).lambda1
+    lams = [ff.first_eigenpair(ff.assemble(ff.Domain1D(-1, 1, n - 1), 0.5)).lambda1
             for n in (512, 1024, 2048)]
     order = np.log2((lams[0] - lams[1]) / (lams[1] - lams[2]))
     assert 0.95 <= order <= 1.05
@@ -145,7 +145,7 @@ def test_tau_preconditioned_iterations_do_not_grow_with_m(monkeypatch):
     # r = 0.9, whose symbol's zero at the origin a circulant fits poorly:
     # T. Chan's circulant took 15, 21 and 35 iterations here
     for M in (511, 2047, 8191):
-        op = ff.assemble(ff.make_domain(0, 1, M), 0.9)
+        op = ff.assemble(ff.Domain1D(0, 1, M), 0.9)
         calls, _ = _preconditioner_calls(monkeypatch, op)
         assert calls <= 8, (M, calls)
 
@@ -226,7 +226,7 @@ def test_small_order_eigenvalue_window(get_op):
 
 
 def test_sweep_rows_satisfy_bounds(get_op):
-    dom = ff.make_domain(0, 1, 256)
+    dom = ff.Domain1D(0, 1, 256)
     rows = ff.lambda1_sweep(dom, [0.05, 0.1, 0.2], refinements=[256])
     for row in rows:
         assert row["lower"] - 1e-9 <= row["lambda1"] <= row["upper"] + 0.05
@@ -237,7 +237,7 @@ def test_sweep_refinement_decreases_toward_continuum():
     # conforming Galerkin approximates the minimum of the Rayleigh quotient
     # from above, so nested refinement lowers lambda1; the decrements shrink
     # at least geometrically with observed order >= 0.5
-    dom = ff.make_domain(0, 1, 63)
+    dom = ff.Domain1D(0, 1, 63)
     rows = ff.lambda1_sweep(dom, [0.3], refinements=[63, 127, 255])
     lams = [row["lambda1"] for row in rows]
     assert lams[0] >= lams[1] - 1e-3 and lams[1] >= lams[2] - 1e-3
@@ -253,7 +253,7 @@ def test_spectral_gap_is_strictly_positive(unit64):
 
 
 def test_eigen_bounds_ordering():
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     for r in (0.1, 0.4, 0.8):
         lower = lambda1_lower_bound(r, 1, dom.length)
         upper = dirichlet_lambda1(dom) ** r
@@ -261,12 +261,12 @@ def test_eigen_bounds_ordering():
 
 
 def test_dirichlet_reference_eigenvalue():
-    assert dirichlet_lambda1(ff.make_domain(0, 1, 8)) == pytest.approx(np.pi**2)
-    assert dirichlet_lambda1(ff.make_domain(0, 10, 8)) == pytest.approx(np.pi**2 / 100)
+    assert dirichlet_lambda1(ff.Domain1D(0, 1, 8)) == pytest.approx(np.pi**2)
+    assert dirichlet_lambda1(ff.Domain1D(0, 10, 8)) == pytest.approx(np.pi**2 / 100)
 
 
 def test_sweep_csv_format(tmp_path):
-    dom = ff.make_domain(0, 1, 32)
+    dom = ff.Domain1D(0, 1, 32)
     rows = ff.lambda1_sweep(dom, [0.5], refinements=[32])
     cfg = "M = 32\nexperiment = eigen-sweep\nsequence = 0.5\nrefinements = 32\n"
     text = cli.run(parse_config(cfg), output_dir=str(tmp_path))["eigen.csv"]

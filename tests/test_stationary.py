@@ -203,7 +203,7 @@ def test_delta_plays_no_part_in_the_stationary_state(get_op):
 
 
 def test_sigma_sweep_norms_decrease(get_op, tmp_path, monkeypatch):
-    dom = ff.make_domain(0, 10, 255)
+    dom = ff.Domain1D(0, 10, 255)
     params = ff.PotentialParams(p=4)
     rows = ff.stationary_sigma_sweep(dom, params, [0.5, 0.3, 0.15])
     norms = [row["norm_u"] for row in rows]
@@ -222,7 +222,7 @@ def test_sigma_sweep_norms_decrease(get_op, tmp_path, monkeypatch):
 
 def test_sigma_sweep_reuses_given_operator(get_op, monkeypatch):
     # a known result serves its own row: no assembly and no minimization
-    dom = ff.make_domain(0, 10, 63)
+    dom = ff.Domain1D(0, 10, 63)
     params = ff.PotentialParams(p=4)
     sigmas = [0.5, 0.3]
     fresh = ff.stationary_sigma_sweep(dom, params, sigmas)
