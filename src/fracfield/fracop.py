@@ -40,17 +40,22 @@ kernel_constant computes C(r) = C(r, 1) from its defining integral; it
 agrees with the closed form above to about 1e-11.
 
 Storage.  An operator holds the column and O(M) spectra: of the column's
-circulant embedding (A x by one real FFT pair), of tau(A) (Bini &
+circulant embedding C (A x by one real FFT pair) and of tau(A) (Bini &
 Capovani, 1983; the DST-I diagonalizes it and M_c; its inverse preconditions
-the eigensolver), and of the generator x = A^(-1) e_1 and Z J x (J
-reverses, Z shifts down).  assemble gates the column without forming A:
-row sums from cumulative sums, positive definiteness from Durbin's
-recursion, which also yields x (Trench, J. SIAM 12, 1964).  Solves use
-Gohberg-Semencul (1972), A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0
-with L(v) lower triangular Toeplitz, first column v; no factor of A is
-formed.  Products and solves take a vector or the columns of a matrix,
-SOLVE_BLOCK at a time.  No M x M stiffness is held: FracOperator.A is a
-read-only Toeplitz view of 2M - 1 values (FracOperator).
+the eigensolver).  assemble gates the column in O(M log M) without forming
+A, in this order: row sums from cumulative sums; the sign of the
+off-diagonals; positive definiteness, certified by C's spectrum (A is C's
+leading principal submatrix, so Cauchy interlacing bounds its eigenvalues
+below by C's) and, where that spectrum does not clear its rounding bound,
+decided by Durbin's O(M^2) recursion; then tau(A).  The first solve builds
+the generator x = A^(-1) e_1 by the same recursion (Trench, J. SIAM 12,
+1964) and the spectra of x and Z J x (J reverses, Z shifts down); an
+eigensolve never needs them.  Solves use Gohberg-Semencul (1972),
+A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0 with L(v) lower triangular
+Toeplitz, first column v; no factor of A is formed.  Products and solves
+take a vector or the columns of a matrix, SOLVE_BLOCK at a time.  No M x M
+stiffness is held: FracOperator.A is a read-only Toeplitz view of 2M - 1
+values (FracOperator).
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ class SolverError(RuntimeError):
 
 
 class NotSPDError(SolverError):
-    """Stiffness matrix failed Durbin's positive definiteness gate."""
+    """Stiffness matrix failed the positive definiteness gate: assemble
+    raises it when neither the embedding spectrum certifies A nor Durbin's
+    recursion accepts it, and the first solve raises it if the recursion
+    that builds the generator meets a reflection coefficient outside
+    (-1, 1), which rounding can cause where the certificate held."""
 
 
 class AssemblyError(SolverError):
@@ -155,13 +164,16 @@ class FracOperator:
     symmetric positive definite Toeplitz stiffness A, plus the consistent
     P1 mass M_c (tridiagonal) and the lumped mass M_L = h I.
 
-    Assembly stores the column, the generator x, their spectra and those of
-    tau(A), all read-only, which the vector methods use in O(M) or
-    O(M log M), so flows and runs can share one operator.  A is a read-only
-    Toeplitz view of 2M - 1 values, never cached; the dense M_c is built on
-    first read and cached read-only.  _chol and _dual_kernel_cache always
-    read [None]; benchmark/child.py reads them until benchmark v2 (ROADMAP
-    item 1) removes them.  Outside this module only the two dense Hessian
+    Assembly stores the column, its embedding spectrum and the eigenvalues
+    of tau(A), all read-only, which the vector methods use in O(M) or
+    O(M log M), so flows and runs can share one operator.  The generator x
+    and its spectra are built by Durbin's recursion on the first solve
+    (solve_vector or _dual_kernel_buffer) and cached read-only; a NotSPDError
+    from that recursion surfaces there.  A is a read-only Toeplitz view of
+    2M - 1 values, never cached; the dense M_c is built on first read and
+    cached read-only.  _chol and _dual_kernel_cache always read [None];
+    benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
+    removes them.  Outside this module only the two dense Hessian
     builds read A, dynamics._stepper (A_sigma, next to a fresh
     _dual_kernel_buffer) and stationary.minimize_energy; none reads M_c,
     and every M_c product, a dense one included, is mass_vector.
@@ -172,8 +184,6 @@ class FracOperator:
     column: np.ndarray = field(repr=False)
     _embedding: np.ndarray = field(repr=False)  # DFT of the circulant embedding
     _tau: np.ndarray = field(repr=False)  # eigenvalues of tau(A), in DST-I order
-    _generator: np.ndarray = field(repr=False)  # x = A^(-1) e_1
-    _generator_dft: np.ndarray = field(repr=False)  # DFTs of x and ZJx, shape (2, 1, n/2+1)
     _chol: list = field(repr=False, default_factory=lambda: [None])  # see above
     _dual_kernel_cache: list = field(repr=False, default_factory=lambda: [None])
 
@@ -184,6 +194,25 @@ class FracOperator:
         window starting at M-1-i."""
         c = self.column
         return sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)[::-1]
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        """x = A^(-1) e_1 by Durbin's recursion, built on first use (read-only)."""
+        x = _levinson_generator(self.column)
+        if x is None:
+            raise NotSPDError(f"stiffness not SPD for r={self.r}, M={self.column.size}")
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def _generator_dft(self) -> np.ndarray:
+        """DFTs of x and Z J x of the embedding's length, shape (2, 1,
+        n/2 + 1), built on first use (read-only)."""
+        x = self._generator
+        zjx = np.concatenate(([0.0], x[:0:-1]))  # Z J x = (0, x(M-1), ..., x(1))
+        S = np.fft.rfft([x, zjx], 2 * (self._embedding.size - 1))[:, None]
+        S.flags.writeable = False
+        return S
 
     @cached_property
     def M_c(self) -> np.ndarray:
@@ -374,8 +403,26 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
             raise AssemblyError(
                 f"r={r}, M={M}: off-diagonal max {off_max:.3e} above {QUAD_TOL:g}"
             )
-    x = _levinson_generator(c)
-    if x is None:
+
+    n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
+    embedding = np.zeros(n)
+    embedding[:M] = c
+    embedding[n - M + 1 :] = c[:0:-1]
+    # the low-frequency spectrum is a small difference of the column's large
+    # entries (down to 1e-6 of the largest at r = 0.9, M = 511), where smooth
+    # vectors live; an extended-precision transform keeps it accurate
+    spectrum = np.fft.rfft(embedding.astype(np.longdouble)).real
+    # A is the leading principal submatrix of the embedding C, so A is SPD if
+    # every eigenvalue of C, the exact DFT of the embedding, is positive.  A
+    # radix-2 FFT of length n reaches each output from each input along one
+    # path of unit-modulus twiddles per stage, so its error is at most
+    # log2(n) eta ||embedding||_1 with eta = mu + gamma_4 (sqrt(2) + mu) < 4 eps
+    # per stage for twiddles within mu <= eps/2 (Higham, Accuracy and
+    # Stability, 2nd ed., sec. 24.1).  The real transform adds one pass, and
+    # 4 eps (log2(n) + 1) <= 8 eps log2(n) for n >= 2; 16 covers that twice,
+    # with eps that of longdouble, which may be just double
+    bound = 16 * math.log2(n) * np.finfo(np.longdouble).eps * np.abs(embedding).sum()
+    if not spectrum.min() > bound and _levinson_generator(c) is None:
         raise NotSPDError(f"stiffness not SPD for r={r}, M={M}")
     # tau(A) = A - hankel((c(2), ..., c(M-1), 0, 0), reversed) has eigenvalues
     # c(0) + 2 sum_{0<k<M} c(k) cos(k pi j/(M+1)).  For r >= 1/4 all c(k>0) <= 0
@@ -385,16 +432,7 @@ def assemble(domain: Domain1D, r: float) -> FracOperator:
     if not tau.min() > 0.0:
         raise AssemblyError(f"r={r}, M={M}: tau preconditioner min eigenvalue {tau.min():.3e}")
 
-    n = 1 << (2 * M - 2).bit_length()  # circulant embedding, 2^k >= 2M - 1
-    embedding = np.zeros(n)
-    embedding[:M] = c
-    embedding[n - M + 1 :] = c[:0:-1]
-    # the low-frequency spectrum is a small difference of the column's large
-    # entries (down to 1e-6 of the largest at r = 0.9, M = 511), where smooth
-    # vectors live; an extended-precision transform keeps it accurate
-    symbol = np.fft.rfft(embedding.astype(np.longdouble)).real.astype(float)
-    zjx = np.concatenate(([0.0], x[:0:-1]))  # Z J x = (0, x(M-1), ..., x(1))
-    stored = (c, symbol, tau, x, np.fft.rfft([x, zjx], n)[:, None])
+    stored = (c, spectrum.astype(float), tau)
     for arr in stored:  # an operator may serve several flows
         arr.flags.writeable = False
     return FracOperator(domain, r, *stored)

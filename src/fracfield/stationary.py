@@ -15,7 +15,8 @@ each is one-signed and obeys the smallness bound derived from the
 coercivity radius.  The criterion is read off the results: a
 StationaryResult classifies its state, and the sweep's bound column is
 defined only where lambda1(sigma) < lam.  J and its gradient come from one
-call, _energy_and_gradient, which takes one stiffness and one mass product.
+call, _energy_and_gradient, which takes one stiffness and one mass product
+and forms the gradient only when asked.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ def smallness_bound(
 
 def _energy_and_gradient(
     op: FracOperator, params: PotentialParams, u: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """J(u) and its gradient A_sigma u + h beta(u) - lam M_c u, from one
-    stiffness_vector and one mass_vector."""
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """J(u), from one stiffness_vector and one mass_vector, and a function
+    that forms its gradient A_sigma u + h beta(u) - lam M_c u from the same
+    two products, so a caller that rejects u never pays for it."""
     h = op.domain.h
     Au, Mu = op.stiffness_vector(u), op.mass_vector(u)
     J = 0.5 * (u @ Au) + h * np.sum(pot.beta_hat(params, u)) - 0.5 * params.lam * (u @ Mu)
-    return float(J), Au + h * pot.beta(params, u) - params.lam * Mu
+    return float(J), lambda: Au + h * pot.beta(params, u) - params.lam * Mu
 
 
 def _descend(
@@ -106,7 +108,8 @@ def _descend(
     Newton on J with the given direction; None where that diverges."""
     h = op.domain.h
     u = u0.copy()
-    f, g = _energy_and_gradient(op, params, u)
+    f, gradient = _energy_and_gradient(op, params, u)
+    g = gradient()
     res = _scaled_res(g, h)
     if res <= stat_tol:
         return u, res
@@ -122,21 +125,21 @@ def _descend(
         t = step
         for _ls in range(60):
             un = u - t * g
-            fn, gn = _energy_and_gradient(op, params, un)
+            fn, gradient = _energy_and_gradient(op, params, un)
             if fn <= f - 1e-4 * t * float(g @ g):
                 break
             t *= 0.5
         else:
             break
         u_old, g_old = u, g
-        u, f, g = un, fn, gn
+        u, f, g = un, fn, gradient()
         res = _scaled_res(g, h)
         if res <= 1e-4 or res <= stat_tol:
             break
 
     try:
         u, _, res = _newton_minimize(
-            lambda v: _energy_and_gradient(op, params, v)[1], direction, u, stat_tol, h
+            lambda v: _energy_and_gradient(op, params, v)[1](), direction, u, stat_tol, h
         )
     except NewtonDivergenceError:
         return None

@@ -19,6 +19,7 @@ from fracfield.config import (
     parse_config,
 )
 from fracfield.dynamics import NewtonDivergenceError
+from fracfield.grid import Domain1D
 
 from oracles import (
     eigen_sweep_to_csv,
@@ -480,6 +481,41 @@ def test_main_maps_operator_and_stationary_failures_to_exit_2(tmp_path, capsys, 
     monkeypatch.setattr(stationary, "_classify", lambda u, h: "nontrivial-mixed")
     text = "a = 0\nb = 10\nM = 31\nsigma = 0.5\np = 4\nexperiment = stationary\n"
     _assert_fails_cleanly(tmp_path, capsys, text, 2, "not one-signed")
+
+
+def test_generator_failure_at_the_first_solve_exits_2(tmp_path, capsys, monkeypatch):
+    # the certificate passes at assembly, so Durbin's recursion first runs at
+    # the first solve; a reflection coefficient it rejects there, which
+    # rounding can cause, is a NotSPDError naming r and M
+    op = fracop.assemble(Domain1D(0, 1, 24), 0.5)
+    monkeypatch.setattr(fracop, "_levinson_generator", lambda c: None)
+    with pytest.raises(fracop.NotSPDError, match="r=0.5, M=24"):
+        op.solve_vector(np.ones(24))
+    assert "_generator" not in vars(op)
+    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH, 2, "not SPD for r=0.5, M=24")
+
+
+def test_only_metric_operators_run_durbin(tmp_path, monkeypatch):
+    # eigen and stationary runs never solve with A, so they never build the
+    # generator; a flow builds it once per distinct metric operator
+    durbin = fracop._levinson_generator
+    calls = []
+
+    def counted(c):
+        calls.append(c.size)
+        return durbin(c)
+
+    def refused(c):
+        raise AssertionError("Durbin's recursion ran")
+
+    for name, expected in (("eigen-sweep", 0), ("stationary", 0), ("evolve-ch", 1),
+                           ("evolve-ch-modified", 1), ("limit-s", 2)):
+        calls.clear()
+        monkeypatch.setattr(fracop, "_levinson_generator", counted if expected else refused)
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_DETERMINISM_CONFIGS[name])
+        assert cli.main([str(path), "--output", str(tmp_path / name)]) == 0, name
+        assert len(calls) == expected, name
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -195,9 +195,9 @@ def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
         assert np.linalg.eigvalsh(K + h * np.diag(3.0 * u**2)).min() < 0
         counts = [0, 0]
         direction = _lagged_direction(K, params, h, counts)
-        direction(np.ones(M), stationary._energy_and_gradient(op, params, np.ones(M))[1])
+        direction(np.ones(M), stationary._energy_and_gradient(op, params, np.ones(M))[1]())
         assert counts == [0, 1]
-        g = stationary._energy_and_gradient(op, params, u)[1]
+        g = stationary._energy_and_gradient(op, params, u)[1]()
         try:
             d = direction(u, g)
         except np.linalg.LinAlgError:

@@ -303,8 +303,11 @@ def test_dense_storage_is_built_on_first_use():
     op = ff.assemble(ff.Domain1D(0, 1, M), 0.5)
     assert "A" not in vars(op) and "M_c" not in vars(op)
     assert op._chol == [None] and op._dual_kernel_cache == [None]
+    assert "_generator" not in vars(op) and "_generator_dft" not in vars(op)
     op.solve_vector(np.ones(M))
     assert "A" not in vars(op) and op._chol == [None]
+    assert "_generator" in vars(op) and "_generator_dft" in vars(op)
+    assert not op._generator.flags.writeable and not op._generator_dft.flags.writeable
     A = op.A
     assert np.array_equal(A, toeplitz(op.column))
     assert "A" not in vars(op)
@@ -328,6 +331,59 @@ def test_durbin_gate_agrees_with_cholesky(seed):
         except np.linalg.LinAlgError:
             spd = False
         assert (fracop._levinson_generator(c) is not None) == spd
+
+
+class _DurbinRan(Exception):
+    """Raised by a patched _levinson_generator: assemble fell back to Durbin."""
+
+
+def _no_durbin(c):
+    raise _DurbinRan
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_embedding_certificate_implies_positive_definite(seed, monkeypatch):
+    # the columns of test_durbin_gate_agrees_with_cholesky through assemble
+    # at r = 0.1 (no sign gate): every column the embedding spectrum
+    # certifies factors by Cholesky, and some SPD columns fall back
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(fracop, "_levinson_generator", _no_durbin)
+    certified, fell_back = 0, 0
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        c = rng.standard_normal(n)
+        c[0] = abs(c[0]) + n * rng.random()
+        monkeypatch.setattr(fracop, "_stiffness_column", lambda M, h, r: c.copy())
+        try:
+            ff.assemble(ff.Domain1D(0, 1, n), 0.1)
+        except AssemblyError as err:  # the row sums gate before, tau after
+            if "row-sum" in str(err):
+                continue
+        except _DurbinRan:
+            try:
+                cho_factor(toeplitz(c))
+                fell_back += 1
+            except np.linalg.LinAlgError:
+                pass
+            continue
+        cho_factor(toeplitz(c))  # LinAlgError unless SPD
+        certified += 1
+    assert certified and fell_back, (certified, fell_back)
+
+
+def test_library_columns_are_certified_without_durbin(monkeypatch):
+    monkeypatch.setattr(fracop, "_levinson_generator", _no_durbin)
+    for r in (1e-4, 0.01, 0.1, 0.2, 0.235, 0.3, 0.5, 0.9, 0.999):
+        for M in (2, 3, 64, 1023):
+            ff.assemble(ff.Domain1D(0, 1, M), r)
+
+
+def test_assembly_at_scale_runs_no_durbin(monkeypatch):
+    # O(M log M): Durbin's O(M^2) recursion took 93 s at this size on one
+    # core of a 2-vCPU machine
+    monkeypatch.setattr(fracop, "_levinson_generator", _no_durbin)
+    op = ff.assemble(ff.Domain1D(0, 1, 2**18 - 1), 0.9)
+    assert "_generator" not in vars(op)
 
 
 def _backward_error(op, x: np.ndarray, b: np.ndarray, norm_A: float) -> float:
