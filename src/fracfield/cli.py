@@ -36,7 +36,7 @@ from . import dynamics, limits, spectral, stationary
 from .config import ConfigError, RunConfig, parse_config
 from .dynamics import SolverSettings
 from .fracop import SolverError, assemble
-from .grid import Domain1D, Field, bump_field, sample
+from .grid import Domain1D, Field, bump_field, lp_norm, sample
 from .potential import PotentialParams
 
 
@@ -133,16 +133,12 @@ def run(
     if exp.startswith("evolve-"):
         params = _params(cfg)
         u0 = _initial_field(cfg, domain, rng)
-        op_s = None
-        if exp != "evolve-ac":
-            op_s = assemble(domain, cfg.s)
-        lam = params.lam
-        if exp == "evolve-pm":
-            op_sigma, lam = None, 0.0  # no interface energy
-        elif op_s is not None and cfg.sigma == cfg.s:
-            op_sigma = op_s  # operators are immutable, so one serves both orders
-        else:
-            op_sigma = assemble(domain, cfg.sigma)
+        # the config sets exactly the flow's orders (Allen-Cahn has no s,
+        # porous medium no sigma); operators are immutable, so one serves both
+        orders = dict.fromkeys(r for r in (cfg.s, cfg.sigma) if r is not None)
+        ops = {r: assemble(domain, r) for r in orders}
+        op_s, op_sigma = ops.get(cfg.s), ops.get(cfg.sigma)
+        lam = 0.0 if op_sigma is None else params.lam
         if exp == "evolve-ch-modified":
             lam = spectral.first_eigenpair(op_sigma, cfg.eig_tol).lambda1
         traj, trace = dynamics.evolve(
@@ -208,10 +204,9 @@ def run(
             assemble(domain, cfg.sigma), params, stat_tol=cfg.stat_tol, rng=rng,
             eig_tol=cfg.eig_tol,
         )
-        h = domain.h
         u = result.u_star.values
-        norm_u = np.sqrt(h * np.sum(u**2))
-        virial = (0.5 - 1.0 / cfg.p) * h * float(np.sum(np.abs(u) ** cfg.p))
+        norm_u = lp_norm(result.u_star, 2)
+        virial = (0.5 - 1.0 / cfg.p) * domain.h * float(np.sum(np.abs(u) ** cfg.p))
         identity_gap = abs(result.energy + virial)
         # J(u) + (1/2 - 1/p)||u||_p^p = (1/2) u . grad J(u) exactly, so by
         # Cauchy-Schwarz in the lumped norms the gap is at most

@@ -148,8 +148,8 @@ class Flow:
     metric is the operator A_s of the H^(-s) metric G = M_c A_s^(-1) M_c, or
     None for the L2 metric G = M_c (Allen-Cahn).  interface is A_sigma, or
     None when the energy has no Gagliardo term (porous medium).  lam weighs
-    the explicit concave quadratic; evolve requires lam = 0 without an
-    interface.
+    the explicit concave quadratic; a flow without an interface has no
+    concave term, so ValueError unless its lam is 0.
     """
 
     metric: FracOperator | None
@@ -162,6 +162,9 @@ class Flow:
         if (self.metric is not None and self.interface is not None
                 and self.metric.domain != self.interface.domain):
             raise DomainMismatchError("operators must share one domain")
+        if self.interface is None and self.lam != 0.0:
+            raise ValueError("a flow without an interface has no concave term, "
+                             f"so lam must be 0, got {self.lam}")
 
     @property
     def domain(self) -> Domain1D:
@@ -409,12 +412,7 @@ def march(
 ) -> tuple[np.ndarray, list[list]]:
     """March the flow over settings.n_steps steps, Newton solves only;
     deterministic.  Returns U, shape (n_steps+1, M), with u_n in row n, and
-    per step its [iterations, residual, krylov, factorizations].  A flow
-    without an interface (porous medium, fast diffusion) has no concave
-    term, so its lam must be 0."""
-    if flow.interface is None and flow.lam != 0.0:
-        raise ValueError("a flow without an interface has no concave term, "
-                         f"so lam must be 0, got {flow.lam}")
+    per step its [iterations, residual, krylov, factorizations]."""
     if u0.domain != flow.domain:
         raise DomainMismatchError("operators and state must share one domain")
     if not np.all(np.isfinite(u0.values)):
@@ -445,16 +443,14 @@ def recover(
     if flow.interface is None:
         params = dc_replace(params, lam=0.0)
     h, n = flow.domain.h, len(U) - 1
-
-    def mass(X):  # M_c on every row
-        return (flow.interface or flow.metric).mass_vector(X.T).T
+    mass = (flow.interface or flow.metric).mass_vector
 
     # td2 = M_c w_n - (A_sigma u_n + h beta(u_n) - lam M_c u_prev), built in
     # place, in an order that keeps few (n+1, M) arrays alive at once
     half_gag = 0.0  # (1/2) u^T A_sigma u of every level, if there is an interface
     td2 = h * pot.beta_reg(params, U[1:])
     if flow.interface is not None:
-        AU = flow.interface.stiffness_vector(U.T).T
+        AU = flow.interface.stiffness_vector(U)
         half_gag = 0.5 * _rows_dot(U, AU)
         td2 += AU[1:]
         del AU
@@ -466,10 +462,10 @@ def recover(
         W = (U[:-1] - U[1:]) / tau
         gw = _rows_dot(W, mass(W))
     else:
-        du = _rows_dot(MU, flow.metric.solve_vector(MU.T).T)
+        du = _rows_dot(MU, flow.metric.solve_vector(MU))
         del MU
-        W = flow.metric.solve_vector(mass(U[:-1] - U[1:]).T).T / tau
-        gw = _rows_dot(W, flow.metric.stiffness_vector(W.T).T)
+        W = flow.metric.solve_vector(mass(U[:-1] - U[1:])) / tau
+        gw = _rows_dot(W, flow.metric.stiffness_vector(W))
     np.subtract(mass(W), td2, out=td2)
     td2 = np.sqrt(_rows_dot(td2, td2)) / np.sqrt(h)
 

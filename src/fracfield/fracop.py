@@ -53,9 +53,9 @@ the generator x = A^(-1) e_1 by the same recursion (Trench, J. SIAM 12,
 eigensolve never needs them.  Solves use Gohberg-Semencul (1972),
 A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0 with L(v) lower triangular
 Toeplitz, first column v; no factor of A is formed.  Products and solves
-take a vector or the columns of a matrix, SOLVE_BLOCK at a time.  No M x M
-stiffness is held: FracOperator.A is a read-only Toeplitz view of 2M - 1
-values (FracOperator).
+take a vector or a stack of rows, the (levels, M) layout of np.fft,
+SOLVE_BLOCK rows at a time.  No M x M stiffness is held: FracOperator.A
+is a read-only Toeplitz view of 2M - 1 values (FracOperator).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .grid import Domain1D, DomainMismatchError, Field
 QUAD_TOL = 1e-8  # sign-gate tolerance of the assembled stiffness
 
 _STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
-SOLVE_BLOCK = 32  # columns per FFT product or solve, which bounds its FFT temporaries
+SOLVE_BLOCK = 32  # rows per FFT product or solve, which bounds its FFT temporaries
 
 
 class OutOfRangeError(ValueError):
@@ -137,12 +137,12 @@ def kernel_constant(r: float) -> float:
 
 
 def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
-    """M_c Y in a fresh buffer, O(M) per column: (h/6)(4 Y_i + Y_(i-1) +
-    Y_(i+1)) on the rows Y_i of Y (a vector or a matrix), the tridiagonal
-    stencil of the consistent P1 mass."""
+    """M_c on every row of Y (a vector or a stack of rows) in a fresh
+    buffer, O(M) per row: (h/6)(4 y_i + y_(i-1) + y_(i+1)) along the last
+    axis, the tridiagonal stencil of the consistent P1 mass."""
     out = 4.0 * Y
-    out[1:] += Y[:-1]
-    out[:-1] += Y[1:]
+    out[..., 1:] += Y[..., :-1]
+    out[..., :-1] += Y[..., 1:]
     out *= h / 6.0
     return out
 
@@ -227,8 +227,8 @@ class FracOperator:
         return self.domain.h * np.eye(self.domain.M)
 
     def mass_vector(self, x: np.ndarray) -> np.ndarray:
-        """M_c x in a fresh buffer, O(M) per column, for a raw coefficient
-        vector or the columns of a matrix (M_c itself from the identity)."""
+        """M_c x in a fresh buffer, O(M) per row, for a raw coefficient
+        vector or each row of a stack (M_c itself from the identity)."""
         return _mass_rows(x, self.domain.h)
 
     def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
@@ -238,25 +238,25 @@ class FracOperator:
         mass = h / 6.0 * (4.0 + 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1)))
         return _sine_solve(b, mass)
 
-    def _by_columns(self, X: np.ndarray, apply: Callable) -> np.ndarray:
+    def _by_rows(self, X: np.ndarray, apply: Callable) -> np.ndarray:
         """apply, which maps a stack of coefficient vectors (rows) to one of
-        equal shape, on X, a vector or the columns of a matrix with M rows,
-        SOLVE_BLOCK columns at a time.  ValueError on another row count."""
+        equal shape, on X, a vector or a stack of rows of length M,
+        SOLVE_BLOCK rows at a time.  ValueError on another row length."""
         M = self.column.size
-        if X.shape[:1] != (M,):
-            raise ValueError(f"need a vector or matrix with {M} rows, got shape {X.shape}")
-        B = X.reshape(M, -1).T  # columns as rows
+        if X.shape[-1:] != (M,):
+            raise ValueError(f"need a vector or rows of length {M}, got shape {X.shape}")
+        B = X.reshape(-1, M)
         out = np.empty(B.shape)
         for j in range(0, len(B), SOLVE_BLOCK):
             out[j : j + SOLVE_BLOCK] = apply(B[j : j + SOLVE_BLOCK])
-        return out.T.reshape(X.shape)
+        return out.reshape(X.shape)
 
     def stiffness_vector(self, x: np.ndarray) -> np.ndarray:
-        """A x, (A x)_i = a_r(x, phi_i), for a raw coefficient vector or the
-        columns of a matrix, by circulant embedding: one real FFT pair of
-        length 2^k >= 2M - 1 per column.  ValueError on a bad shape."""
+        """A x, (A x)_i = a_r(x, phi_i), for a raw coefficient vector or
+        each row of a stack, by circulant embedding: one real FFT pair of
+        length 2^k >= 2M - 1 per row.  ValueError on a bad shape."""
         n, M = 2 * (self._embedding.size - 1), self.column.size
-        return self._by_columns(
+        return self._by_rows(
             x, lambda B: np.fft.irfft(self._embedding * np.fft.rfft(B, n), n)[:, :M])
 
     def tau_solve_vector(self, b: np.ndarray) -> np.ndarray:
@@ -270,8 +270,8 @@ class FracOperator:
         return float(c[0] + _symmetric_row_sums(c[1:]).max())
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for a vector, or for the columns of a matrix rhs,
-        by Gohberg-Semencul: six real FFTs of length n >= 2M - 1 per column,
+        """Solve A x = rhs for a vector, or for each row of a stack rhs, by
+        Gohberg-Semencul: six real FFTs of length n >= 2M - 1 per row,
         where L(v)^T b and L(v) t are the heads of a circular correlation
         and convolution.  ValueError on a bad or non-finite rhs."""
         if not np.isfinite(rhs).all():
@@ -283,7 +283,7 @@ class FracOperator:
             T = S * np.fft.rfft(t, n)
             return np.fft.irfft(T[0] - T[1], n)[:, :M] / self._generator[0]
 
-        return self._by_columns(rhs, solve)
+        return self._by_rows(rhs, solve)
 
     def dual_norm_sq(self, v: Field) -> float:
         """Squared dual norm (M_c v)^T A^(-1) (M_c v) realizing X'_{r,0}."""
@@ -307,9 +307,9 @@ class FracOperator:
             X[i, i + 1 :] = X[i + 1 :, i]
         b = math.isqrt(M)
         for j in range(0, M, b):
-            X[:, j : j + b] = _mass_rows(X[:, j : j + b], h)
+            X[:, j : j + b] = _mass_rows(X[:, j : j + b].T, h).T
         for i in range(0, M, b):
-            X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
+            X[i : i + b] = _mass_rows(X[i : i + b], h)
         return X
 
     def gagliardo_sq(self, v: Field) -> float:

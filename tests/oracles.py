@@ -69,7 +69,7 @@ from scipy.special import roots_legendre
 
 from fracfield import potential as pot
 from fracfield.dynamics import energy
-from fracfield.fracop import OutOfRangeError, _mass_rows, kernel_constant
+from fracfield.fracop import OutOfRangeError, kernel_constant
 from fracfield.grid import Domain1D, Field, lp_norm
 
 
@@ -460,6 +460,16 @@ def mass_solve_banded(op, b: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), band, b)
 
 
+def _mass_columns(Y: np.ndarray, h: float) -> np.ndarray:
+    """M_c Y for the consistent P1 mass M_c = (h/6) tridiag(1, 4, 1): on
+    each column, (h/6)(Y_(i-1) + 4 Y_i + Y_(i+1)), in a fresh buffer."""
+    out = 4.0 * Y
+    out[1:] += Y[:-1]
+    out[:-1] += Y[1:]
+    out *= h / 6.0
+    return out
+
+
 def dual_kernel_dpotri(op) -> np.ndarray:
     """M_c A^(-1) M_c the library's earlier way: dpotri forms the lower
     triangle of A^(-1) from the Cholesky factor; each block of about
@@ -473,9 +483,9 @@ def dual_kernel_dpotri(op) -> np.ndarray:
         X[:j, j : j + b] = X[j : j + b, :j].T
         block = X[j : j + b, j : j + b]
         block[...] = np.tril(block) + np.tril(block, -1).T
-        X[:, j : j + b] = _mass_rows(X[:, j : j + b], h)
+        X[:, j : j + b] = _mass_columns(X[:, j : j + b], h)
     for i in range(0, M, b):
-        X[i : i + b] = _mass_rows(X[i : i + b].T, h).T
+        X[i : i + b] = _mass_columns(X[i : i + b].T, h).T
     return X
 
 

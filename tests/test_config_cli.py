@@ -518,6 +518,32 @@ def test_only_metric_operators_run_durbin(tmp_path, monkeypatch):
         assert len(calls) == expected, name
 
 
+def test_flows_assemble_exactly_the_configured_orders(tmp_path, monkeypatch):
+    # one operator per distinct order the config sets: Allen-Cahn has no s,
+    # porous medium no sigma, and s = sigma shares one operator
+    assemble = fracop.assemble
+    calls = []
+
+    def counted(domain, r):
+        calls.append(r)
+        return assemble(domain, r)
+
+    monkeypatch.setattr(cli, "assemble", counted)
+    split = _DETERMINISM_CONFIGS["evolve-ch"].replace("sigma = 0.5", "sigma = 0.75")
+    for name, text, expected in (
+        ("evolve-ch", _DETERMINISM_CONFIGS["evolve-ch"], 1),
+        ("evolve-ch-split", split, 2),
+        ("evolve-ac", _DETERMINISM_CONFIGS["evolve-ac"], 1),
+        ("evolve-pm", _DETERMINISM_CONFIGS["evolve-pm"], 1),
+        ("evolve-ch-modified", _DETERMINISM_CONFIGS["evolve-ch-modified"], 2),
+    ):
+        calls.clear()
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert cli.main([str(path), "--output", str(tmp_path / name)]) == 0, name
+        assert len(calls) == expected, (name, calls)
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # only kernel_constant needs quad, and it imports it on first call
     env = dict(os.environ)

@@ -386,6 +386,14 @@ def test_pm_evolve_ignores_lam_and_traces_exact_lyapunov(ops48):
         assert e == pytest.approx(h * np.sum(np.abs(u) ** 1.5 / 1.5), rel=1e-12)
 
 
+def test_flow_without_an_interface_rejects_a_concave_weight(ops48):
+    # the porous-medium energy has no concave term, so the flow itself,
+    # not the march, refuses a weight for one
+    op_s, _ = ops48
+    with pytest.raises(ValueError, match="no concave term"):
+        ff.Flow(op_s, None, 0.5)
+
+
 def test_flow_needs_an_operator_on_one_domain(ops48):
     op_s, _ = ops48
     other = ff.assemble(ff.Domain1D(0, 2, 48), 0.5)

@@ -254,20 +254,31 @@ def test_stiffness_vector_matches_the_dense_product(unit64, rng):
 
 
 def test_stiffness_vector_is_normwise_accurate(rng):
-    # the FFT product against a long-double one, for a vector and for the
-    # 40 columns of a matrix (two blocks), within 5e-16 ||A||_inf |x|_inf;
-    # the reference convolves each column with (c(M-1), ..., c(0), ..., c(M-1))
+    # the FFT product against a long-double one, for a vector and for a
+    # stack of 40 rows (two blocks), within 5e-16 ||A||_inf |x|_inf; the
+    # reference convolves each row with (c(M-1), ..., c(0), ..., c(M-1))
     cases = [(M, r, k) for M in (64, 1023) for r in (0.1, 0.5, 0.75, 0.9)
              for k in (None, 40)] + [(4095, 0.9, None)]
     for M, r, k in cases:
         op = ff.assemble(ff.Domain1D(0, 1, M), r)
-        x = rng.standard_normal(M if k is None else (M, k))
+        x = rng.standard_normal(M if k is None else (k, M))
         v = np.concatenate((op.column[:0:-1], op.column)).astype(np.longdouble)
-        cols = x.reshape(M, -1).T.astype(np.longdouble)
-        exact = np.array([np.convolve(v, col)[M - 1 : 2 * M - 1] for col in cols]).T
-        err = np.abs(op.stiffness_vector(x).reshape(M, -1) - exact).max(axis=0)
-        bound = 5e-16 * op.stiffness_norm_inf() * np.abs(x.reshape(M, -1)).max(axis=0)
+        rows = x.reshape(-1, M).astype(np.longdouble)
+        exact = np.array([np.convolve(v, row)[M - 1 : 2 * M - 1] for row in rows])
+        err = np.abs(op.stiffness_vector(x).reshape(-1, M) - exact).max(axis=1)
+        bound = 5e-16 * op.stiffness_norm_inf() * np.abs(x.reshape(-1, M)).max(axis=1)
         assert np.all(err <= bound), (M, r, k, float(np.max(err / bound)))
+
+
+def test_a_stack_is_read_as_rows(rng):
+    # a stack of levels is rows, the (levels, M) layout of np.fft and of
+    # march: a square, non-symmetric stack of more than SOLVE_BLOCK rows
+    # gives its per-row products and solves bitwise
+    M = 40
+    op = ff.assemble(ff.Domain1D(0, 1, M), 0.5)
+    X = rng.standard_normal((M, M))
+    for method in (op.stiffness_vector, op.solve_vector, op.mass_vector):
+        assert np.array_equal(method(X), np.array([method(x) for x in X])), method.__name__
 
 
 @pytest.mark.parametrize("M", [2, 3, 64, 257])
@@ -395,9 +406,9 @@ def _backward_error(op, x: np.ndarray, b: np.ndarray, norm_A: float) -> float:
 def test_solve_vector_is_backward_stable(rng):
     # Levinson-type solvers are only weakly stable (Cybenko 1980), so the
     # Gohberg-Semencul solve is gated on its normwise backward error, for
-    # one right-hand side and for 40 (two column blocks; one right-hand
-    # side at M = 16383, where 40 would cost 0.2 s), and against the
-    # earlier Cholesky solve at M = 255
+    # one right-hand side and for a stack of 40 (two row blocks; one
+    # right-hand side at M = 16383, where 40 would cost 0.2 s), and against
+    # the earlier Cholesky solve at M = 255
     cases = [(M, r) for M in (255, 4095) for r in (0.02, 0.1, 0.5, 0.9)] + [(16383, 0.9)]
     for M, r in cases:
         op = ff.assemble(ff.Domain1D(0, 1, M), r)
@@ -406,12 +417,12 @@ def test_solve_vector_is_backward_stable(rng):
         assert _backward_error(op, op.solve_vector(b), b, norm_A) <= 1e-14, (M, r)
         if M == 16383:
             continue
-        B = rng.standard_normal((M, 40))
+        B = rng.standard_normal((40, M))
         X = op.solve_vector(B)
-        for j in range(B.shape[1]):
-            assert _backward_error(op, X[:, j], B[:, j], norm_A) <= 1e-14, (M, r, j)
+        for j in range(len(B)):
+            assert _backward_error(op, X[j], B[j], norm_A) <= 1e-14, (M, r, j)
         if M == 255:
-            ref = solve_cholesky(op, B)
+            ref = solve_cholesky(op, B.T).T
             assert np.abs(X - ref).max() <= 1e-14 * np.linalg.cond(op.A) * np.abs(ref).max()
 
 
@@ -474,10 +485,10 @@ def test_mass_vector_is_the_consistent_mass_product(unit64, rng):
 
 
 def test_mass_rows_is_the_dense_mass_product(unit64):
-    # the stencil on the rows of Y = A^-1 M_c, as the dual kernel uses it
+    # the stencil on the rows of Y = M_c A^-1, as the dual kernel uses it
     for op in unit64.values():
-        Y = np.linalg.solve(op.A, op.M_c)
-        dense = op.M_c @ Y
+        Y = np.linalg.solve(op.A, op.M_c).T
+        dense = Y @ op.M_c
         rows = fracop._mass_rows(Y, op.domain.h)
         assert np.max(np.abs(rows - dense)) <= 1e-15 * np.max(np.abs(dense))
         assert np.array_equal(fracop._mass_rows(np.eye(64), op.domain.h), op.M_c)
