@@ -36,26 +36,36 @@ formats no text: cli writes the trajectory and the trace as CSV tables.
 
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
-steps.  K is built once per run, in Fortran order (the dual kernel as the
-O(M) mass stencil on both sides of A_s^(-1), from the generator of A_s,
-plus A_sigma from its O(M) Toeplitz view); it is the one M x M array the
-set-up holds, and the step's offset A_sigma u_prev is an FFT product.
-Every Newton direction is preconditioned CG on the current
-Hessian with the explicit inverse of the last factored Hessian as
-preconditioner (a lagged preconditioner, Knoll & Keyes, J. Comput. Phys.
-193, 2004).  Every product with K or the inverse is a dsymv that reads one
-triangle, and PCG works in preallocated vectors.  The Hessian is factored
-again only when PCG misses KRYLOV_TOL within KRYLOV_MAX iterations.  In
-the shipped configs that is once per run at p = 4, and 6 to 10 times in 250
-steps at p = 1.5 and p = 3, where beta'(u) varies more with u.  StepStats
-counts PCG iterations and factorizations.  From the second step on, Newton
-starts at the linear extrapolation 2 u_(n-1) - u_(n-2); F_n is strictly
-convex, so only the path to its minimizer changes; the M = 128
-Cahn-Hilliard and Allen-Cahn configs need 34 to 39% fewer Newton
+steps.  Every Newton direction is preconditioned CG (_pcg) on the current
+Hessian, with K and the preconditioner passed as products, and the policy
+that supplies them is chosen by M against MATRIX_FREE_M and by the
+interface operator, in _newton_operator.  Up to that mesh, and at every
+mesh for a flow without an interface (the dense policy), K is built once per
+run, in Fortran order (the dual kernel as the O(M) mass stencil on both
+sides of A_s^(-1), from the generator of A_s, plus A_sigma from its O(M)
+Toeplitz view), and the preconditioner is the explicit inverse of the last
+factored Hessian (a lagged preconditioner, Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  Every product with K or the inverse is a dsymv that
+reads one triangle, and the Hessian is factored again only when PCG misses
+KRYLOV_TOL within KRYLOV_MAX iterations: once per run at p = 4, and 6 to
+10 times in 250 steps at p = 1.5 and p = 3, where beta'(u) varies more
+with u.  Above it, given an interface (the matrix-free policy), no M x M
+array is built: K is applied by mass_vector, solve_vector and
+stiffness_vector, and PCG is preconditioned by the sine-diagonal
+(tau-algebra) approximation of the Hessian, two DST-Is per application, so
+a direction costs O(M log M) per iteration and the run factors nothing.
+On one core the matrix-free policy overtook the dense one at or below
+M = 900 for the flows with an interface and for J, but only between
+M = 1023 and 1535 for 150 steps of porous medium and fast diffusion,
+whose directions take about 30 PCG iterations against 6 to 9 (README).
+StepStats counts PCG iterations and factorizations.  From the second
+step on, Newton starts at the linear extrapolation 2 u_(n-1) - u_(n-2);
+F_n is strictly convex, so only the path to its minimizer changes; the
+M = 128 Cahn-Hilliard and Allen-Cahn configs need 34 to 39% fewer Newton
 iterations.  M_c products are the O(M) stencil of mass_vector; only the
-Allen-Cahn K starts from a dense M_c.
-The stationary polish minimizes J with the same Newton and directions,
-its K being A_sigma - lam M_c.
+dense Allen-Cahn K starts from a dense M_c.  The stationary polish
+minimizes J with the same Newton and policies, its K being
+A_sigma - lam M_c.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
-from .fracop import FracOperator, SolverError
+from .fracop import FracOperator, SolverError, _mass_eigenvalues, _sine_solve
 from .grid import Domain1D, DomainMismatchError, Field
 from .potential import PotentialParams
 
@@ -79,7 +89,10 @@ NEWTON_MAX = 100
 LS_SHRINK = 0.5
 LS_SUFFICIENT = 1e-4
 KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g||
-KRYLOV_MAX = 6  # PCG iterations before the step refactors its Hessian
+KRYLOV_MAX = 6  # PCG iterations before the dense policy refactors its Hessian
+KRYLOV_CAP = 50  # PCG iterations after which a matrix-free direction is truncated
+KRYLOV_FORCING = 0.9  # a truncated direction is kept only if g.(H d + g) <= this g.g
+MATRIX_FREE_M = 900  # meshes with more nodes take matrix-free directions, given an interface
 
 
 class NewtonDivergenceError(SolverError):
@@ -235,10 +248,11 @@ def _newton_minimize(
     when the line search or the NEWTON_MAX cap runs out.
 
     direction(u, g) returns the Newton direction, an approximate solution
-    of H(u) d = -g; both minimizations take it from _lagged_direction.
-    Where it raises LinAlgError because the Hessian is not positive
-    definite, which only the nonconvex J can reach, the iteration takes the
-    small gradient step u - min(1e-2, res) g instead.
+    of H(u) d = -g; both minimizations take it from _newton_operator.
+    Where it raises LinAlgError, because the Hessian is not positive
+    definite (only the nonconvex J can reach this) or a matrix-free
+    direction stopped at KRYLOV_CAP far from solving, the iteration takes
+    the small gradient step u - min(1e-2, res) g instead.
 
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
@@ -280,24 +294,30 @@ def _newton_minimize(
 
 
 def _pcg(
-    K: np.ndarray, D: np.ndarray, inverse: np.ndarray, g: np.ndarray, counts: list
+    apply: Callable, precondition: Callable, D: np.ndarray, g: np.ndarray, counts: list,
+    cap: int = KRYLOV_MAX, forcing: float | None = None,
 ) -> np.ndarray | None:
-    """Preconditioned CG on (K + diag(D)) d = -g from d = 0, K being the
-    symmetric matrix stored in the upper triangle of the Fortran-ordered K
-    and the preconditioner the one stored in the upper triangle of inverse.
-    Returns d once ||H d + g|| <= KRYLOV_TOL ||g||, or None after
-    KRYLOV_MAX iterations (counted in counts[0]) or on a direction of
-    nonpositive (or NaN) curvature.  The iterations allocate nothing: the
-    products go into q and z in place, and the updates through work."""
+    """Preconditioned CG on (K + diag(D)) d = -g from d = 0.  apply(p, out)
+    returns K p and precondition(r, out) the preconditioner applied to r,
+    each in out or in a fresh vector.  Returns d once ||H d + g|| <=
+    KRYLOV_TOL ||g||; after cap iterations (counted in counts[0]) the last
+    iterate if a forcing is given and g.(H d + g) <= forcing g.g, else
+    None; None on a direction of nonpositive (or NaN) curvature.  The
+    forcing test bounds the slope g.(H d) of ||grad||^2/2 along d by
+    -(1 - forcing) g.g, so the residual norm falls along a kept d.  It
+    holds wherever ||H d + g|| <= forcing ||g||; PCG's 2-norm residual can
+    grow, so it is checked, not assumed.  Apart from what apply and
+    precondition allocate, the iterations allocate nothing: the updates go
+    through work in place."""
     d = np.zeros_like(g)
     r = -g
     q, z, work = np.zeros((3, g.size))  # zeros: a BLAS may scale NaN garbage by beta = 0
     stop = KRYLOV_TOL * math.sqrt(g @ g)
-    z = dsymv(1.0, inverse, r, y=z, overwrite_y=1)
+    z = precondition(r, z)
     p = z.copy()
     rz = r @ z
-    for _ in range(KRYLOV_MAX):
-        q = dsymv(1.0, K, p, y=q, overwrite_y=1)
+    for _ in range(cap):
+        q = apply(p, q)
         q += np.multiply(D, p, out=work)
         pq = p @ q
         if not pq > 0.0:
@@ -308,27 +328,30 @@ def _pcg(
         counts[0] += 1
         if math.sqrt(r @ r) <= stop:
             return d
-        z = dsymv(1.0, inverse, r, y=z, overwrite_y=1)
+        z = precondition(r, z)
         rz, rz_prev = r @ z, rz
         p *= rz / rz_prev
         p += z
+    if forcing is not None and -(g @ r) <= forcing * (g @ g):  # r = -(H d + g)
+        return d
     return None
 
 
 def _lagged_direction(
     K: np.ndarray, params: PotentialParams, h: float, counts: list
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Newton directions for the Hessian K + h diag(beta'(u)), K fixed and
-    symmetric: G/tau + A_sigma for F_n, A_sigma - lam M_c for J.  Each
-    direction is PCG preconditioned by the explicit inverse of the last
-    Hessian factored.  Only when PCG fails (KRYLOV_MAX iterations, or
-    nonpositive curvature) is the current Hessian Cholesky-factored in a
-    fresh buffer; that factor gives the direction, and its inverse serves
-    every later call.  counts adds up [PCG iterations, factorizations].  On
-    an indefinite Hessian (J only) a returned d minimizes the Newton
-    quadratic over a Krylov space on which the Hessian is positive, so
-    g @ d < 0, a descent direction for J; otherwise the factorization
-    raises LinAlgError and _newton_minimize takes its gradient step.
+    """The dense policy: Newton directions for the Hessian K + h
+    diag(beta'(u)), K a fixed symmetric matrix.  Each direction is PCG
+    preconditioned by the explicit inverse of the last Hessian factored,
+    both products dsymv calls that read one triangle.  Only when PCG fails
+    (KRYLOV_MAX iterations, or nonpositive curvature) is the current
+    Hessian Cholesky-factored in a fresh buffer; that factor gives the
+    direction, and its inverse serves every later call.  counts adds up
+    [PCG iterations, factorizations].  On an indefinite Hessian (J only) a
+    returned d minimizes the Newton quadratic over a Krylov space on which
+    the Hessian is positive, so g @ d < 0, a descent direction for J;
+    otherwise the factorization raises LinAlgError and _newton_minimize
+    takes its gradient step.
 
     K is read in Fortran order, which BLAS takes without a copy (f2py
     copies a C-ordered matrix on every call); K is symmetric, so the
@@ -339,10 +362,16 @@ def _lagged_direction(
     diag = np.diag_indices(K.shape[0])
     inverse = [None]  # upper triangle of the last factored Hessian's inverse
 
+    def apply(p, out):
+        return dsymv(1.0, K, p, y=out, overwrite_y=1)
+
+    def precondition(r, out):
+        return dsymv(1.0, inverse[0], r, y=out, overwrite_y=1)
+
     def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
         D = h * pot.beta_prime_reg(params, u)
         if inverse[0] is not None:
-            d = _pcg(K, D, inverse[0], g, counts)
+            d = _pcg(apply, precondition, D, g, counts)
             if d is not None:
                 return d
             inverse[0] = None  # released before the new buffer is built
@@ -357,6 +386,81 @@ def _lagged_direction(
     return direction
 
 
+def _newton_operator(
+    metric: FracOperator | None,
+    interface: FracOperator | None,
+    tau: float | None,
+    params: PotentialParams,
+    counts: list,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The product x -> K x and the Newton directions for the Hessian
+    K + h diag(beta'(u)) of both minimizations.  F_n passes its time step:
+    K = G/tau + A_sigma with G = M_c A_s^(-1) M_c for the metric A_s or
+    G = M_c for metric None, and no A_sigma without an interface.  J passes
+    tau None and no metric: K = A_sigma - params.lam M_c.
+
+    The policy is chosen here, and only here, by M and the interface.  Up
+    to MATRIX_FREE_M nodes, and at every M without an interface (porous
+    medium and fast diffusion, whose matrix-free directions were measured
+    slower over 150 steps up to M = 1023), K is built once in one
+    Fortran-ordered buffer (the dual kernel, or the O(M) mass stencil on
+    the identity, plus A_sigma from its O(M) Toeplitz view), the product
+    is a dsymv and the directions come from _lagged_direction.  Otherwise
+    nothing M x M is built: the product is
+    mass_vector(solve_vector(mass_vector(x)))/tau (mass_vector(x)/tau for
+    G = M_c, -lam mass_vector(x) for J) plus stiffness_vector(x), and each
+    direction is PCG preconditioned by the matrix the DST-I diagonalizes
+    with the eigenvalues of K's parts, a^sigma_j plus m_j^2/(tau a^s_j)
+    (m_j/tau), plus h mean(beta'(u)); m_j are those of M_c and a^r_j those
+    of tau(A_r).  J's metric part -lam m_j is left out, which keeps the
+    preconditioner positive definite.  PCG stops after KRYLOV_CAP
+    iterations and keeps its last iterate only under the forcing test of
+    _pcg with KRYLOV_FORCING, which makes it a descent direction for the
+    residual norm the line search tests.  Nothing is factored, so counts
+    adds only PCG iterations; LinAlgError on nonpositive curvature (J only)
+    or a truncated direction that fails that test, on which
+    _newton_minimize takes its gradient step.
+    """
+    op = interface or metric
+    M, h, mass = op.domain.M, op.domain.h, op.mass_vector
+    if M <= MATRIX_FREE_M or interface is None:
+        if tau is None:
+            K = mass(np.eye(M, order="F"))
+            K *= -params.lam
+        else:
+            K = mass(np.eye(M, order="F")) if metric is None else metric._dual_kernel_buffer()
+            K /= tau
+        if interface is not None:
+            K += interface.A
+        return (lambda x: dsymv(1.0, K, x)), _lagged_direction(K, params, h, counts)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        y = mass(x) if metric is None else mass(metric.solve_vector(mass(x)))
+        if tau is None:
+            y *= -params.lam
+        else:
+            y /= tau
+        y += interface.stiffness_vector(x)
+        return y
+
+    eigenvalues = interface._tau
+    if tau is not None:
+        m = _mass_eigenvalues(M, h)
+        eigenvalues = eigenvalues + (m if metric is None else m * m / metric._tau) / tau
+
+    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        D = h * pot.beta_prime_reg(params, u)
+        shifted = eigenvalues + D.mean()
+        d = _pcg(lambda p, out: product(p), lambda r, out: _sine_solve(r, shifted),
+                 D, g, counts, KRYLOV_CAP, KRYLOV_FORCING)
+        if d is None:
+            raise np.linalg.LinAlgError(
+                "nonpositive curvature or no progress in a matrix-free direction")
+        return d
+
+    return product, direction
+
+
 def _stepper(
     flow: Flow, params: PotentialParams, settings: SolverSettings
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, float, int, int]]:
@@ -365,24 +469,17 @@ def _stepper(
     else.
 
     The Hessian of F_n is K + h diag(beta'(u)), where K = G/tau + A_sigma
-    does not depend on u or on the step; K is built once, in one
-    Fortran-ordered buffer, and one _lagged_direction serves the whole run.
-    The gradient keeps the difference form K (u - u_prev) + A_sigma u_prev
-    + h beta(u) - lam M_c u_prev, so nothing cancels near newton_tol; its
-    K product, like PCG's, reads one triangle of K (dsymv), and the offset
+    does not depend on u or on the step; one _newton_operator serves the
+    whole run.  The gradient keeps the difference form K (u - u_prev) +
+    A_sigma u_prev + h beta(u) - lam M_c u_prev, so nothing cancels near
+    newton_tol; its K product is the operator's, and the offset
     A_sigma u_prev - lam M_c u_prev is one stiffness_vector per step.
     """
     h = flow.domain.h
     mass_vector = (flow.interface or flow.metric).mass_vector
-    if flow.metric is None:
-        K = mass_vector(np.eye(flow.domain.M, order="F"))
-    else:
-        K = flow.metric._dual_kernel_buffer()
-    K /= settings.tau
-    if flow.interface is not None:
-        K += flow.interface.A
     counts = [0, 0]  # PCG iterations, factorizations of the current step
-    direction = _lagged_direction(K, params, h, counts)
+    product, direction = _newton_operator(
+        flow.metric, flow.interface, settings.tau, params, counts)
 
     def step(up: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int, float, int, int]:
         offset = -flow.lam * mass_vector(up)
@@ -391,7 +488,7 @@ def _stepper(
         counts[:] = [0, 0]
 
         def grad(u):
-            return dsymv(1.0, K, u - up) + h * pot.beta_reg(params, u) + offset
+            return product(u - up) + h * pot.beta_reg(params, u) + offset
 
         un, iters, res = _newton_minimize(grad, direction, start, settings.newton_tol, h)
         return un, iters, res, counts[0], counts[1]

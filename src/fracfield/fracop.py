@@ -147,6 +147,11 @@ def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _mass_eigenvalues(M: int, h: float) -> np.ndarray:
+    """Eigenvalues (h/6)(4 + 2 cos(pi j/(M+1))), j = 1..M, of M_c in DST-I order."""
+    return h / 6.0 * (4.0 + 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1)))
+
+
 def _dst(x: np.ndarray) -> np.ndarray:
     """DST-I, -2 S x with S_jk = sin(pi j k/(M+1)), by one rfft of (0, x, 0, -Jx)."""
     return np.fft.rfft(np.concatenate(([0.0], x, [0.0], -x[::-1]))).imag[1:-1]
@@ -173,10 +178,11 @@ class FracOperator:
     2M - 1 values, never cached; the dense M_c is built on first read and
     cached read-only.  _chol and _dual_kernel_cache always read [None];
     benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
-    removes them.  Outside this module only the two dense Hessian
-    builds read A, dynamics._stepper (A_sigma, next to a fresh
-    _dual_kernel_buffer) and stationary.minimize_energy; none reads M_c,
-    and every M_c product, a dense one included, is mass_vector.
+    removes them.  Outside this module only the dense Hessian build
+    reads A: dynamics._newton_operator under its dense policy (below
+    dynamics.MATRIX_FREE_M), for A_sigma next to a fresh _dual_kernel_buffer
+    or a dense M_c; nothing reads the cached M_c, and every M_c product, a
+    dense one included, is mass_vector.
     """
 
     domain: Domain1D
@@ -233,10 +239,8 @@ class FracOperator:
 
     def mass_solve_vector(self, b: np.ndarray) -> np.ndarray:
         """Solve M_c x = b for a raw coefficient vector in O(M log M) by two
-        sine transforms: M_c has eigenvalues (h/6)(4 + 2 cos(pi j/(M+1)))."""
-        M, h = self.domain.M, self.domain.h
-        mass = h / 6.0 * (4.0 + 2.0 * np.cos(np.pi * np.arange(1, M + 1) / (M + 1)))
-        return _sine_solve(b, mass)
+        sine transforms (M_c's eigenvalues are _mass_eigenvalues)."""
+        return _sine_solve(b, _mass_eigenvalues(self.domain.M, self.domain.h))
 
     def _by_rows(self, X: np.ndarray, apply: Callable) -> np.ndarray:
         """apply, which maps a stack of coefficient vectors (rows) to one of

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import potential as pot
-from .dynamics import NewtonDivergenceError, _lagged_direction, _newton_minimize, _scaled_res
+from .dynamics import NewtonDivergenceError, _newton_minimize, _newton_operator, _scaled_res
 from .fracop import FracOperator, NoConvergenceError, OutOfRangeError, SolverError, assemble
 from .grid import Domain1D, DomainMismatchError, Field, lp_norm
 from .potential import PotentialParams
@@ -177,8 +177,10 @@ def minimize_energy(
     to the earlier start, whatever the random field.
 
     Newton directions use the exact potential (delta = 0) whatever
-    params.delta; one dynamics._lagged_direction on K = A_sigma - lam M_c,
-    built once, serves every start, so a run factors about once per operator.
+    params.delta; one dynamics._newton_operator on K = A_sigma - lam M_c
+    serves every start.  Up to dynamics.MATRIX_FREE_M nodes K is built once
+    and a run factors about once per operator; above it K is applied by
+    FFT and mass products and nothing is factored.
     """
     if params.p <= 2:
         raise OutOfRangeError("stationary minimization requires p > 2")
@@ -203,10 +205,7 @@ def minimize_energy(
             Field(dom, 0.1 * rng.standard_normal(dom.M)),
         ]
 
-    K = op_sigma.mass_vector(np.eye(dom.M))  # M_c, not cached on the operator
-    K *= -params.lam
-    K += op_sigma.A
-    direction = _lagged_direction(K, replace(params, delta=0.0), h, [0, 0])
+    _, direction = _newton_operator(None, op_sigma, None, replace(params, delta=0.0), [0, 0])
     candidates = []  # (energy, u, residual) in start order
     for s in starts:
         out = _descend(op_sigma, params, s.values, stat_tol, direction)

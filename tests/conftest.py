@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fracfield as ff
+from oracles import _DUAL_KERNELS
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,14 @@ def get_op():
 @pytest.fixture(scope="session")
 def unit64(get_op):
     return {r: get_op(0.0, 1.0, 64, r) for r in (0.25, 0.5, 0.75)}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _free_oracle_dual_kernels():
+    """newton_step_dense keeps one dense dual kernel per operator; they
+    are freed with the module whose tests built them."""
+    yield
+    _DUAL_KERNELS.clear()
 
 
 @pytest.fixture()

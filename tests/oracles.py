@@ -496,6 +496,20 @@ def dual_kernel_cho_solve(op) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
+_DUAL_KERNELS: dict = {}  # id(op) -> (op, kernel); operators are immutable
+
+
+def _dual_kernel_once(op) -> np.ndarray:
+    """dual_kernel_cho_solve(op), computed once per operator object and
+    kept with it, so the id is not reused while the entry lives."""
+    entry = _DUAL_KERNELS.get(id(op))
+    if entry is None:
+        kernel = dual_kernel_cho_solve(op)
+        kernel.flags.writeable = False  # every caller gets this array
+        entry = _DUAL_KERNELS[id(op)] = (op, kernel)
+    return entry[1]
+
+
 def dual_kernel_mpmath(op, dps: int = 30) -> np.ndarray:
     """M_c A^(-1) M_c of the float64 column in dps digits, rounded to
     float64.  x = A^(-1) e_1 comes from Gaussian elimination on the dense
@@ -564,11 +578,11 @@ def newton_step_dense(flow, params, tau: float, settings, u_prev: Field, start=N
     with the Hessian summed from full matrices and solved by
     scipy.linalg.solve(assume_a="pos"); same damped Newton and residual
     line search as the library, started from start (default u_prev), and
-    the dual kernel from dual_kernel_cho_solve."""
+    the dual kernel from dual_kernel_cho_solve, computed once per operator."""
     h = u_prev.domain.h
     Mc = (flow.interface or flow.metric).M_c
     A = None if flow.interface is None else flow.interface.A
-    G = Mc if flow.metric is None else dual_kernel_cho_solve(flow.metric)
+    G = Mc if flow.metric is None else _dual_kernel_once(flow.metric)
     up = u_prev.values
     explicit = flow.lam * (Mc @ up)
 
@@ -619,7 +633,7 @@ def stationary_state_cholesky(op, params, u0: np.ndarray, stat_tol: float):
     u - min(1e-2, res) g where it is not positive definite.  Returns
     (u, residual)."""
     h, lam = op.domain.h, params.lam
-    A, Mc = op.A, op.M_c
+    A, Mc = np.array(op.A), op.M_c  # a contiguous copy: products with the strided view are slow
 
     def J(u):
         return (0.5 * u @ (A @ u) + h * np.sum(pot.beta_hat(params, u))

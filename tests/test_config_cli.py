@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracfield.cli as cli
-from fracfield import fracop, limits, spectral, stationary
+from fracfield import dynamics, fracop, limits, spectral, stationary
 from fracfield.config import (
     MAX_GRID_VALUES,
     ConfigError,
@@ -553,6 +553,38 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the matrix-free stepper above MATRIX_FREE_M runs on FFTs, O(M) stencils
+    # and vector dots, and the small stationary run's dense products and
+    # factorization are thread-invariant; below MATRIX_FREE_M the dense
+    # stepper's factorizations are not (README)
+    configs = {
+        "evolve": (f"a = 0\nb = 1\nM = {dynamics.MATRIX_FREE_M + 1}\ns = 0.5\nsigma = 0.75\n"
+                   "p = 4\ntau = 1e-3\nT = 3e-3\nexperiment = evolve-ch\n"),
+        "stationary": "a = 0\nb = 10\nM = 63\nsigma = 0.5\np = 4\nexperiment = stationary\n"
+                      "sequence = 0.5, 0.3\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = ("import sys; from fracfield.cli import main\n"
+            "for name in ('evolve', 'stationary'):\n"
+            "    assert main([f'{name}.cfg', '--output', f'{sys.argv[1]}/{name}']) == 0\n")
+    src = str(Path(fracop.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):  # both at once, each on its own BLAS threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, FRACFIELD_SEED="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen([sys.executable, "-c", code, f"threads-{threads}"],
+                                     cwd=tmp_path, env=env))
+    assert [run.wait(timeout=300) for run in runs] == [0, 0]
+    one, two = tmp_path / "threads-1", tmp_path / "threads-2"
+    artifacts = sorted(path.relative_to(one) for path in one.rglob("*") if path.is_file())
+    assert len(artifacts) == 6
+    assert artifacts == sorted(path.relative_to(two) for path in two.rglob("*") if path.is_file())
+    for artifact in artifacts:
+        assert (one / artifact).read_bytes() == (two / artifact).read_bytes(), artifact
 
 
 def test_horizon_not_a_whole_number_of_steps_exits_1_naming_T(tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv
 
 import fracfield as ff
 from fracfield import cli, dynamics, stationary
@@ -213,6 +214,24 @@ def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
     assert g @ d < 0 and d == pytest.approx([0.0, -0.1], abs=1e-15)
     with pytest.raises(np.linalg.LinAlgError):  # p^T H p < 0 on the first step
         direction(np.array([0.5, 0.0]), np.ones(2))
+
+
+def test_matrix_free_direction_descends_or_falls_back_on_an_indefinite_hessian(get_op):
+    # above MATRIX_FREE_M J's K = A - M_c (lam = 1) is applied
+    # matrix-free and preconditioned by tau(A) + h mean(3 u^2), positive
+    # definite even where the Hessian is not: at u = 1 the direction
+    # descends, near u = 0 PCG meets nonpositive curvature and raises
+    op = get_op(0.0, 10.0, dynamics.MATRIX_FREE_M + 1, 0.5)
+    params = ff.PotentialParams(p=4)
+    M = op.domain.M
+    counts = [0, 0]
+    _, direction = dynamics._newton_operator(None, op, None, params, counts)
+    u = np.ones(M)
+    g = stationary._energy_and_gradient(op, params, u)[1]()
+    assert g @ direction(u, g) < 0 and counts[1] == 0
+    g = stationary._energy_and_gradient(op, params, 0.01 * np.sin(np.arange(M)))[1]()
+    with pytest.raises(np.linalg.LinAlgError):
+        direction(np.zeros(M), g)
 
 
 # ------------------------------------------------------------------ evolve
@@ -490,15 +509,41 @@ def test_march_returns_the_levels_of_evolve_bitwise(get_op, kind):
 
 
 @pytest.mark.parametrize("kind", FLOWS)
+def test_matrix_free_steps_match_the_dense_newton_oracle(get_op, kind):
+    # the smallest mesh above MATRIX_FREE_M, where a flow with an interface
+    # factors nothing and porous medium stays on the dense policy; the
+    # second step starts from the predictor, and only that step is compared
+    M = dynamics.MATRIX_FREE_M + 1
+    flow, params = _flow(get_op, M, kind)
+    settings = ff.SolverSettings(tau=1e-3, T=2e-3)
+    traj, trace = ff.evolve(flow, params, ff.bump_field(flow.domain), settings)
+    factored = sum(st.factorizations for st in traj.stats)
+    assert (factored > 0) == (flow.interface is None), factored
+    assert trace.step_slack.min() >= -10 * settings.newton_tol
+    start = 2.0 * traj.U[1] - traj.U[0]
+    u_ref, w_ref, iters, _ = newton_step_dense(
+        flow, params, settings.tau, settings, ff.Field(flow.domain, traj.U[1]), start)
+    assert np.max(np.abs(traj.U[2] - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(traj.W[1] - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+    assert traj.stats[1].iterations == iters
+
+
+# both policies: the mesh below MATRIX_FREE_M with ten steps, the smallest
+# above it with two
+POLICY_RUNS = [(64, 1e-2), (dynamics.MATRIX_FREE_M + 1, 2e-3)]
+
+
+@pytest.mark.parametrize("kind", FLOWS)
 def test_evolve_is_odd_in_the_initial_datum(get_op, kind):
     # beta is odd and every operator linear, and rounding is symmetric, so
     # negating u0 negates every level exactly
-    flow, params = _flow(get_op, 64, kind)
-    settings = ff.SolverSettings(tau=1e-3, T=1e-2)
-    u0 = ff.bump_field(flow.domain)
-    traj, _ = ff.evolve(flow, params, u0, settings)
-    neg, _ = ff.evolve(flow, params, -u0, settings)
-    assert np.array_equal(neg.U, -traj.U) and np.array_equal(neg.W, -traj.W)
+    for M, T in POLICY_RUNS:
+        flow, params = _flow(get_op, M, kind)
+        settings = ff.SolverSettings(tau=1e-3, T=T)
+        u0 = ff.bump_field(flow.domain)
+        traj, _ = ff.evolve(flow, params, u0, settings)
+        neg, _ = ff.evolve(flow, params, -u0, settings)
+        assert np.array_equal(neg.U, -traj.U) and np.array_equal(neg.W, -traj.W), M
 
 
 @pytest.mark.parametrize("kind", FLOWS)
@@ -506,13 +551,70 @@ def test_evolve_commutes_with_the_mirror(get_op, kind):
     # the reflection x -> a + b - x commutes with A, M_c and beta, so the
     # mirrored start gives the mirrored levels up to rounding (W, a small
     # difference of levels over tau, mirrors only to about 1e-14)
-    flow, params = _flow(get_op, 64, kind)
-    settings = ff.SolverSettings(tau=1e-3, T=1e-2)
-    dom = flow.domain
-    u0 = ff.Field(dom, ff.bump_field(dom).values * (0.5 + dom.nodes))
-    traj, _ = ff.evolve(flow, params, u0, settings)
-    mirrored, _ = ff.evolve(flow, params, ff.Field(dom, u0.values[::-1]), settings)
-    assert np.abs(mirrored.U - traj.U[:, ::-1]).max() <= 1e-14 * np.abs(traj.U).max()
+    for M, T in POLICY_RUNS:
+        flow, params = _flow(get_op, M, kind)
+        settings = ff.SolverSettings(tau=1e-3, T=T)
+        dom = flow.domain
+        u0 = ff.Field(dom, ff.bump_field(dom).values * (0.5 + dom.nodes))
+        traj, _ = ff.evolve(flow, params, u0, settings)
+        mirrored, _ = ff.evolve(flow, params, ff.Field(dom, u0.values[::-1]), settings)
+        assert np.abs(mirrored.U - traj.U[:, ::-1]).max() <= 1e-14 * np.abs(traj.U).max(), M
+
+
+def test_pcg_keeps_its_last_iterate_at_the_cap_only_under_the_forcing_bound():
+    # one CG step on diag(1, 2) d = -g from d = 0 without preconditioning
+    # is (g.g / g.Hg) (-g), whose residual is orthogonal to g; a second
+    # would solve the system
+    K = np.diag([1.0, 2.0])
+    g = np.array([1.0, 1.0])
+    apply = lambda p, out: K @ p
+    identity = lambda r, out: r.copy()
+    D = np.zeros(2)
+    counts = [0]
+    assert dynamics._pcg(apply, identity, D, g, counts, cap=1) is None
+    d = dynamics._pcg(apply, identity, D, g, counts, cap=1, forcing=0.9)
+    assert counts == [2] and np.array_equal(d, -(2.0 / 3.0) * g)
+    assert dynamics._pcg(apply, identity, D, g, counts, cap=2) == pytest.approx([-1.0, -0.5])
+    # preconditioned by diag(1, 100) on the identity, the first step from
+    # g = (1, 0.1) is d = -(2/101)(1, 10): g.(d + g) = 0.97 > 0.9 g.g, so
+    # ||grad|| falls too slowly along d and the iterate is dropped
+    g = np.array([1.0, 0.1])
+    apply = lambda p, out: p.copy()
+    scaled = lambda r, out: np.array([1.0, 100.0]) * r
+    d_free = dynamics._pcg(apply, scaled, D, g, counts, cap=1, forcing=1.0)
+    assert g @ (d_free + g) == pytest.approx(0.97 * (g @ g), rel=1e-2)
+    assert dynamics._pcg(apply, scaled, D, g, counts, cap=1, forcing=0.9) is None
+
+
+@pytest.mark.parametrize("kind", ["cahn-hilliard", "allen-cahn"])
+def test_matrix_free_directions_truncated_at_the_cap_reach_the_same_step(
+        get_op, monkeypatch, kind):
+    # at KRYLOV_CAP a matrix-free direction is PCG's last iterate d, kept
+    # only if g.(H d + g) <= KRYLOV_FORCING g.g (checked here with the full
+    # product); with the cap at 2 the steps need more Newton iterations
+    # and end at the same levels
+    cap = 2
+    flow, params = _flow(get_op, dynamics.MATRIX_FREE_M + 1, kind)
+    settings = ff.SolverSettings(tau=1e-3, T=2e-3)
+    u0 = ff.bump_field(flow.domain)
+    U, newton = ff.march(flow, params, u0, settings)
+    pcg, truncated = dynamics._pcg, []
+
+    def checking(apply, precondition, D, g, counts, *args):
+        before = counts[0]
+        d = pcg(apply, precondition, D, g, counts, *args)
+        if d is not None and counts[0] - before == cap:
+            truncated.append(g @ (apply(d, None) + D * d + g) / (g @ g))
+        return d
+
+    monkeypatch.setattr(dynamics, "KRYLOV_CAP", cap)
+    monkeypatch.setattr(dynamics, "_pcg", checking)
+    U_cap, newton_cap = ff.march(flow, params, u0, settings)
+    assert truncated and max(truncated) <= dynamics.KRYLOV_FORCING + 1e-12, truncated
+    assert all(kr <= cap * it for it, _, kr, _ in newton_cap)
+    assert sum(it for it, *_ in newton_cap) > sum(it for it, *_ in newton)
+    assert all(res <= settings.newton_tol for _, res, *_ in newton_cap)
+    assert np.max(np.abs(U_cap - U)) <= 1e-9 * np.max(np.abs(U))
 
 
 def test_ch_run_factors_its_hessian_once():
@@ -529,18 +631,32 @@ def test_ch_run_factors_its_hessian_once():
 
 
 def _recorded_march(M, s, sigma, T):
-    """march a p = 4 Cahn-Hilliard bump flow on (0, 1) with tau = 1e-3,
-    recording the arguments (K, D, inverse, g) of every _pcg call."""
+    """march a p = 4 Cahn-Hilliard bump flow on (0, 1) with tau = 1e-3 under
+    the dense policy, whatever M, recording (K, D, inverse, g) of every
+    _pcg call: K as _lagged_direction reads it, inverse the last that
+    dpotri returned."""
     dom = ff.Domain1D(0, 1, M)
     flow = ff.Flow(ff.assemble(dom, s), ff.assemble(dom, sigma), 1.0)
-    systems = []
+    K, inverse, systems = [None], [None], []
 
-    def recording(K, D, inverse, g, counts):
-        systems.append((K, D, inverse, g))
-        return pcg(K, D, inverse, g, counts)
+    def recording_lagged(K_, *args):
+        K[0] = K_
+        return lagged(K_, *args)
 
-    pcg = dynamics._pcg
+    def recording_dpotri(*args, **kwargs):
+        out = dpotri(*args, **kwargs)
+        inverse[0] = out[0]
+        return out
+
+    def recording(apply, precondition, D, g, counts, *args, **kwargs):
+        systems.append((K[0], D, inverse[0], g))
+        return pcg(apply, precondition, D, g, counts, *args, **kwargs)
+
+    lagged, dpotri, pcg = dynamics._lagged_direction, dynamics.dpotri, dynamics._pcg
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MATRIX_FREE_M", M)
+        mp.setattr(dynamics, "_lagged_direction", recording_lagged)
+        mp.setattr(dynamics, "dpotri", recording_dpotri)
         mp.setattr(dynamics, "_pcg", recording)
         _, newton = ff.march(flow, ff.PotentialParams(p=4), ff.bump_field(dom),
                              ff.SolverSettings(tau=1e-3, T=T))
@@ -561,6 +677,13 @@ def test_fine_ch_newton_pcg_and_factorization_counts(fine_ch_march):
     assert sum(fa for *_, fa in newton) == 1
 
 
+def _dense_pcg(K, D, inverse, g, counts):
+    """dynamics._pcg with the dense policy's products on K and inverse."""
+    return dynamics._pcg(lambda p, out: dsymv(1.0, K, p, y=out, overwrite_y=1),
+                         lambda r, out: dsymv(1.0, inverse, r, y=out, overwrite_y=1),
+                         D, g, counts)
+
+
 def test_pcg_matches_the_allocating_oracle_on_recorded_systems(fine_ch_march):
     # every fifth fine_ch system (the M = 1023 oracle products are slow),
     # and all of the first 100 steps of configs/ch_reference.cfg (M = 128,
@@ -571,12 +694,27 @@ def test_pcg_matches_the_allocating_oracle_on_recorded_systems(fine_ch_march):
     for systems in (fine_ch, ch_reference):
         for K, D, inverse, g in systems:
             counts, counts_ref = [0], [0]
-            d = dynamics._pcg(K, D, inverse, g, counts)
+            d = _dense_pcg(K, D, inverse, g, counts)
             d_ref = pcg_allocating(K, D, inverse, g, counts_ref)
             assert counts == counts_ref
             assert (d is None) == (d_ref is None)
             if d is not None:
                 assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.max(np.abs(d_ref))
+
+
+def test_fine_ch_matrix_free_newton_and_pcg_counts():
+    # the fine_ch march above MATRIX_FREE_M: the dense policy's Newton
+    # iterations, at most 8 tau-preconditioned PCG iterations per
+    # direction, and nothing factored
+    dom = ff.Domain1D(0, 1, 1023)
+    assert dom.M > dynamics.MATRIX_FREE_M
+    flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
+    _, newton = ff.march(flow, ff.PotentialParams(p=4), ff.bump_field(dom),
+                         ff.SolverSettings(tau=1e-3, T=0.03))
+    assert len(newton) == 30
+    assert sum(it for it, *_ in newton) == 60
+    assert all(kr <= 8 * it for it, _, kr, _ in newton)
+    assert sum(fa for *_, fa in newton) == 0
 
 
 def test_directions_on_a_c_ordered_k_allocate_o_of_m():
@@ -604,10 +742,12 @@ def test_directions_on_a_c_ordered_k_allocate_o_of_m():
     assert peak <= 16 * M * 8, peak
 
 
-def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays():
-    # K is the one M x M array: the dual kernel is built in its buffer from
-    # the generator of A_s, and A_sigma is added from its O(M) view
+def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays(monkeypatch):
+    # under the dense policy K is the one M x M array: the dual kernel is
+    # built in its buffer from the generator of A_s, and A_sigma is added
+    # from its O(M) view
     dom = ff.Domain1D(0, 1, 1023)
+    monkeypatch.setattr(dynamics, "MATRIX_FREE_M", dom.M)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
     settings = ff.SolverSettings(tau=1e-3, T=1e-3)
     tracemalloc.start()
@@ -620,10 +760,12 @@ def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays():
     assert peak <= 1.5 * dom.M**2 * 8, peak / (dom.M**2 * 8)
 
 
-def test_evolve_holds_at_most_two_and_a_half_m_by_m_arrays():
-    # K and the buffer of the first Hessian factorization (then its
-    # inverse); the recovery adds only (n+1, M) arrays
+def test_evolve_holds_at_most_two_and_a_half_m_by_m_arrays(monkeypatch):
+    # under the dense policy, K and the buffer of the first Hessian
+    # factorization (then its inverse); the recovery adds only (n+1, M)
+    # arrays
     dom = ff.Domain1D(0, 1, 1023)
+    monkeypatch.setattr(dynamics, "MATRIX_FREE_M", dom.M)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
     u0 = ff.bump_field(dom)
     tracemalloc.start()
@@ -633,6 +775,22 @@ def test_evolve_holds_at_most_two_and_a_half_m_by_m_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * dom.M**2 * 8, peak / (dom.M**2 * 8)
+
+
+def test_matrix_free_evolve_holds_no_m_by_m_array():
+    # above MATRIX_FREE_M no dual kernel, K, Hessian or inverse is built:
+    # the march and the recovery hold O(M) vectors and (n+1, M) levels
+    dom = ff.Domain1D(0, 1, 1023)
+    assert dom.M > dynamics.MATRIX_FREE_M
+    flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
+    u0 = ff.bump_field(dom)
+    tracemalloc.start()
+    try:
+        ff.evolve(flow, ff.PotentialParams(p=4), u0, ff.SolverSettings(tau=1e-3, T=2e-3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * dom.M**2 * 8, peak / (dom.M**2 * 8)
 
 
 def test_fast_diffusion_refactors_and_matches_the_oracle(get_op):

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,52 @@ def test_minimizer_matches_the_cholesky_polish_oracle(get_op, b, M, sigma, p):
         assert result.classification == cls
         err = np.max(np.abs(result.u_star.values - u_ref))
         assert err <= 1e-10 * np.max(np.abs(u_ref)), (sign, err)
+
+
+def test_matrix_free_polish_matches_the_cholesky_polish_oracle(get_op, monkeypatch):
+    # the smallest mesh above MATRIX_FREE_M: K = A_sigma - lam M_c is applied
+    # by FFT and mass products, PCG is preconditioned by tau(A_sigma) +
+    # h mean(beta'(u)), and no M x M array is built
+    op = get_op(0.0, 10.0, dynamics.MATRIX_FREE_M + 1, 0.5)
+    params = ff.PotentialParams(p=4)
+    e1 = ff.first_eigenpair(op).e1
+    tracemalloc.start()
+    try:
+        result = ff.minimize_energy(op, params, starts=[0.1 * e1], stat_tol=1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * op.domain.M**2 * 8, peak / (op.domain.M**2 * 8)
+    # the oracle's own dense descent from 0.1 e1 takes about 700 iterations
+    # of M x M products here, so it starts from the dense policy's polish
+    # of the same start to 1e-6, inside its Newton radius, and polishes by
+    # Cholesky alone
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "MATRIX_FREE_M", op.domain.M)
+        rough = ff.minimize_energy(op, params, starts=[0.1 * e1], stat_tol=1e-6)
+    assert 1e-12 < rough.residual <= 1e-6
+    u_ref, res_ref = stationary_state_cholesky(op, params, rough.u_star.values, 1e-12)
+    assert res_ref <= 1e-12 and result.residual <= 1e-12
+    assert result.classification == "nontrivial-positive"
+    err = np.max(np.abs(result.u_star.values - u_ref))
+    assert err <= 1e-10 * np.max(np.abs(u_ref)), err
+
+
+def test_dense_polish_with_lam_not_one_matches_the_cholesky_polish_oracle(get_op):
+    # below MATRIX_FREE_M K = A_sigma - lam M_c is built as M_c scaled by
+    # -lam plus A_sigma; lam = 0.6 is not a power of two, and on (0, 10)
+    # lambda1(1/2) < 0.6, so the minimizer is nontrivial
+    op = get_op(0.0, 10.0, 255, 0.5)
+    params = ff.PotentialParams(p=4, lam=0.6)
+    eig = ff.first_eigenpair(op)
+    assert eig.lambda1 < params.lam
+    start = 0.1 * eig.e1
+    result = ff.minimize_energy(op, params, starts=[start], stat_tol=1e-12)
+    u_ref, res_ref = stationary_state_cholesky(op, params, start.values, 1e-12)
+    assert res_ref <= 1e-12 and result.residual <= 1e-12
+    assert result.classification == "nontrivial-positive"
+    err = np.max(np.abs(result.u_star.values - u_ref))
+    assert err <= 1e-10 * np.max(np.abs(u_ref)), err
 
 
 def test_sign_reflected_starts_reach_equal_energy(get_op):
