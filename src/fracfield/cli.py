@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # NumPy loads it on first use; every run seeds a generator
 
 from . import __version__
 from . import dynamics, limits, spectral, stationary

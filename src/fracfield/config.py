@@ -36,8 +36,8 @@ INITIAL_PROFILES = ("bump", "sine", "random")
 
 # the largest float64 array a run may hold, 512 MiB: the time grid
 # (T/tau + 1) * M of U, of which recover holds several at once (the largest
-# shipped grid is 501 x 128), the M x M matrices of the dense solvers, and
-# the circulant embedding of the stiffness column (the power of two
+# shipped grid is 501 x 128), the M x M matrices of the dense time stepper,
+# and the circulant embedding of the stiffness column (the power of two
 # >= 2M - 1) that every experiment transforms
 MAX_GRID_VALUES = 2**26
 
@@ -187,7 +187,8 @@ def validate(cfg: RunConfig) -> None:
         raise ValidationError("p", "stationary minimization needs p > 2")
     if cfg.refinements is not None and cfg.M not in cfg.refinements:
         raise ValidationError("refinements", f"must contain M = {cfg.M}, the recorded mesh")
-    if exp not in ("eigen-sweep", "operator-limit") and cfg.M * cfg.M > MAX_GRID_VALUES:
+    if (exp not in ("eigen-sweep", "operator-limit", "stationary")
+            and cfg.M * cfg.M > MAX_GRID_VALUES):
         raise ValidationError("M", f"an M x M matrix would hold more than {MAX_GRID_VALUES} values")
     for key, meshes in (("M", [cfg.M]), ("refinements", cfg.refinements or [])):
         if any(2 * m - 1 > MAX_GRID_VALUES for m in meshes):

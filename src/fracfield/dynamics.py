@@ -37,35 +37,23 @@ formats no text: cli writes the trajectory and the trace as CSV tables.
 Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
 steps.  Every Newton direction is preconditioned CG (_pcg) on the current
-Hessian, with K and the preconditioner passed as products, and the policy
-that supplies them is chosen by M against MATRIX_FREE_M and by the
-interface operator, in _newton_operator.  Up to that mesh, and at every
-mesh for a flow without an interface (the dense policy), K is built once per
-run, in Fortran order (the dual kernel as the O(M) mass stencil on both
-sides of A_s^(-1), from the generator of A_s, plus A_sigma from its O(M)
-Toeplitz view), and the preconditioner is the explicit inverse of the last
-factored Hessian (a lagged preconditioner, Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  Every product with K or the inverse is a dsymv that
-reads one triangle, and the Hessian is factored again only when PCG misses
-KRYLOV_TOL within KRYLOV_MAX iterations: once per run at p = 4, and 6 to
-10 times in 250 steps at p = 1.5 and p = 3, where beta'(u) varies more
-with u.  Above it, given an interface (the matrix-free policy), no M x M
-array is built: K is applied by mass_vector, solve_vector and
-stiffness_vector, and PCG is preconditioned by the sine-diagonal
-(tau-algebra) approximation of the Hessian, two DST-Is per application, so
-a direction costs O(M log M) per iteration and the run factors nothing.
-On one core the matrix-free policy overtook the dense one at or below
-M = 900 for the flows with an interface and for J, but only between
-M = 1023 and 1535 for 150 steps of porous medium and fast diffusion,
-whose directions take about 30 PCG iterations against 6 to 9 (README).
-StepStats counts PCG iterations and factorizations.  From the second
-step on, Newton starts at the linear extrapolation 2 u_(n-1) - u_(n-2);
-F_n is strictly convex, so only the path to its minimizer changes; the
-M = 128 Cahn-Hilliard and Allen-Cahn configs need 34 to 39% fewer Newton
-iterations.  M_c products are the O(M) stencil of mass_vector; only the
-dense Allen-Cahn K starts from a dense M_c.  The stationary polish
-minimizes J with the same Newton and policies, its K being
-A_sigma - lam M_c.
+Hessian, with K and the preconditioner passed as products, and
+_newton_operator picks the policy that supplies them.  The dense policy
+builds K once per run and preconditions by the explicit inverse of the
+last factored Hessian (a lagged preconditioner, Knoll & Keyes, J. Comput.
+Phys. 193, 2004), which it factors again only when PCG misses KRYLOV_TOL
+within KRYLOV_MAX iterations.  The matrix-free policy builds no M x M
+array: K is applied by mass_vector, solve_vector and stiffness_vector, and
+PCG is preconditioned by the sine-diagonal (tau-algebra) approximation of
+the Hessian, so a direction costs O(M log M) per iteration and nothing is
+factored.  README's crossover tables hold the timings behind
+MATRIX_FREE_M.  StepStats counts PCG iterations and factorizations.  From
+the second step on, Newton starts at the linear extrapolation
+2 u_(n-1) - u_(n-2); F_n is strictly convex, so only the path to its
+minimizer changes; the M = 128 Cahn-Hilliard and Allen-Cahn configs need
+34 to 39% fewer Newton iterations.  M_c products are the O(M) stencil of
+mass_vector.  The stationary polish minimizes J with the same Newton and
+the matrix-free policy at every M, its K being A_sigma - lam M_c.
 """
 
 from __future__ import annotations
@@ -75,9 +63,6 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotri
 
 from . import potential as pot
 from .fracop import FracOperator, SolverError, _mass_eigenvalues, _sine_solve
@@ -92,7 +77,7 @@ KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g||
 KRYLOV_MAX = 6  # PCG iterations before the dense policy refactors its Hessian
 KRYLOV_CAP = 50  # PCG iterations after which a matrix-free direction is truncated
 KRYLOV_FORCING = 0.9  # a truncated direction is kept only if g.(H d + g) <= this g.g
-MATRIX_FREE_M = 900  # meshes with more nodes take matrix-free directions, given an interface
+MATRIX_FREE_M = 900  # time steps on finer meshes take matrix-free directions, given an interface
 
 
 class NewtonDivergenceError(SolverError):
@@ -343,30 +328,29 @@ def _lagged_direction(
     """The dense policy: Newton directions for the Hessian K + h
     diag(beta'(u)), K a fixed symmetric matrix.  Each direction is PCG
     preconditioned by the explicit inverse of the last Hessian factored,
-    both products dsymv calls that read one triangle.  Only when PCG fails
+    both products np.dot into PCG's buffers.  Only when PCG fails
     (KRYLOV_MAX iterations, or nonpositive curvature) is the current
-    Hessian Cholesky-factored in a fresh buffer; that factor gives the
-    direction, and its inverse serves every later call.  counts adds up
-    [PCG iterations, factorizations].  On an indefinite Hessian (J only) a
-    returned d minimizes the Newton quadratic over a Krylov space on which
-    the Hessian is positive, so g @ d < 0, a descent direction for J;
-    otherwise the factorization raises LinAlgError and _newton_minimize
-    takes its gradient step.
+    Hessian factored: np.linalg.cholesky gates it positive definite, and
+    np.linalg.inv gives the inverse that gives the direction and serves
+    every later call.  counts adds up [PCG iterations, factorizations].
+    On an indefinite Hessian a returned d minimizes the Newton quadratic
+    over a Krylov space on which the Hessian is positive, so g @ d < 0;
+    otherwise the gate raises LinAlgError and _newton_minimize takes its
+    gradient step.
 
-    K is read in Fortran order, which BLAS takes without a copy (f2py
-    copies a C-ordered matrix on every call); K is symmetric, so the
-    transpose of a C-ordered K is that view.  A direction allocates O(M)
-    unless it factors.
+    The Hessian is formed in K's buffer, whose diagonal is restored after
+    the factorization, so K and the inverse are the only M x M arrays
+    held.  A direction allocates O(M) unless it factors.
     """
-    K = K if K.flags.f_contiguous else K.T
     diag = np.diag_indices(K.shape[0])
-    inverse = [None]  # upper triangle of the last factored Hessian's inverse
+    K_diag = K[diag]
+    inverse = [None]  # the last factored Hessian's inverse
 
     def apply(p, out):
-        return dsymv(1.0, K, p, y=out, overwrite_y=1)
+        return np.dot(K, p, out=out)
 
     def precondition(r, out):
-        return dsymv(1.0, inverse[0], r, y=out, overwrite_y=1)
+        return np.dot(inverse[0], r, out=out)
 
     def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
         D = h * pot.beta_prime_reg(params, u)
@@ -375,13 +359,14 @@ def _lagged_direction(
             if d is not None:
                 return d
             inverse[0] = None  # released before the new buffer is built
-        H = np.array(K, order="F")
-        H[diag] += D
-        chol = cho_factor(H, overwrite_a=True)
+        K[diag] += D
+        try:
+            np.linalg.cholesky(K)
+            inverse[0] = np.linalg.inv(K)
+        finally:
+            K[diag] = K_diag
         counts[1] += 1
-        d = cho_solve(chol, -g, check_finite=False)
-        inverse[0], _ = dpotri(chol[0], lower=chol[1], overwrite_c=1)
-        return d
+        return -(inverse[0] @ g)
 
     return direction
 
@@ -399,14 +384,14 @@ def _newton_operator(
     G = M_c for metric None, and no A_sigma without an interface.  J passes
     tau None and no metric: K = A_sigma - params.lam M_c.
 
-    The policy is chosen here, and only here, by M and the interface.  Up
-    to MATRIX_FREE_M nodes, and at every M without an interface (porous
-    medium and fast diffusion, whose matrix-free directions were measured
-    slower over 150 steps up to M = 1023), K is built once in one
-    Fortran-ordered buffer (the dual kernel, or the O(M) mass stencil on
-    the identity, plus A_sigma from its O(M) Toeplitz view), the product
-    is a dsymv and the directions come from _lagged_direction.  Otherwise
-    nothing M x M is built: the product is
+    The policy is chosen here, and only here.  A time step up to
+    MATRIX_FREE_M nodes, or at any M without an interface (porous medium
+    and fast diffusion, whose matrix-free directions were measured slower
+    over 150 steps up to M = 1023), takes the dense policy: K is built
+    once in one buffer (the dual kernel, or the O(M) mass stencil on the
+    identity, plus A_sigma from its O(M) Toeplitz view), the product is
+    K @ x and the directions come from _lagged_direction.  Otherwise, and
+    for J at every M, nothing M x M is built: the product is
     mass_vector(solve_vector(mass_vector(x)))/tau (mass_vector(x)/tau for
     G = M_c, -lam mass_vector(x) for J) plus stiffness_vector(x), and each
     direction is PCG preconditioned by the matrix the DST-I diagonalizes
@@ -423,16 +408,12 @@ def _newton_operator(
     """
     op = interface or metric
     M, h, mass = op.domain.M, op.domain.h, op.mass_vector
-    if M <= MATRIX_FREE_M or interface is None:
-        if tau is None:
-            K = mass(np.eye(M, order="F"))
-            K *= -params.lam
-        else:
-            K = mass(np.eye(M, order="F")) if metric is None else metric._dual_kernel_buffer()
-            K /= tau
+    if tau is not None and (M <= MATRIX_FREE_M or interface is None):
+        K = mass(np.eye(M)) if metric is None else metric._dual_kernel_buffer()
+        K /= tau
         if interface is not None:
             K += interface.A
-        return (lambda x: dsymv(1.0, K, x)), _lagged_direction(K, params, h, counts)
+        return K.dot, _lagged_direction(K, params, h, counts)
 
     def product(x: np.ndarray) -> np.ndarray:
         y = mass(x) if metric is None else mass(metric.solve_vector(mass(x)))

@@ -25,10 +25,11 @@ computed in two cancellation-free forms:
 
   * k <= 2: the weights w_j of (1/4) delta^4 satisfy sum w_j m_j^2 = 0, so
         (1/4) delta^4 [|m|^(3-2r)](k) = sum_j w_j m_j^2 (|m_j|^(1-2r) - 1)
-          = (1-2r) sum_j w_j m_j^2 log|m_j| exprel((1-2r) log|m_j|),
-    and the factor (1-2r)/cos(pi r) is evaluated as 2 / (pi sinc(1/2 - r)).
-    Nothing cancels as 3-2r -> 2, and r = 1/2 (the m^2 log|m| kernel) needs
-    no branch;
+          = (1-2r) sum_j w_j m_j^2 (exp((1-2r) log|m_j|) - 1) / (1-2r),
+    summed in 40-digit decimal, where 1-2r is exact and the quotient is
+    log|m_j| at r = 1/2 (the m^2 log|m| kernel); the factor
+    (1-2r)/cos(pi r) is evaluated as 2 / (pi sinc(1/2 - r)), so nothing
+    cancels as 3-2r -> 2;
   * k >= 3: delta^4 = sum_n a_n D^(4+2n), a_n = 2 (2^(4+2n) - 4) / (4+2n)!,
     is a convergent Taylor series in the derivative D for k > 2 and gives
         c(k) = -h^(1-2r) C(r) sum_n a_n prod_{i=1}^{2n} (2r+i) k^(-1-2r-2n),
@@ -62,18 +63,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import numpy.fft  # NumPy loads it on first use; load it with the package instead
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import exprel, gamma
 
 from .grid import Domain1D, DomainMismatchError, Field
 
 QUAD_TOL = 1e-8  # sign-gate tolerance of the assembled stiffness
 
-_STENCIL = np.array([0.25, -1.0, 1.5, -1.0, 0.25])  # (1/4) delta^4 at offsets -2..2
+_STENCIL = (0.25, -1.0, 1.5, -1.0, 0.25)  # (1/4) delta^4 at offsets -2..2
+_NEAR = Context(prec=40)  # working precision of the column's entries k <= 2
+_LOG_M = tuple(_NEAR.ln(m) for m in (2, 3, 4))  # ln|m| of their offsets m, where |m| > 1
 SOLVE_BLOCK = 32  # rows per FFT product or solve, which bounds its FFT temporaries
 
 
@@ -179,10 +183,10 @@ class FracOperator:
     cached read-only.  _chol and _dual_kernel_cache always read [None];
     benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
     removes them.  Outside this module only the dense Hessian build
-    reads A: dynamics._newton_operator under its dense policy (below
-    dynamics.MATRIX_FREE_M), for A_sigma next to a fresh _dual_kernel_buffer
-    or a dense M_c; nothing reads the cached M_c, and every M_c product, a
-    dense one included, is mass_vector.
+    reads A: the dense policy of dynamics._newton_operator, which serves
+    time steps only, adds A_sigma to a fresh _dual_kernel_buffer or to
+    mass_vector of the identity; nothing reads the cached M_c, and every
+    M_c product, a dense one included, is mass_vector.
     """
 
     domain: Domain1D
@@ -354,14 +358,19 @@ def _levinson_generator(c: np.ndarray) -> np.ndarray | None:
 
 def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
     """First column c(0), ..., c(M-1) of the Toeplitz stiffness, from the
-    exprel stencil for k <= 2 and the derivative series for k >= 3."""
+    decimal stencil for k <= 2 and the derivative series for k >= 3."""
     k = np.arange(M, dtype=float)
     c = np.empty(M)
 
-    m = np.abs(k[:3, None] + np.arange(-2.0, 3.0))
-    log_m = np.log(np.maximum(m, 1.0))  # m = 0 and m = 1 drop out
-    near = (_STENCIL * m**2 * log_m * exprel((1.0 - 2.0 * r) * log_m)).sum(axis=1)
-    c[:3] = 4.0 * near / (np.pi * np.sinc(0.5 - r) * gamma(4.0 - 2.0 * r))
+    with localcontext(_NEAR):
+        a = 1 - 2 * Decimal(r)
+        # (|m|^a - 1) / a for |m| = 0..4; m = 0 and 1 add 0
+        ratio = [Decimal(0)] * 2 + [log_m if a == 0 else ((a * log_m).exp() - 1) / a
+                                    for log_m in _LOG_M]
+        near = [float(sum(Decimal(w) * m * m * ratio[abs(m)]
+                          for w, m in zip(_STENCIL, range(k - 2, k + 3))))
+                for k in range(min(M, 3))]
+    c[:3] = 4.0 * np.array(near) / (np.pi * np.sinc(0.5 - r) * math.gamma(4.0 - 2.0 * r))
 
     far = k[3:]
     if far.size:
@@ -378,7 +387,7 @@ def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
             n += 1
             weight *= (2 * r + 2 * n - 1) * (2 * r + 2 * n) / ((2 * n + 3) * (2 * n + 4))
             power *= inv_k2
-        C_exact = np.sin(np.pi * r) * gamma(1.0 + 2.0 * r) / np.pi
+        C_exact = np.sin(np.pi * r) * math.gamma(1.0 + 2.0 * r) / np.pi
         c[3:] = -C_exact * series * far ** (-1.0 - 2.0 * r)
     return h ** (1.0 - 2.0 * r) * c
 

@@ -178,9 +178,8 @@ def minimize_energy(
 
     Newton directions use the exact potential (delta = 0) whatever
     params.delta; one dynamics._newton_operator on K = A_sigma - lam M_c
-    serves every start.  Up to dynamics.MATRIX_FREE_M nodes K is built once
-    and a run factors about once per operator; above it K is applied by
-    FFT and mass products and nothing is factored.
+    serves every start.  K is applied by FFT and mass products at every M,
+    and nothing is factored.
     """
     if params.p <= 2:
         raise OutOfRangeError("stationary minimization requires p > 2")

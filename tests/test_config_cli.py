@@ -544,22 +544,32 @@ def test_flows_assemble_exactly_the_configured_orders(tmp_path, monkeypatch):
         assert len(calls) == expected, (name, calls)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only kernel_constant needs quad, and it imports it on first call
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # NumPy is the only runtime dependency: with SciPy blocked before the
+    # import, one small config of every experiment, and of both limit-sigma
+    # regimes, exits 0 (only kernel_constant imports quad, on first call)
+    configs = dict(_DETERMINISM_CONFIGS, **{
+        "limit-sigma-fast-diffusion": "a = 0\nb = 1\nM = 24\ns = 0.5\np = 1.5\n"
+                                      "tau = 1e-3\nT = 0.005\nexperiment = limit-sigma\n"
+                                      "sequence = 0.4, 0.2\n"})
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = ("import sys\nsys.modules['scipy'] = None\nimport fracfield.cli as cli\n"
+            "for name in sys.argv[1:]:\n"
+            "    print(name, cli.main([f'{name}.cfg', '--output', f'out/{name}']))\n")
     env = dict(os.environ)
     src = str(Path(fracop.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fracfield.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *configs], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"{name} 0" for name in configs], out.stderr
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the matrix-free stepper above MATRIX_FREE_M runs on FFTs, O(M) stencils
-    # and vector dots, and the small stationary run's dense products and
-    # factorization are thread-invariant; below MATRIX_FREE_M the dense
-    # stepper's factorizations are not (README)
+    # the matrix-free stepper above MATRIX_FREE_M and the stationary polish
+    # at every M run on FFTs, O(M) stencils and vector dots, which are
+    # thread-invariant; below MATRIX_FREE_M the dense stepper is not (README)
     configs = {
         "evolve": (f"a = 0\nb = 1\nM = {dynamics.MATRIX_FREE_M + 1}\ns = 0.5\nsigma = 0.75\n"
                    "p = 4\ntau = 1e-3\nT = 3e-3\nexperiment = evolve-ch\n"),
@@ -638,10 +648,11 @@ def test_dense_experiment_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
     # an M x M float64 matrix of more than MAX_GRID_VALUES values is refused
     # before any assembly; the column-only experiments have no such matrix
     stationary = "a = 0\nb = 10\nsigma = 0.5\np = 4\nexperiment = stationary\n"
-    assert parse_config(stationary + "M = 8192\n").M == 8192
-    _assert_fails_cleanly(tmp_path, capsys, stationary + "M = 8193\n", 1, "error: M: ")
+    assert parse_config(stationary + "M = 8193\n").M == 8193
     for exp in ("eigen-sweep", "operator-limit"):
         assert parse_config(f"M = 8193\nexperiment = {exp}\nsequence = 0.2, 0.1\n").M == 8193
+    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH.replace("M = 24", "M = 8193"), 1,
+                          "error: M: ")
     with pytest.raises(ValidationError) as err:
         parse_config(MINIMAL_CH.replace("M = 24", "M = 8193"))
     assert err.value.key == "M"
@@ -665,8 +676,10 @@ def test_column_only_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
     # the column-only experiments transform an embedding of the power of two
     # >= 2M - 1 values; M = 2**25 reaches MAX_GRID_VALUES, one node more is
     # refused before any assembly, naming M or refinements
-    for exp in ("eigen-sweep", "operator-limit"):
+    for exp in ("eigen-sweep", "operator-limit", "stationary"):
         head = f"a = 0\nb = 1\nexperiment = {exp}\nsequence = 0.2, 0.1\n"
+        if exp == "stationary":
+            head += "sigma = 0.5\np = 4\n"
         assert parse_config(head + f"M = {2**25}\n").M == 2**25
         for M in (2**25 + 1, 300000000):
             _assert_fails_cleanly(tmp_path, capsys, head + f"M = {M}\n", 1, "error: M: ")

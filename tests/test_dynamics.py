@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dsymv
 
 import fracfield as ff
 from fracfield import cli, dynamics, stationary
@@ -161,16 +160,16 @@ def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite(monkeypatc
     # the double well (u^2 - 1)^2 / 4 is concave at u0 = 0.5, so Cholesky
     # fails there; gradient steps lead into the convex well around u = 1
     calls = {"fallback": 0}
-    cho_factor = dynamics.cho_factor
+    cholesky = np.linalg.cholesky
 
-    def counting_cho_factor(a, **kwargs):
+    def counting_cholesky(a, **kwargs):
         try:
-            return cho_factor(a, **kwargs)
+            return cholesky(a, **kwargs)
         except np.linalg.LinAlgError:
             calls["fallback"] += 1
             raise
 
-    monkeypatch.setattr(dynamics, "cho_factor", counting_cho_factor)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     # Hessian K + h beta'(u) = -1 + 3 u^2 with p = 4 and h = 1
     u, iters, res = _newton_minimize(
         lambda u: u**3 - u,
@@ -217,8 +216,8 @@ def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
 
 
 def test_matrix_free_direction_descends_or_falls_back_on_an_indefinite_hessian(get_op):
-    # above MATRIX_FREE_M J's K = A - M_c (lam = 1) is applied
-    # matrix-free and preconditioned by tau(A) + h mean(3 u^2), positive
+    # J's K = A - M_c (lam = 1) is applied matrix-free at every M and
+    # preconditioned by tau(A) + h mean(3 u^2), positive
     # definite even where the Hessian is not: at u = 1 the direction
     # descends, near u = 0 PCG meets nonpositive curvature and raises
     op = get_op(0.0, 10.0, dynamics.MATRIX_FREE_M + 1, 0.5)
@@ -634,7 +633,7 @@ def _recorded_march(M, s, sigma, T):
     """march a p = 4 Cahn-Hilliard bump flow on (0, 1) with tau = 1e-3 under
     the dense policy, whatever M, recording (K, D, inverse, g) of every
     _pcg call: K as _lagged_direction reads it, inverse the last that
-    dpotri returned."""
+    np.linalg.inv returned."""
     dom = ff.Domain1D(0, 1, M)
     flow = ff.Flow(ff.assemble(dom, s), ff.assemble(dom, sigma), 1.0)
     K, inverse, systems = [None], [None], []
@@ -643,20 +642,19 @@ def _recorded_march(M, s, sigma, T):
         K[0] = K_
         return lagged(K_, *args)
 
-    def recording_dpotri(*args, **kwargs):
-        out = dpotri(*args, **kwargs)
-        inverse[0] = out[0]
-        return out
+    def recording_inv(a):
+        inverse[0] = inv(a)
+        return inverse[0]
 
     def recording(apply, precondition, D, g, counts, *args, **kwargs):
         systems.append((K[0], D, inverse[0], g))
         return pcg(apply, precondition, D, g, counts, *args, **kwargs)
 
-    lagged, dpotri, pcg = dynamics._lagged_direction, dynamics.dpotri, dynamics._pcg
+    lagged, inv, pcg = dynamics._lagged_direction, np.linalg.inv, dynamics._pcg
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "MATRIX_FREE_M", M)
         mp.setattr(dynamics, "_lagged_direction", recording_lagged)
-        mp.setattr(dynamics, "dpotri", recording_dpotri)
+        mp.setattr(np.linalg, "inv", recording_inv)
         mp.setattr(dynamics, "_pcg", recording)
         _, newton = ff.march(flow, ff.PotentialParams(p=4), ff.bump_field(dom),
                              ff.SolverSettings(tau=1e-3, T=T))
@@ -679,9 +677,8 @@ def test_fine_ch_newton_pcg_and_factorization_counts(fine_ch_march):
 
 def _dense_pcg(K, D, inverse, g, counts):
     """dynamics._pcg with the dense policy's products on K and inverse."""
-    return dynamics._pcg(lambda p, out: dsymv(1.0, K, p, y=out, overwrite_y=1),
-                         lambda r, out: dsymv(1.0, inverse, r, y=out, overwrite_y=1),
-                         D, g, counts)
+    return dynamics._pcg(lambda p, out: np.dot(K, p, out=out),
+                         lambda r, out: np.dot(inverse, r, out=out), D, g, counts)
 
 
 def test_pcg_matches_the_allocating_oracle_on_recorded_systems(fine_ch_march):
@@ -718,8 +715,8 @@ def test_fine_ch_matrix_free_newton_and_pcg_counts():
 
 
 def test_directions_on_a_c_ordered_k_allocate_o_of_m():
-    # f2py copies a C-ordered matrix on every BLAS call; _lagged_direction
-    # reads the symmetric K through its Fortran-ordered transpose instead
+    # the products write into PCG's buffers, whatever the order of K, and
+    # the Hessian is formed in K's buffer
     dom = ff.Domain1D(0, 1, 512)
     op = ff.assemble(dom, 0.5)
     M, h = dom.M, dom.h
@@ -761,9 +758,8 @@ def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays(monkeypatch):
 
 
 def test_evolve_holds_at_most_two_and_a_half_m_by_m_arrays(monkeypatch):
-    # under the dense policy, K and the buffer of the first Hessian
-    # factorization (then its inverse); the recovery adds only (n+1, M)
-    # arrays
+    # under the dense policy, K and the inverse of the first Hessian, which
+    # is formed in K's buffer; the recovery adds only (n+1, M) arrays
     dom = ff.Domain1D(0, 1, 1023)
     monkeypatch.setattr(dynamics, "MATRIX_FREE_M", dom.M)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)
@@ -821,8 +817,9 @@ def test_evolve_builds_no_dense_mass_or_dual_kernel():
 
 
 def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
-    # the dual solves of the recovery take all steps at once, so only the
-    # stepper's refactorizations add solves as the run gets longer
+    # the dual solves of the recovery take all steps at once, and the
+    # stepper's refactorizations solve nothing, so no solve is added as the
+    # run gets longer
     from fracfield import fracop
 
     calls = [0]
@@ -835,7 +832,6 @@ def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
 
     monkeypatch.setattr(fracop.FracOperator, "solve_vector",
                         counted(fracop.FracOperator.solve_vector))
-    monkeypatch.setattr(dynamics, "cho_solve", counted(dynamics.cho_solve))
     dom = ff.Domain1D(0, 1, 32)
     tau = 1e-3
     for s, sigma, lam, params in [
@@ -852,7 +848,7 @@ def test_evolve_solve_count_does_not_grow_with_steps(monkeypatch):
             traj, _ = ff.evolve(ff.Flow(op_s, op_sigma, lam), params, ff.bump_field(dom),
                                 ff.SolverSettings(tau=tau, T=steps * tau))
             assert len(traj.stats) == steps
-            counts.append(calls[0] - sum(st.factorizations for st in traj.stats))
+            counts.append(calls[0])
         assert counts[0] == counts[1], (s, sigma, counts)
 
 

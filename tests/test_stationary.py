@@ -121,27 +121,36 @@ def test_norm_below_smallness_bound(wide_result):
 
 
 def test_minimize_energy_factors_the_hessian_at_most_once(get_op, monkeypatch):
-    # one lagged direction serves every start, so the first factored Hessian
-    # preconditions every later Newton direction of the run
-    calls = [0]
-    cho_factor = dynamics.cho_factor
+    # J takes matrix-free directions at every M, below MATRIX_FREE_M too; at
+    # M = 511, 0.1 M x M arrays are 51 vectors of length M, room for the
+    # O(M) working set of the eigensolver, the descent and PCG
+    op = get_op(0.0, 10.0, 511, 0.5)
+    assert op.domain.M <= dynamics.MATRIX_FREE_M
+    counts = []
 
-    def counting_cho_factor(a, **kwargs):
-        calls[0] += 1
-        return cho_factor(a, **kwargs)
+    def recording(*args):
+        counts.append(args[-1])
+        return newton_operator(*args)
 
-    monkeypatch.setattr(dynamics, "cho_factor", counting_cho_factor)
-    result = ff.minimize_energy(get_op(0.0, 10.0, 255, 0.5), ff.PotentialParams(p=4))
+    newton_operator = stationary._newton_operator
+    monkeypatch.setattr(stationary, "_newton_operator", recording)
+    rng = np.random.default_rng(0)  # its first use loads modules
+    tracemalloc.start()
+    try:
+        result = ff.minimize_energy(op, ff.PotentialParams(p=4), rng=rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert result.classification != "trivial"
-    assert calls[0] <= 1
+    assert len(counts) == 1 and counts[0][0] > 0 and counts[0][1] == 0
+    assert peak <= 0.1 * op.domain.M**2 * 8, peak / (op.domain.M**2 * 8)
 
 
 @pytest.mark.parametrize("b, M, sigma, p", [(10.0, 255, 0.5, 4.0), (20.0, 127, 0.3, 3.0)])
 def test_minimizer_matches_the_cholesky_polish_oracle(get_op, b, M, sigma, p):
-    # two starts of one sign reach one state; the second start's Newton
-    # runs on the lagged inverse the first one factored.  At the default
-    # stat_tol both sides may stop at residuals near 1e-9 and differ by up
-    # to 5e-11 of max |u|, so both polish to 1e-12
+    # two starts of one sign reach one state.  At the default stat_tol
+    # both sides may stop at residuals near 1e-9 and differ by up to 5e-11
+    # of max |u|, so both polish to 1e-12
     op = get_op(0.0, b, M, sigma)
     params = ff.PotentialParams(p=p)
     e1 = ff.first_eigenpair(op).e1
@@ -157,7 +166,7 @@ def test_minimizer_matches_the_cholesky_polish_oracle(get_op, b, M, sigma, p):
         assert err <= 1e-10 * np.max(np.abs(u_ref)), (sign, err)
 
 
-def test_matrix_free_polish_matches_the_cholesky_polish_oracle(get_op, monkeypatch):
+def test_matrix_free_polish_matches_the_cholesky_polish_oracle(get_op):
     # the smallest mesh above MATRIX_FREE_M: K = A_sigma - lam M_c is applied
     # by FFT and mass products, PCG is preconditioned by tau(A_sigma) +
     # h mean(beta'(u)), and no M x M array is built
@@ -172,12 +181,10 @@ def test_matrix_free_polish_matches_the_cholesky_polish_oracle(get_op, monkeypat
         tracemalloc.stop()
     assert peak <= 0.1 * op.domain.M**2 * 8, peak / (op.domain.M**2 * 8)
     # the oracle's own dense descent from 0.1 e1 takes about 700 iterations
-    # of M x M products here, so it starts from the dense policy's polish
-    # of the same start to 1e-6, inside its Newton radius, and polishes by
+    # of M x M products here, so it starts from the library's polish of the
+    # same start to 1e-6, inside its Newton radius, and polishes by
     # Cholesky alone
-    with monkeypatch.context() as mp:
-        mp.setattr(dynamics, "MATRIX_FREE_M", op.domain.M)
-        rough = ff.minimize_energy(op, params, starts=[0.1 * e1], stat_tol=1e-6)
+    rough = ff.minimize_energy(op, params, starts=[0.1 * e1], stat_tol=1e-6)
     assert 1e-12 < rough.residual <= 1e-6
     u_ref, res_ref = stationary_state_cholesky(op, params, rough.u_star.values, 1e-12)
     assert res_ref <= 1e-12 and result.residual <= 1e-12
@@ -187,8 +194,8 @@ def test_matrix_free_polish_matches_the_cholesky_polish_oracle(get_op, monkeypat
 
 
 def test_dense_polish_with_lam_not_one_matches_the_cholesky_polish_oracle(get_op):
-    # below MATRIX_FREE_M K = A_sigma - lam M_c is built as M_c scaled by
-    # -lam plus A_sigma; lam = 0.6 is not a power of two, and on (0, 10)
+    # K = A_sigma - lam M_c is applied as -lam mass_vector plus
+    # stiffness_vector; lam = 0.6 is not a power of two, and on (0, 10)
     # lambda1(1/2) < 0.6, so the minimizer is nontrivial
     op = get_op(0.0, 10.0, 255, 0.5)
     params = ff.PotentialParams(p=4, lam=0.6)
