@@ -234,10 +234,10 @@ def _newton_minimize(
 
     direction(u, g) returns the Newton direction, an approximate solution
     of H(u) d = -g; both minimizations take it from _newton_operator.
-    Where it raises LinAlgError, because the Hessian is not positive
-    definite (only the nonconvex J can reach this) or a matrix-free
-    direction stopped at KRYLOV_CAP far from solving, the iteration takes
-    the small gradient step u - min(1e-2, res) g instead.
+    Where it raises LinAlgError, because a matrix-free direction met
+    nonpositive curvature (only the nonconvex J can reach this) or stopped
+    at KRYLOV_CAP far from solving, the iteration takes the small gradient
+    step u - min(1e-2, res) g instead.
 
     Backtracking tests sufficient decrease of the residual norm rather than
     of the functional value: with a symmetric positive definite Hessian the
@@ -326,17 +326,14 @@ def _lagged_direction(
     K: np.ndarray, params: PotentialParams, h: float, counts: list
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The dense policy: Newton directions for the Hessian K + h
-    diag(beta'(u)), K a fixed symmetric matrix.  Each direction is PCG
+    diag(beta'(u)), K a fixed symmetric matrix.  It serves time steps
+    only, whose Hessians are positive definite.  Each direction is PCG
     preconditioned by the explicit inverse of the last Hessian factored,
     both products np.dot into PCG's buffers.  Only when PCG fails
     (KRYLOV_MAX iterations, or nonpositive curvature) is the current
-    Hessian factored: np.linalg.cholesky gates it positive definite, and
-    np.linalg.inv gives the inverse that gives the direction and serves
-    every later call.  counts adds up [PCG iterations, factorizations].
-    On an indefinite Hessian a returned d minimizes the Newton quadratic
-    over a Krylov space on which the Hessian is positive, so g @ d < 0;
-    otherwise the gate raises LinAlgError and _newton_minimize takes its
-    gradient step.
+    Hessian factored: np.linalg.inv gives the inverse that gives the
+    direction and serves every later call.  counts adds up [PCG
+    iterations, factorizations].
 
     The Hessian is formed in K's buffer, whose diagonal is restored after
     the factorization, so K and the inverse are the only M x M arrays
@@ -361,7 +358,6 @@ def _lagged_direction(
             inverse[0] = None  # released before the new buffer is built
         K[diag] += D
         try:
-            np.linalg.cholesky(K)
             inverse[0] = np.linalg.inv(K)
         finally:
             K[diag] = K_diag

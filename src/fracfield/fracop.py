@@ -180,13 +180,14 @@ class FracOperator:
     (solve_vector or _dual_kernel_buffer) and cached read-only; a NotSPDError
     from that recursion surfaces there.  A is a read-only Toeplitz view of
     2M - 1 values, never cached; the dense M_c is built on first read and
-    cached read-only.  _chol and _dual_kernel_cache always read [None];
-    benchmark/child.py reads them until benchmark v2 (ROADMAP item 1)
-    removes them.  Outside this module only the dense Hessian build
-    reads A: the dense policy of dynamics._newton_operator, which serves
-    time steps only, adds A_sigma to a fresh _dual_kernel_buffer or to
-    mass_vector of the identity; nothing reads the cached M_c, and every
-    M_c product, a dense one included, is mass_vector.
+    cached read-only.  _chol and _dual_kernel_cache are class attributes
+    that always read [None]; benchmark/child.py reads them until
+    benchmark v2 (ROADMAP item 1) removes them.  Outside this module only
+    the dense Hessian build reads A: the dense policy of
+    dynamics._newton_operator, which serves time steps only, adds A_sigma
+    to a fresh _dual_kernel_buffer or to mass_vector of the identity;
+    nothing reads the cached M_c, and every M_c product, a dense one
+    included, is mass_vector.
     """
 
     domain: Domain1D
@@ -194,8 +195,7 @@ class FracOperator:
     column: np.ndarray = field(repr=False)
     _embedding: np.ndarray = field(repr=False)  # DFT of the circulant embedding
     _tau: np.ndarray = field(repr=False)  # eigenvalues of tau(A), in DST-I order
-    _chol: list = field(repr=False, default_factory=lambda: [None])  # see above
-    _dual_kernel_cache: list = field(repr=False, default_factory=lambda: [None])
+    _chol = _dual_kernel_cache = [None]  # class attributes: see above
 
     @property
     def A(self) -> np.ndarray:

@@ -645,17 +645,23 @@ def test_refinements_without_M_exit_1_naming_them(tmp_path, capsys):
 
 
 def test_dense_experiment_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
-    # an M x M float64 matrix of more than MAX_GRID_VALUES values is refused
-    # before any assembly; the column-only experiments have no such matrix
+    # the flows without an interface hold M x M float64 matrices at every M,
+    # so evolve-pm and limit-sigma refuse one of more than MAX_GRID_VALUES
+    # values before any assembly; the other experiments have no such matrix
+    # above dynamics.MATRIX_FREE_M
     stationary = "a = 0\nb = 10\nsigma = 0.5\np = 4\nexperiment = stationary\n"
     assert parse_config(stationary + "M = 8193\n").M == 8193
     for exp in ("eigen-sweep", "operator-limit"):
         assert parse_config(f"M = 8193\nexperiment = {exp}\nsequence = 0.2, 0.1\n").M == 8193
-    _assert_fails_cleanly(tmp_path, capsys, MINIMAL_CH.replace("M = 24", "M = 8193"), 1,
-                          "error: M: ")
-    with pytest.raises(ValidationError) as err:
-        parse_config(MINIMAL_CH.replace("M = 24", "M = 8193"))
-    assert err.value.key == "M"
+    pm = MINIMAL_CH.replace("sigma = 0.5\n", "")
+    for text in (pm + "experiment = evolve-pm\n",
+                 pm + "experiment = limit-sigma\nsequence = 0.4, 0.2\n"):
+        assert parse_config(text.replace("M = 24", "M = 8192")).M == 8192
+        text = text.replace("M = 24", "M = 8193")
+        _assert_fails_cleanly(tmp_path, capsys, text, 1, "error: M: ")
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == "M"
 
 
 @pytest.mark.parametrize("line, key", [
@@ -673,13 +679,26 @@ def test_non_finite_values_exit_1_naming_the_key(tmp_path, capsys, line, key):
 
 
 def test_column_only_M_cap_is_MAX_GRID_VALUES(tmp_path, capsys):
-    # the column-only experiments transform an embedding of the power of two
-    # >= 2M - 1 values; M = 2**25 reaches MAX_GRID_VALUES, one node more is
-    # refused before any assembly, naming M or refinements
-    for exp in ("eigen-sweep", "operator-limit", "stationary"):
-        head = f"a = 0\nb = 1\nexperiment = {exp}\nsequence = 0.2, 0.1\n"
-        if exp == "stationary":
-            head += "sigma = 0.5\np = 4\n"
+    # the experiments without an M x M matrix above dynamics.MATRIX_FREE_M
+    # transform an embedding of the power of two >= 2M - 1 values; M = 2**25
+    # reaches MAX_GRID_VALUES, one node more is refused before any assembly,
+    # naming M or refinements; a one-step time grid of 2**25 nodes is at the
+    # trajectory cap
+    column = "a = 0\nb = 1\nsequence = 0.2, 0.1\n"
+    stepping = MINIMAL_CH.replace("M = 24\n", "").replace("T = 0.005", "T = 1e-3")
+    no_s = stepping.replace("s = 0.5\n", "")
+    heads = {
+        "eigen-sweep": column,
+        "operator-limit": column,
+        "stationary": column + "sigma = 0.5\np = 4\n",
+        "evolve-ch": stepping,
+        "evolve-ch-modified": stepping,
+        "evolve-ac": no_s,
+        "limit-s": no_s + "sequence = 0.4, 0.2\n",
+    }
+    for exp, head in heads.items():
+        head += f"experiment = {exp}\n"
+        assert parse_config(head + "M = 8193\n").experiment == exp
         assert parse_config(head + f"M = {2**25}\n").M == 2**25
         for M in (2**25 + 1, 300000000):
             _assert_fails_cleanly(tmp_path, capsys, head + f"M = {M}\n", 1, "error: M: ")

@@ -156,63 +156,24 @@ def test_newton_divergence_reports_residual(ops48, monkeypatch):
     assert err.value.residual > 0
 
 
-def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite(monkeypatch):
-    # the double well (u^2 - 1)^2 / 4 is concave at u0 = 0.5, so Cholesky
-    # fails there; gradient steps lead into the convex well around u = 1
+def test_newton_takes_a_gradient_step_where_the_hessian_is_indefinite():
+    # the double well (u^2 - 1)^2 / 4 is concave at u0 = 0.5; a direction
+    # that raises LinAlgError where the Hessian -1 + 3 u^2 is not positive,
+    # as J's matrix-free directions do on nonpositive curvature, sends
+    # Newton down gradient steps into the convex well around u = 1
     calls = {"fallback": 0}
-    cholesky = np.linalg.cholesky
 
-    def counting_cholesky(a, **kwargs):
-        try:
-            return cholesky(a, **kwargs)
-        except np.linalg.LinAlgError:
+    def direction(u, g):
+        curvature = -1.0 + 3.0 * u**2
+        if curvature[0] <= 0.0:
             calls["fallback"] += 1
-            raise
+            raise np.linalg.LinAlgError("the Hessian is not positive definite")
+        return -g / curvature
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    # Hessian K + h beta'(u) = -1 + 3 u^2 with p = 4 and h = 1
-    u, iters, res = _newton_minimize(
-        lambda u: u**3 - u,
-        _lagged_direction(np.array([[-1.0]]), potential.PotentialParams(p=4), 1.0, [0, 0]),
-        np.array([0.5]), 1e-12, 1.0,
-    )
+    u, iters, res = _newton_minimize(lambda u: u**3 - u, direction, np.array([0.5]), 1e-12, 1.0)
     assert calls["fallback"] >= 1
     assert res <= 1e-12 and iters <= dynamics.NEWTON_MAX
     assert u[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lagged_direction_descends_or_falls_back_on_an_indefinite_hessian(rng):
-    # J's Hessian A + h diag(3 u^2) - M_c is positive definite at u = 1 and
-    # indefinite near 0 on (0, 10), where lambda1(1/2) < 1; with the inverse
-    # from u = 1 lagged, a direction at small u either descends on J or
-    # raises LinAlgError, on which Newton takes its gradient step
-    op = ff.assemble(ff.Domain1D(0, 10, 63), 0.5)
-    params = ff.PotentialParams(p=4)
-    h, M = op.domain.h, op.domain.M
-    K = op.A - op.M_c
-    for amplitude in (0.05, 0.3):
-        u = amplitude * rng.standard_normal(M)
-        assert np.linalg.eigvalsh(K + h * np.diag(3.0 * u**2)).min() < 0
-        counts = [0, 0]
-        direction = _lagged_direction(K, params, h, counts)
-        direction(np.ones(M), stationary._energy_and_gradient(op, params, np.ones(M))[1]())
-        assert counts == [0, 1]
-        g = stationary._energy_and_gradient(op, params, u)[1]()
-        try:
-            d = direction(u, g)
-        except np.linalg.LinAlgError:
-            continue
-        assert g @ d < 0
-
-    # both outcomes by hand: the lagged inverse is diag(1/2, 1/13) from
-    # diag(2, 13), and the Hessian at u = (1/2, 0) is diag(-1/4, 10)
-    direction = _lagged_direction(np.diag([-1.0, 10.0]), params, 1.0, [0, 0])
-    direction(np.ones(2), np.ones(2))
-    g = np.array([0.0, 1.0])  # the Krylov space misses the negative direction
-    d = direction(np.array([0.5, 0.0]), g)
-    assert g @ d < 0 and d == pytest.approx([0.0, -0.1], abs=1e-15)
-    with pytest.raises(np.linalg.LinAlgError):  # p^T H p < 0 on the first step
-        direction(np.array([0.5, 0.0]), np.ones(2))
 
 
 def test_matrix_free_direction_descends_or_falls_back_on_an_indefinite_hessian(get_op):
@@ -627,6 +588,30 @@ def test_ch_run_factors_its_hessian_once():
     assert traj.stats[0].factorizations == 1
     assert all(st.krylov <= dynamics.KRYLOV_MAX * st.iterations for st in traj.stats)
     assert sum(st.krylov for st in traj.stats) > 0
+
+
+def test_dense_stepper_refactors_by_one_inverse(get_op, monkeypatch):
+    # every F_n is strictly convex, so the dense policy refactors by one
+    # np.linalg.inv and tests no Hessian for definiteness; porous medium at
+    # amplitude 4 refactors several times in 30 steps
+    runs = [(*_flow(get_op, 64, kind), amplitude)
+            for kind, amplitude in (("cahn-hilliard", 1.0), ("porous-medium", 4.0))]
+    calls = {"inv": 0, "cholesky": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    factored = 0
+    for flow, params, amplitude in runs:
+        traj, _ = ff.evolve(flow, params, ff.bump_field(flow.domain, amplitude),
+                            ff.SolverSettings(tau=1e-3, T=3e-2))
+        factored += sum(st.factorizations for st in traj.stats)
+    assert factored > 0 and calls == {"inv": factored, "cholesky": 0}
 
 
 def _recorded_march(M, s, sigma, T):
