@@ -47,13 +47,19 @@ array: K is applied by mass_vector, solve_vector and stiffness_vector, and
 PCG is preconditioned by the sine-diagonal (tau-algebra) approximation of
 the Hessian, so a direction costs O(M log M) per iteration and nothing is
 factored.  README's crossover tables hold the timings behind
-MATRIX_FREE_M.  StepStats counts PCG iterations and factorizations.  From
-the second step on, Newton starts at the linear extrapolation
-2 u_(n-1) - u_(n-2); F_n is strictly convex, so only the path to its
-minimizer changes; the M = 128 Cahn-Hilliard and Allen-Cahn configs need
-34 to 39% fewer Newton iterations.  M_c products are the O(M) stencil of
-mass_vector.  The stationary polish minimizes J with the same Newton and
-the matrix-free policy at every M, its K being A_sigma - lam M_c.
+MATRIX_FREE_M.  StepStats counts PCG iterations and factorizations.
+Both policies solve inexactly (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982): PCG may stop at KRYLOV_FLOOR newton_tol sqrt(h),
+below which a direction's accuracy cannot change whether Newton's
+residual reaches newton_tol.  Newton starts at the extrapolation through
+the last four levels (_predictor, of lower order over the first three
+steps).  F_n is strictly convex, so neither moves its minimizer, only the
+path to it: against a linear start and PCG to KRYLOV_TOL alone, the five
+M = 128 time-stepping configs of the benchmark take 2630 Newton
+directions instead of 4286 and 9702 PCG iterations instead of 20032.
+M_c products are the O(M) stencil of mass_vector.  The stationary polish
+minimizes J with the same Newton and the matrix-free policy at every M,
+its K being A_sigma - lam M_c.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX = 100
 LS_SHRINK = 0.5
 LS_SUFFICIENT = 1e-4
-KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g||
+KRYLOV_TOL = 1e-10  # PCG stops once ||H d + g|| <= KRYLOV_TOL ||g|| ...
+KRYLOV_FLOOR = 1e-3  # ... or <= KRYLOV_FLOOR tol sqrt(h), tol that of _newton_minimize
 KRYLOV_MAX = 6  # PCG iterations before the dense policy refactors its Hessian
 KRYLOV_CAP = 50  # PCG iterations after which a matrix-free direction is truncated
 KRYLOV_FORCING = 0.9  # a truncated direction is kept only if g.(H d + g) <= this g.g
@@ -221,7 +228,7 @@ def _scaled_res(g: np.ndarray, h: float) -> float:
 
 def _newton_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
-    direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    direction: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     u0: np.ndarray,
     tol: float,
     h: float,
@@ -232,8 +239,12 @@ def _newton_minimize(
     _scaled_res of the gradient; NewtonDivergenceError
     when the line search or the NEWTON_MAX cap runs out.
 
-    direction(u, g) returns the Newton direction, an approximate solution
-    of H(u) d = -g; both minimizations take it from _newton_operator.
+    direction(u, g, stop) returns the Newton direction, an approximate
+    solution of H(u) d = -g that may stop at ||H d + g|| <= stop; both
+    minimizations take it from _newton_operator.  Newton passes stop =
+    KRYLOV_FLOOR tol sqrt(h), a thousandth of the gradient norm the test
+    accepts: the next gradient is -(H d + g) + O(|d|^2), so a more
+    accurate direction cannot change whether the residual reaches tol.
     Where it raises LinAlgError, because a matrix-free direction met
     nonpositive curvature (only the nonconvex J can reach this) or stopped
     at KRYLOV_CAP far from solving, the iteration takes the small gradient
@@ -248,11 +259,12 @@ def _newton_minimize(
     u = u0.copy()
     g = grad(u)
     res = _scaled_res(g, h)
+    stop = KRYLOV_FLOOR * tol * math.sqrt(h)
     for it in range(NEWTON_MAX):
         if res <= tol:
             return u, it, res
         try:
-            d = direction(u, g)
+            d = direction(u, g, stop)
         except np.linalg.LinAlgError:
             u = u - min(1e-2, res) * g
             g = grad(u)
@@ -280,12 +292,13 @@ def _newton_minimize(
 
 def _pcg(
     apply: Callable, precondition: Callable, D: np.ndarray, g: np.ndarray, counts: list,
-    cap: int = KRYLOV_MAX, forcing: float | None = None,
+    stop: float = 0.0, cap: int = KRYLOV_MAX, forcing: float | None = None,
 ) -> np.ndarray | None:
     """Preconditioned CG on (K + diag(D)) d = -g from d = 0.  apply(p, out)
     returns K p and precondition(r, out) the preconditioner applied to r,
     each in out or in a fresh vector.  Returns d once ||H d + g|| <=
-    KRYLOV_TOL ||g||; after cap iterations (counted in counts[0]) the last
+    max(KRYLOV_TOL ||g||, stop), stop being Newton's floor (0 tests
+    KRYLOV_TOL alone); after cap iterations (counted in counts[0]) the last
     iterate if a forcing is given and g.(H d + g) <= forcing g.g, else
     None; None on a direction of nonpositive (or NaN) curvature.  The
     forcing test bounds the slope g.(H d) of ||grad||^2/2 along d by
@@ -297,7 +310,7 @@ def _pcg(
     d = np.zeros_like(g)
     r = -g
     q, z, work = np.zeros((3, g.size))  # zeros: a BLAS may scale NaN garbage by beta = 0
-    stop = KRYLOV_TOL * math.sqrt(g @ g)
+    stop = max(KRYLOV_TOL * math.sqrt(g @ g), stop)
     z = precondition(r, z)
     p = z.copy()
     rz = r @ z
@@ -324,7 +337,7 @@ def _pcg(
 
 def _lagged_direction(
     K: np.ndarray, params: PotentialParams, h: float, counts: list
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
     """The dense policy: Newton directions for the Hessian K + h
     diag(beta'(u)), K a fixed symmetric matrix.  It serves time steps
     only, whose Hessians are positive definite.  Each direction is PCG
@@ -349,10 +362,10 @@ def _lagged_direction(
     def precondition(r, out):
         return np.dot(inverse[0], r, out=out)
 
-    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def direction(u: np.ndarray, g: np.ndarray, stop: float = 0.0) -> np.ndarray:
         D = h * pot.beta_prime_reg(params, u)
         if inverse[0] is not None:
-            d = _pcg(apply, precondition, D, g, counts)
+            d = _pcg(apply, precondition, D, g, counts, stop)
             if d is not None:
                 return d
             inverse[0] = None  # released before the new buffer is built
@@ -373,7 +386,8 @@ def _newton_operator(
     tau: float | None,
     params: PotentialParams,
     counts: list,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+) -> tuple[Callable[[np.ndarray], np.ndarray],
+           Callable[[np.ndarray, np.ndarray, float], np.ndarray]]:
     """The product x -> K x and the Newton directions for the Hessian
     K + h diag(beta'(u)) of both minimizations.  F_n passes its time step:
     K = G/tau + A_sigma with G = M_c A_s^(-1) M_c for the metric A_s or
@@ -425,11 +439,11 @@ def _newton_operator(
         m = _mass_eigenvalues(M, h)
         eigenvalues = eigenvalues + (m if metric is None else m * m / metric._tau) / tau
 
-    def direction(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def direction(u: np.ndarray, g: np.ndarray, stop: float = 0.0) -> np.ndarray:
         D = h * pot.beta_prime_reg(params, u)
         shifted = eigenvalues + D.mean()
         d = _pcg(lambda p, out: product(p), lambda r, out: _sine_solve(r, shifted),
-                 D, g, counts, KRYLOV_CAP, KRYLOV_FORCING)
+                 D, g, counts, stop, KRYLOV_CAP, KRYLOV_FORCING)
         if d is None:
             raise np.linalg.LinAlgError(
                 "nonpositive curvature or no progress in a matrix-free direction")
@@ -481,23 +495,35 @@ def _rows_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
+def _predictor(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Newton's start for the step after the levels rows: the polynomial
+    extrapolation through the last four levels, of lower order while there
+    are fewer.  Each expression is odd in the levels and acts on every node
+    alike, so it keeps the march odd and mirror-symmetric bitwise."""
+    if len(rows) == 1:
+        return rows[-1]
+    if len(rows) == 2:
+        return 2.0 * rows[-1] - rows[-2]
+    if len(rows) == 3:
+        return 3.0 * (rows[-1] - rows[-2]) + rows[-3]
+    return 4.0 * (rows[-1] + rows[-3]) - 6.0 * rows[-2] - rows[-4]
+
+
 def march(
     flow: Flow, params: PotentialParams, u0: Field, settings: SolverSettings
 ) -> tuple[np.ndarray, list[list]]:
-    """March the flow over settings.n_steps steps, Newton solves only;
-    deterministic.  Returns U, shape (n_steps+1, M), with u_n in row n, and
-    per step its [iterations, residual, krylov, factorizations]."""
+    """March the flow over settings.n_steps steps, Newton solves only, each
+    started at _predictor of the levels so far; deterministic.  Returns U,
+    shape (n_steps+1, M), with u_n in row n, and per step its
+    [iterations, residual, krylov, factorizations]."""
     if u0.domain != flow.domain:
         raise DomainMismatchError("operators and state must share one domain")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial state contains non-finite values")
     step = _stepper(flow, params, settings)
     rows, newton = [u0.values], []
-    for n in range(settings.n_steps):
-        # predictor: from the second step on, Newton starts at the linear
-        # extrapolation 2 u_(n-1) - u_(n-2) of the last two levels
-        start = rows[-1] if n == 0 else 2.0 * rows[-1] - rows[-2]
-        un, *st = step(rows[-1], start)
+    for _ in range(settings.n_steps):
+        un, *st = step(rows[-1], _predictor(rows))
         rows.append(un)
         newton.append(st)
     # U is stacked after the march: preallocated, it would add to the

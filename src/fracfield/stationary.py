@@ -102,7 +102,7 @@ def _descend(
     params: PotentialParams,
     u0: np.ndarray,
     stat_tol: float,
-    direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    direction: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
 ) -> tuple[np.ndarray, float] | None:
     """Barzilai-Borwein descent with backtracking, then the shared damped
     Newton on J with the given direction; None where that diverges."""
