@@ -38,16 +38,18 @@ Solver.  The Hessian of F_n is K + h diag(beta'(u)) with K = G/tau +
 A_sigma, so only its diagonal changes between Newton iterations and between
 steps.  Every Newton direction is preconditioned CG (_pcg) on the current
 Hessian, with K and the preconditioner passed as products, and
-_newton_operator picks the policy that supplies them.  The dense policy
-builds K once per run and preconditions by the explicit inverse of the
-last factored Hessian (a lagged preconditioner, Knoll & Keyes, J. Comput.
-Phys. 193, 2004), which it factors again only when PCG misses KRYLOV_TOL
-within KRYLOV_MAX iterations.  The matrix-free policy builds no M x M
-array: K is applied by mass_vector, solve_vector and stiffness_vector, and
-PCG is preconditioned by the sine-diagonal (tau-algebra) approximation of
-the Hessian, so a direction costs O(M log M) per iteration and nothing is
-factored.  README's crossover tables hold the timings behind
-MATRIX_FREE_M.  StepStats counts PCG iterations and factorizations.
+_newton_operator picks the policy that supplies them.  Both apply K by
+one product of mass_vector, solve_vector and stiffness_vector.  The dense
+policy applies it once per run to the identity, block by block, and
+preconditions by the explicit inverse of the last factored Hessian (a
+lagged preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004), which
+it factors again only when PCG misses KRYLOV_TOL within KRYLOV_MAX
+iterations.  The matrix-free policy builds no M x M array: it applies
+the product in every PCG iteration, and PCG is preconditioned by the
+sine-diagonal (tau-algebra) approximation of the Hessian, so a direction
+costs O(M log M) per iteration and nothing is factored.  README's
+crossover tables hold the timings behind MATRIX_FREE_M.  StepStats counts
+PCG iterations and factorizations.
 Both policies solve inexactly (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19, 1982): PCG may stop at KRYLOV_FLOOR newton_tol sqrt(h),
 below which a direction's accuracy cannot change whether Newton's
@@ -71,7 +73,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import potential as pot
-from .fracop import FracOperator, SolverError, _mass_eigenvalues, _sine_solve
+from .fracop import SOLVE_BLOCK, FracOperator, SolverError, _mass_eigenvalues, _sine_solve
 from .grid import Domain1D, DomainMismatchError, Field
 from .potential import PotentialParams
 
@@ -394,36 +396,31 @@ def _newton_operator(
     G = M_c for metric None, and no A_sigma without an interface.  J passes
     tau None and no metric: K = A_sigma - params.lam M_c.
 
+    K is defined once, by its product: mass_vector(solve_vector(
+    mass_vector(x)))/tau (mass_vector(x)/tau for G = M_c, -lam
+    mass_vector(x) for J), plus stiffness_vector(x) given an interface.
     The policy is chosen here, and only here.  A time step up to
     MATRIX_FREE_M nodes, or at any M without an interface (porous medium
-    and fast diffusion, whose matrix-free directions were measured slower
-    over 150 steps up to M = 1023), takes the dense policy: K is built
-    once in one buffer (the dual kernel, or the O(M) mass stencil on the
-    identity, plus A_sigma from its O(M) Toeplitz view), the product is
-    K @ x and the directions come from _lagged_direction.  Otherwise, and
-    for J at every M, nothing M x M is built: the product is
-    mass_vector(solve_vector(mass_vector(x)))/tau (mass_vector(x)/tau for
-    G = M_c, -lam mass_vector(x) for J) plus stiffness_vector(x), and each
-    direction is PCG preconditioned by the matrix the DST-I diagonalizes
-    with the eigenvalues of K's parts, a^sigma_j plus m_j^2/(tau a^s_j)
-    (m_j/tau), plus h mean(beta'(u)); m_j are those of M_c and a^r_j those
-    of tau(A_r).  J's metric part -lam m_j is left out, which keeps the
-    preconditioner positive definite.  PCG stops after KRYLOV_CAP
-    iterations and keeps its last iterate only under the forcing test of
-    _pcg with KRYLOV_FORCING, which makes it a descent direction for the
-    residual norm the line search tests.  Nothing is factored, so counts
-    adds only PCG iterations; LinAlgError on nonpositive curvature (J only)
-    or a truncated direction that fails that test, on which
-    _newton_minimize takes its gradient step.
+    and fast diffusion, whose preconditioner below sees only the mean of
+    beta'), takes the dense policy: K is the product applied to the
+    identity SOLVE_BLOCK rows at a time (row j is K e_j, K being
+    symmetric), so set-up holds one M x M array; the gradient's product
+    is then K @ x and the directions come from _lagged_direction.
+    Otherwise, and for J at every M, nothing M x M is built: the product
+    is applied as it is, and each direction is PCG preconditioned by the
+    matrix the DST-I diagonalizes with the eigenvalues of K's parts,
+    a^sigma_j plus m_j^2/(tau a^s_j) (m_j/tau), plus h mean(beta'(u)); m_j
+    are those of M_c and a^r_j those of tau(A_r).  J's metric part -lam m_j
+    is left out, which keeps the preconditioner positive definite.  PCG
+    stops after KRYLOV_CAP iterations and keeps its last iterate only
+    under the forcing test of _pcg with KRYLOV_FORCING, which makes it a
+    descent direction for the residual norm the line search tests.
+    Nothing is factored, so counts adds only PCG iterations; LinAlgError
+    on nonpositive curvature (J only) or a truncated direction that fails
+    that test, on which _newton_minimize takes its gradient step.
     """
     op = interface or metric
     M, h, mass = op.domain.M, op.domain.h, op.mass_vector
-    if tau is not None and (M <= MATRIX_FREE_M or interface is None):
-        K = mass(np.eye(M)) if metric is None else metric._dual_kernel_buffer()
-        K /= tau
-        if interface is not None:
-            K += interface.A
-        return K.dot, _lagged_direction(K, params, h, counts)
 
     def product(x: np.ndarray) -> np.ndarray:
         y = mass(x) if metric is None else mass(metric.solve_vector(mass(x)))
@@ -431,8 +428,15 @@ def _newton_operator(
             y *= -params.lam
         else:
             y /= tau
-        y += interface.stiffness_vector(x)
+        if interface is not None:
+            y += interface.stiffness_vector(x)
         return y
+
+    if tau is not None and (M <= MATRIX_FREE_M or interface is None):
+        K = np.empty((M, M))
+        for j in range(0, M, SOLVE_BLOCK):
+            K[j : j + SOLVE_BLOCK] = product(np.eye(min(SOLVE_BLOCK, M - j), M, j))
+        return K.dot, _lagged_direction(K, params, h, counts)
 
     eigenvalues = interface._tau
     if tau is not None:

@@ -55,8 +55,9 @@ eigensolve never needs them.  Solves use Gohberg-Semencul (1972),
 A^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0 with L(v) lower triangular
 Toeplitz, first column v; no factor of A is formed.  Products and solves
 take a vector or a stack of rows, the (levels, M) layout of np.fft,
-SOLVE_BLOCK rows at a time.  No M x M stiffness is held: FracOperator.A
-is a read-only Toeplitz view of 2M - 1 values (FracOperator).
+SOLVE_BLOCK rows at a time.  This module builds no M x M array:
+FracOperator.A is a read-only Toeplitz view of 2M - 1 values, which no
+library path reads (FracOperator).
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class SolverError(RuntimeError):
 class NotSPDError(SolverError):
     """Stiffness matrix failed the positive definiteness gate: assemble
     raises it when neither the embedding spectrum certifies A nor Durbin's
-    recursion accepts it, and the first solve raises it if the recursion
-    that builds the generator meets a reflection coefficient outside
-    (-1, 1), which rounding can cause where the certificate held."""
+    recursion accepts it, and the first solve_vector raises it if the
+    recursion that builds the generator meets a reflection coefficient
+    outside (-1, 1), which rounding can cause where the certificate held."""
 
 
 class AssemblyError(SolverError):
@@ -176,18 +177,16 @@ class FracOperator:
     Assembly stores the column, its embedding spectrum and the eigenvalues
     of tau(A), all read-only, which the vector methods use in O(M) or
     O(M log M), so flows and runs can share one operator.  The generator x
-    and its spectra are built by Durbin's recursion on the first solve
-    (solve_vector or _dual_kernel_buffer) and cached read-only; a NotSPDError
-    from that recursion surfaces there.  A is a read-only Toeplitz view of
-    2M - 1 values, never cached; the dense M_c is built on first read and
-    cached read-only.  _chol and _dual_kernel_cache are class attributes
-    that always read [None]; benchmark/child.py reads them until
-    benchmark v2 (ROADMAP item 1) removes them.  Outside this module only
-    the dense Hessian build reads A: the dense policy of
-    dynamics._newton_operator, which serves time steps only, adds A_sigma
-    to a fresh _dual_kernel_buffer or to mass_vector of the identity;
-    nothing reads the cached M_c, and every M_c product, a dense one
-    included, is mass_vector.
+    and its spectra are built by Durbin's recursion on the first
+    solve_vector and cached read-only; a NotSPDError from that recursion
+    surfaces there.  A is a read-only Toeplitz view of 2M - 1 values,
+    never cached; the dense M_c is built on first read and cached
+    read-only.  _chol and _dual_kernel_cache are class attributes that
+    always read [None]; benchmark/child.py reads them, A, M_c and M_L
+    until benchmark v2 (ROADMAP item 1) removes them.  No library path
+    reads A or the cached M_c: every product, the dense stepper's K
+    included (dynamics._newton_operator), goes through the vector
+    methods.
     """
 
     domain: Domain1D
@@ -207,7 +206,8 @@ class FracOperator:
 
     @cached_property
     def _generator(self) -> np.ndarray:
-        """x = A^(-1) e_1 by Durbin's recursion, built on first use (read-only)."""
+        """x = A^(-1) e_1 by Durbin's recursion, built by the first
+        solve_vector (read-only)."""
         x = _levinson_generator(self.column)
         if x is None:
             raise NotSPDError(f"stiffness not SPD for r={self.r}, M={self.column.size}")
@@ -299,26 +299,6 @@ class FracOperator:
             raise DomainMismatchError(f"{v.domain} != {self.domain}")
         rhs = self.mass_vector(v.values)
         return float(rhs @ self.solve_vector(rhs))
-
-    def _dual_kernel_buffer(self) -> np.ndarray:
-        """M_c A^(-1) M_c in a fresh, writable, Fortran-ordered buffer, the
-        only M x M array built: A^(-1) column by column from B[:, 0] = x by
-        B[i:, i] = B[i-1:-1, i-1] + (x_i x[i:] - x_(M-i) x[M-i:0:-1]) / x_0,
-        each column mirrored into its row, then the mass stencil down the
-        columns and along the rows, in place, on blocks of about sqrt(M)
-        columns or rows.  Symmetric up to rounding."""
-        M, h, x = self.domain.M, self.domain.h, self._generator
-        X = np.empty((M, M), order="F")
-        X[:, 0] = X[0] = x
-        for i in range(1, M):
-            X[i:, i] = X[i - 1 : -1, i - 1] + (x[i] * x[i:] - x[M - i] * x[M - i : 0 : -1]) / x[0]
-            X[i, i + 1 :] = X[i + 1 :, i]
-        b = math.isqrt(M)
-        for j in range(0, M, b):
-            X[:, j : j + b] = _mass_rows(X[:, j : j + b].T, h).T
-        for i in range(0, M, b):
-            X[i : i + b] = _mass_rows(X[i : i + b], h)
-        return X
 
     def gagliardo_sq(self, v: Field) -> float:
         """v^T A v, the squared X_{r,0} norm of the interpolant, by

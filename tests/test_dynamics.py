@@ -7,6 +7,7 @@ import pytest
 import fracfield as ff
 from fracfield import cli, dynamics, stationary
 from fracfield.config import parse_config
+from fracfield.fracop import SOLVE_BLOCK
 from fracfield.dynamics import (
     NewtonDivergenceError,
     _lagged_direction,
@@ -537,6 +538,27 @@ def test_matrix_free_steps_match_the_dense_newton_oracle(get_op, kind):
     assert traj.stats[1].iterations == iters
 
 
+@pytest.mark.parametrize("kind", FLOWS)
+def test_dense_k_is_the_matrix_free_product_built_by_blocks(get_op, rng, kind):
+    # the dense policy fills K SOLVE_BLOCK rows at a time from the product
+    # G x / tau + A_sigma x; meshes that are not multiples of the block
+    # size end in a partial block
+    tau = 1e-3
+    for M in (45, 100):
+        assert M % SOLVE_BLOCK
+        flow, params = _flow(get_op, M, kind)
+        apply, _ = dynamics._newton_operator(flow.metric, flow.interface, tau, params, [0, 0])
+        K = apply(np.eye(M))
+        op = flow.metric or flow.interface
+        for x in rng.standard_normal((4, M)):
+            y = op.mass_vector(x if flow.metric is None else op.solve_vector(op.mass_vector(x)))
+            y /= tau
+            if flow.interface is not None:
+                y += flow.interface.stiffness_vector(x)
+            assert np.max(np.abs(K @ x - y)) <= 1e-14 * np.max(np.abs(y)), M
+        assert np.max(np.abs(K - K.T)) <= 4 * np.finfo(float).eps * np.max(np.abs(K)), M
+
+
 # both policies: the mesh below MATRIX_FREE_M with ten steps, the smallest
 # above it with two
 POLICY_RUNS = [(64, 1e-2), (dynamics.MATRIX_FREE_M + 1, 2e-3)]
@@ -800,9 +822,9 @@ def test_directions_on_a_c_ordered_k_allocate_o_of_m():
 
 
 def test_stepper_setup_holds_at_most_one_and_a_half_m_by_m_arrays(monkeypatch):
-    # under the dense policy K is the one M x M array: the dual kernel is
-    # built in its buffer from the generator of A_s, and A_sigma is added
-    # from its O(M) view
+    # under the dense policy K is the one M x M array: it is filled from
+    # the matrix-free product on blocks of the identity, so the rest is one
+    # block's FFT temporaries, never a whole identity
     dom = ff.Domain1D(0, 1, 1023)
     monkeypatch.setattr(dynamics, "MATRIX_FREE_M", dom.M)
     flow = ff.Flow(ff.assemble(dom, 0.5), ff.assemble(dom, 0.75), 1.0)

@@ -5,7 +5,7 @@ from scipy import special
 from hypothesis import given, settings, strategies as st
 
 import fracfield as ff
-from fracfield import fracop
+from fracfield import dynamics, fracop
 from fracfield.fracop import AssemblyError, NotSPDError, OutOfRangeError
 from fracfield.grid import DomainMismatchError
 
@@ -487,7 +487,8 @@ def test_mass_vector_is_the_consistent_mass_product(unit64, rng):
 
 
 def test_mass_rows_is_the_dense_mass_product(unit64):
-    # the stencil on the rows of Y = M_c A^-1, as the dual kernel uses it
+    # the stencil on the rows of Y = M_c A^-1, a stack of rows as the
+    # stepper's dense K passes it
     for op in unit64.values():
         Y = np.linalg.solve(op.A, op.M_c).T
         dense = Y @ op.M_c
@@ -496,11 +497,17 @@ def test_mass_rows_is_the_dense_mass_product(unit64):
         assert np.array_equal(fracop._mass_rows(np.eye(64), op.domain.h), op.M_c)
 
 
+def _dual_kernel(op):
+    """M_c A^(-1) M_c as the dense stepper builds it: K of a porous-medium
+    time step with metric op and tau = 1, read back as K times the identity."""
+    apply, _ = dynamics._newton_operator(op, None, 1.0, ff.PotentialParams(p=3, lam=0.0), [0, 0])
+    return apply(np.eye(op.domain.M))
+
+
 def test_dual_kernel_matches_the_dense_form(unit64):
     for op in unit64.values():
         dense = op.M_c @ np.linalg.solve(op.A, op.M_c)
-        K = op._dual_kernel_buffer()
-        assert K.flags.writeable and K.flags.f_contiguous
+        K = _dual_kernel(op)
         assert np.max(np.abs(K - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -560,11 +567,11 @@ def test_poincare_lower_bound_below_discrete_eigenvalue(get_op):
 
 
 def test_dual_kernels_match_an_mpmath_reference():
-    # the library's kernel (the Gohberg-Semencul recurrence, then the
-    # stencil on both sides) and the two earlier ones (dpotri on the
+    # the stepper's kernel (mass_vector(solve_vector(mass_vector(.))) on
+    # blocks of the identity) and the two earlier ones (dpotri on the
     # Cholesky factor; an M right-hand-side Cholesky solve), against 30 digits
     for r in (0.1, 0.5, 0.9):
         op = ff.assemble(ff.Domain1D(0, 1, 48), r)
         ref = dual_kernel_mpmath(op)
-        for K in (op._dual_kernel_buffer(), dual_kernel_dpotri(op), dual_kernel_cho_solve(op)):
+        for K in (_dual_kernel(op), dual_kernel_dpotri(op), dual_kernel_cho_solve(op)):
             assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref)), r
