@@ -115,7 +115,7 @@ class SolverSettings:
             raise ValueError(
                 f"T={self.T} is not a whole number of steps tau={self.tau}"
             )
-        if self.newton_tol <= 0:
+        if not self.newton_tol > 0:  # also catches NaN
             raise ValueError("newton_tol must be positive")
 
     @property

@@ -36,9 +36,8 @@ computed in two cancellation-free forms:
     a series of positive terms whose leading term is the far-field kernel
     -C(r) h^2 |x_i - x_j|^(-1-2r).
 
-The stiffness therefore carries the exact Fourier-symbol normalization.
-kernel_constant computes C(r) = C(r, 1) from its defining integral; it
-agrees with the closed form above to about 1e-11.
+The stiffness therefore carries the exact Fourier-symbol normalization;
+kernel_constant evaluates that closed form, the one definition of C(r).
 
 Storage.  An operator holds the column and O(M) spectra: of the column's
 circulant embedding C (A x by one real FFT pair) and of tau(A) (Bini &
@@ -108,37 +107,16 @@ class NoConvergenceError(SolverError):
     before reaching its tolerance."""
 
 
-def _head_series(r: float) -> float:
-    # int_0^1 (1 - cos z) z^(-1-2r) dz expanded termwise; the alternating
-    # series 1-cos z = sum (-1)^(k+1) z^(2k)/(2k)! integrates to the terms
-    # below and converges to machine precision within ~30 terms.
-    s = 0.0
-    fact = 1.0
-    for k in range(1, 40):
-        fact *= (2 * k - 1) * (2 * k)
-        s += (-1) ** (k + 1) / (fact * (2 * k - 2 * r))
-    return s
-
-
 def kernel_constant(r: float) -> float:
     """The normalizing constant C(r) = (int_R (1 - cos z)/|z|^(1+2r) dz)^(-1)
-    of the one-dimensional kernel, the N = 1 case of C(r, N).
-
-    The defining integral is split at |z| = 1: the head is summed as a
-    Taylor series (exact to machine precision), the tail is the exact
-    power-law integral 1/(2r) minus an oscillatory Fourier-cosine integral
-    evaluated by adaptive quadrature.
+    of the one-dimensional kernel, the N = 1 case of C(r, N), in the closed
+    form sin(pi r) Gamma(1+2r) / pi (Di Nezza, Palatucci & Valdinoci, Bull.
+    Sci. Math. 136, 2012): within 3.2e-16 relative of 40-digit mpmath for
+    r <= 0.9, 2.4e-14 at r = 0.999, where sin(pi r) inherits pi r's rounding.
     """
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
-    from scipy.integrate import quad  # imported here: nothing else needs it
-
-    head = _head_series(r)
-    osc, _err = quad(
-        lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
-    )
-    total = 2.0 * (head + 1.0 / (2.0 * r) - osc)
-    return 1.0 / total
+    return float(np.sin(np.pi * r) * math.gamma(1.0 + 2.0 * r) / np.pi)
 
 
 def _mass_rows(Y: np.ndarray, h: float) -> np.ndarray:
@@ -287,9 +265,11 @@ class FracOperator:
         M, n, S = self.column.size, 2 * (self._embedding.size - 1), self._generator_dft
 
         def solve(B):
-            t = np.fft.irfft(S.conj() * np.fft.rfft(B, n), n)[..., :M]
-            T = S * np.fft.rfft(t, n)
-            return np.fft.irfft(T[0] - T[1], n)[:, :M] / self._generator[0]
+            # the (2, b, n) real array dies before the product; operand order S, T sets rounding
+            T = np.fft.rfft(np.fft.irfft(S.conj() * np.fft.rfft(B, n), n)[..., :M], n)
+            np.multiply(S, T, out=T)
+            T[0] -= T[1]
+            return np.fft.irfft(T[0], n)[:, :M] / self._generator[0]
 
         return self._by_rows(rhs, solve)
 
@@ -367,8 +347,7 @@ def _stiffness_column(M: int, h: float, r: float) -> np.ndarray:
             n += 1
             weight *= (2 * r + 2 * n - 1) * (2 * r + 2 * n) / ((2 * n + 3) * (2 * n + 4))
             power *= inv_k2
-        C_exact = np.sin(np.pi * r) * math.gamma(1.0 + 2.0 * r) / np.pi
-        c[3:] = -C_exact * series * far ** (-1.0 - 2.0 * r)
+        c[3:] = -kernel_constant(r) * series * far ** (-1.0 - 2.0 * r)
     return h ** (1.0 - 2.0 * r) * c
 
 

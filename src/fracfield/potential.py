@@ -30,11 +30,11 @@ class PotentialParams:
     def __post_init__(self) -> None:
         if not (1.0 < self.p < np.inf) or self.p == 2.0:
             raise ValueError(f"need p in (1, inf) with p != 2, got p={self.p}")
-        if self.lam < 0:
+        if not self.lam >= 0:  # also catches NaN
             raise ValueError(f"need lam >= 0, got {self.lam}")
         if self.delta is None:
             object.__setattr__(self, "delta", 0.0 if self.p > 2 else 1e-8)
-        if self.delta < 0 or (self.delta == 0.0 and self.p < 2):
+        if not self.delta >= 0 or (self.delta == 0.0 and self.p < 2):
             raise ValueError("delta = 0 is only allowed for p > 2")
 
 

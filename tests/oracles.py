@@ -21,9 +21,11 @@ which is available in closed form in 1D.  Panel pairs are handled by
   * separated panels: tensor Gauss quadrature, translation invariance makes
     one 4x4 interaction block per gap suffice for the whole row of pairs.
 
-The normalizing constant is the library's kernel_constant, computed from its
-defining integral, so this oracle never uses the Fourier symbol or the
-Toeplitz structure.
+The normalizing constant is kernel_constant_quadrature, the library's
+earlier kernel_constant: a Taylor head and an adaptive Fourier-cosine
+quadrature of its defining integral, where the library uses the closed form
+sin(pi r) Gamma(1+2r) / pi.  So this oracle never uses the Fourier symbol,
+the closed form or the Toeplitz structure.
 
 The dense solver oracles keep the library's earlier loops: inverse iteration
 with dense M_c products and a freshly computed residual, its deflated
@@ -62,6 +64,7 @@ import mpmath
 import numpy as np
 from dataclasses import replace
 from math import cos, gamma, isqrt, log, pi
+from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve, solve_banded
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
@@ -69,7 +72,7 @@ from scipy.special import roots_legendre
 
 from fracfield import potential as pot
 from fracfield.dynamics import energy
-from fracfield.fracop import OutOfRangeError, kernel_constant
+from fracfield.fracop import OutOfRangeError
 from fracfield.grid import Domain1D, Field, lp_norm
 
 
@@ -146,6 +149,37 @@ _GAUSS_N_PAIR = 10  # per-dimension order for separated panel pairs
 _GAUSS_N_TAIL = 16  # order for nonsingular tail panels
 
 
+def _head_series(r: float) -> float:
+    # int_0^1 (1 - cos z) z^(-1-2r) dz expanded termwise; the alternating
+    # series 1-cos z = sum (-1)^(k+1) z^(2k)/(2k)! integrates to the terms
+    # below and converges to machine precision within ~30 terms.
+    s = 0.0
+    fact = 1.0
+    for k in range(1, 40):
+        fact *= (2 * k - 1) * (2 * k)
+        s += (-1) ** (k + 1) / (fact * (2 * k - 2 * r))
+    return s
+
+
+def kernel_constant_quadrature(r: float) -> float:
+    """The normalizing constant C(r) = (int_R (1 - cos z)/|z|^(1+2r) dz)^(-1)
+    from its defining integral, the library's earlier kernel_constant.
+
+    The defining integral is split at |z| = 1: the head is summed as a
+    Taylor series (exact to machine precision), the tail is the exact
+    power-law integral 1/(2r) minus an oscillatory Fourier-cosine integral
+    evaluated by adaptive quadrature.
+    """
+    if not 0.0 < r < 1.0:
+        raise OutOfRangeError(f"need r in (0, 1), got {r}")
+    head = _head_series(r)
+    osc, _err = quad(
+        lambda z: z ** (-1.0 - 2.0 * r), 1.0, np.inf, weight="cos", wvar=1.0
+    )
+    total = 2.0 * (head + 1.0 / (2.0 * r) - osc)
+    return 1.0 / total
+
+
 def _pair_weight_integrals(r: float) -> np.ndarray:
     # W_j = int_0^1 w^j (1+w)^(-1-2r) dw, j = 0..2; smooth integrand, so
     # fixed-order Gauss-Legendre is exact to machine precision
@@ -161,7 +195,7 @@ def stiffness_panel_quadrature(domain: Domain1D, r: float) -> np.ndarray:
     tail, with the kernel constant from its defining integral (module
     docstring)."""
     M, h = domain.M, domain.h
-    C = kernel_constant(r)
+    C = kernel_constant_quadrature(r)
     A = np.zeros((M, M))
 
     inv_h = 1.0 / h
@@ -301,7 +335,7 @@ def gagliardo_sq_riemann(field: Field, r: float, n: int = 2400) -> float:
     band dropped, closed-form exterior tail), accurate to a percent or so."""
     dom = field.domain
     a, b = dom.a, dom.b
-    C = kernel_constant(r)
+    C = kernel_constant_quadrature(r)
     x = a + (b - a) * (np.arange(n) + 0.5) / n
     dx = (b - a) / n
     v = field(x)
@@ -350,7 +384,7 @@ def poincare_lower_bound(domain: Domain1D, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise OutOfRangeError(f"need r in (0, 1), got {r}")
-    C = kernel_constant(r)
+    C = kernel_constant_quadrature(r)
     R = 0.5 * domain.length
     excess = 2.0 * (R + 1.0) - domain.length  # |B_{R+1} \ Omega| in 1D
     return 0.5 * C * excess / (2.0 * R + 2.0) ** (1.0 + 2.0 * r)

@@ -547,7 +547,7 @@ def test_flows_assemble_exactly_the_configured_orders(tmp_path, monkeypatch):
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     # NumPy is the only runtime dependency: with SciPy blocked before the
     # import, one small config of every experiment, and of both limit-sigma
-    # regimes, exits 0 (only kernel_constant imports quad, on first call)
+    # regimes, exits 0, and the public kernel_constant returns C(1/2) = 1/pi
     configs = dict(_DETERMINISM_CONFIGS, **{
         "limit-sigma-fast-diffusion": "a = 0\nb = 1\nM = 24\ns = 0.5\np = 1.5\n"
                                       "tau = 1e-3\nT = 0.005\nexperiment = limit-sigma\n"
@@ -556,14 +556,16 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
         (tmp_path / f"{name}.cfg").write_text(text)
     code = ("import sys\nsys.modules['scipy'] = None\nimport fracfield.cli as cli\n"
             "for name in sys.argv[1:]:\n"
-            "    print(name, cli.main([f'{name}.cfg', '--output', f'out/{name}']))\n")
+            "    print(name, cli.main([f'{name}.cfg', '--output', f'out/{name}']))\n"
+            "import fracfield\nprint(repr(fracfield.kernel_constant(0.5)))\n")
     env = dict(os.environ)
     src = str(Path(fracop.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code, *configs], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [f"{name} 0" for name in configs], out.stderr
+    assert out.stdout.splitlines() == [f"{name} 0" for name in configs] + [
+        "0.3183098861837907"], out.stderr
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

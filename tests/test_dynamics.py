@@ -1113,6 +1113,12 @@ def test_settings_reject_horizons_without_a_finite_step_count(tau, T):
         ff.SolverSettings(tau=tau, T=T)
 
 
+@pytest.mark.parametrize("newton_tol", [0.0, -1e-10, np.nan])
+def test_settings_reject_a_newton_tol_that_is_not_positive(newton_tol):
+    with pytest.raises(ValueError, match="newton_tol must be positive"):
+        ff.SolverSettings(1e-3, 1e-2, newton_tol=newton_tol)
+
+
 def test_horizon_must_be_a_whole_number_of_steps():
     with pytest.raises(ValueError, match="whole number of steps"):
         ff.SolverSettings(tau=0.3, T=0.5)

@@ -18,6 +18,11 @@ from oracles import truncate_beta, yosida_beta
 def test_params_reject_p_two():
     with pytest.raises(ValueError):
         PotentialParams(p=2.0)
+    # and a negative or NaN lam or delta
+    for kwargs in ({"p": 4, "lam": -1.0}, {"p": 4, "lam": float("nan")},
+                   {"p": 1.5, "delta": -1e-8}, {"p": 1.5, "delta": float("nan")}):
+        with pytest.raises(ValueError):
+            PotentialParams(**kwargs)
 
 
 def test_params_reject_zero_delta_for_subquadratic_p():
